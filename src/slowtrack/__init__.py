@@ -10,7 +10,6 @@ make the whole pipeline verifiable at desk scale.
 from ._version import __version__
 from .encoder import FeatureTransform, LayerEncoder, PoolingMap, encode, reconstruct
 from .errors import (
-    CandidateRejectedError,
     DataError,
     LineSearchError,
     ModelFormatError,
@@ -54,7 +53,6 @@ from .tracker import (
     TrackerConfig,
     TrackState,
     likelihood,
-    propagate,
     run_tracker,
 )
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening

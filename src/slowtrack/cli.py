@@ -20,6 +20,7 @@ from .patches import (
     load_frame_dir,
     read_boxes_csv,
     sample_training_set,
+    stream_frame_dir,
     write_boxes_csv,
 )
 from .synth import (
@@ -65,6 +66,14 @@ def _size(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected WIDTHxHEIGHT")
     return int(parts[0]), int(parts[1])
+
+
+def _config(cls, **kwargs):
+    """Build a config from flag values; an invalid value is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -156,8 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-frames", type=int, default=20)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: machine parallelism); results are identical for any value")
 
     p = sub.add_parser("track", help="run the tracker over a frame directory")
     p.add_argument("--model", default=None)
@@ -177,8 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--std-scale", type=float, default=0.02)
     p.add_argument("--std-rotation", type=float, default=0.10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (default: machine parallelism); results are identical for any value")
 
     p = sub.add_parser("eval", help="score predicted boxes against ground truth")
     p.add_argument("--pred", required=True)
@@ -222,6 +227,16 @@ def cmd_synth(args) -> int:
 
 def cmd_pretrain(args) -> int:
     _check_tradeoffs(lam=args.lam)
+    cfg = _config(
+        PretrainConfig,
+        lam=args.lam,
+        f1=args.f1,
+        f2=args.f2,
+        whiten_dim=args.whiten_dim,
+        sub_patch_stride=args.stride,
+        optimizer=_config(LbfgsConfig, max_iters=args.max_iters, grad_tol=args.grad_tol),
+        seed=args.seed,
+    )
     frame_seqs, box_seqs = [], []
     for directory in args.data:
         directory = Path(directory)
@@ -242,15 +257,6 @@ def cmd_pretrain(args) -> int:
             )
         if sample.training_set.n == 0:
             raise DataError(f"no {side}x{side} training patches sampled")
-    cfg = PretrainConfig(
-        lam=args.lam,
-        f1=args.f1,
-        f2=args.f2,
-        whiten_dim=args.whiten_dim,
-        sub_patch_stride=args.stride,
-        optimizer=LbfgsConfig(max_iters=args.max_iters, grad_tol=args.grad_tol),
-        seed=args.seed,
-    )
     result = pretrain(sample16.training_set, sample32.training_set, cfg)
     save_model(result.model, args.out)
     for tag, opt in (("layer1", result.layer1_opt), ("layer2", result.layer2_opt)):
@@ -270,20 +276,20 @@ def _load_model_arg(path):
 
 def cmd_adapt(args) -> int:
     _check_tradeoffs(lam=args.lam, gamma=args.gamma)
+    cfg = _config(
+        TrackerConfig,
+        init_frames=args.init_frames,
+        lam=args.lam,
+        gamma=args.gamma,
+        seed=args.seed,
+        adapt_optimizer=_config(LbfgsConfig, max_iters=args.max_iters, grad_tol=1e-5),
+    )
     model = _load_model_arg(args.model)
     frames = load_frame_dir(args.frames)
     if len(frames) < args.init_frames:
         raise DataError(
             f"need at least {args.init_frames} frames, found {len(frames)}"
         )
-    cfg = TrackerConfig(
-        init_frames=args.init_frames,
-        lam=args.lam,
-        gamma=args.gamma,
-        seed=args.seed,
-        threads=args.threads,
-        adapt_optimizer=LbfgsConfig(max_iters=args.max_iters, grad_tol=1e-5),
-    )
     result = run_tracker(frames[: args.init_frames], args.init_box, model, cfg)
     adapt_events = [e for e in result.events if e.kind != "failed"]
     if not adapt_events:
@@ -303,22 +309,14 @@ def cmd_adapt(args) -> int:
 
 def cmd_track(args) -> int:
     _check_tradeoffs(lam=args.lam, gamma=args.gamma)
-    if args.topk > args.particles:
-        raise UsageError(
-            f"--topk ({args.topk}) must not exceed --particles ({args.particles})"
-        )
-    model = None
-    if args.model is not None:
-        model = _load_model_arg(args.model)
-    elif not args.raw_only:
-        raise UsageError("--model is required unless --raw-only is set")
-    frames = load_frame_dir(args.frames)
-    cfg = TrackerConfig(
+    cfg = _config(
+        TrackerConfig,
         n_candidates=args.particles,
         top_k=args.topk,
         update_period=args.update_every,
         init_frames=args.init_frames,
-        motion=MotionModel(
+        motion=_config(
+            MotionModel,
             std_cx=args.std_xy,
             std_cy=args.std_xy,
             std_scale=args.std_scale,
@@ -328,9 +326,14 @@ def cmd_track(args) -> int:
         gamma=args.gamma,
         sigma=args.sigma,
         seed=args.seed,
-        threads=args.threads,
         raw_only=args.raw_only,
     )
+    model = None
+    if args.model is not None:
+        model = _load_model_arg(args.model)
+    elif not args.raw_only:
+        raise UsageError("--model is required unless --raw-only is set")
+    frames = stream_frame_dir(args.frames)
     log_path = args.log if args.log is not None else args.out + ".log"
     try:
         result = run_tracker(frames, args.init_box, model, cfg)

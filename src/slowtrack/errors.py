@@ -31,10 +31,6 @@ class LineSearchError(OptimizationError):
         self.gradient = gradient
 
 
-class CandidateRejectedError(Exception):
-    """Candidate box lies (mostly) outside the frame; caller assigns weight 0."""
-
-
 class TrackingLostError(Exception):
     """Every candidate was rejected; carries the frame index and last state."""
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = (theta + math.pi) % (2.0 * math.pi) - math.pi
-    if w <= -math.pi:
-        w = math.pi
-    return w
+
+def wrap_angle(theta) -> np.ndarray:
+    """Wrap each angle of an array (or a single angle) to (-pi, pi]."""
+    w = np.remainder(np.add(theta, math.pi), 2.0 * math.pi) - math.pi
+    return np.where(w <= -math.pi, math.pi, w)
 
 
 def snapped_cos_sin(theta: float) -> tuple[float, float]:

@@ -125,6 +125,16 @@ class PretrainConfig:
     )
     seed: int = 0
 
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if min(self.f1, self.f2) < 2 or self.f1 % 2 or self.f2 % 2:
+            raise ValueError(f"f1 and f2 must be even and >= 2, got {self.f1}, {self.f2}")
+        if self.sub_patch_stride < 1:
+            raise ValueError(f"stride must be >= 1, got {self.sub_patch_stride}")
+        if self.whiten_dim is not None and self.whiten_dim < 1:
+            raise ValueError(f"whitening dim must be >= 1, got {self.whiten_dim}")
+
 
 @dataclass(frozen=True)
 class LayerAdaptStats:
@@ -519,6 +529,8 @@ def load_model(path) -> HierarchicalModel:
         if not sep:
             raise ModelFormatError(f"metadata line {i} is not key=value")
         if key == _RESERVED_META_KEY:
+            if not val.isdecimal():
+                raise ModelFormatError(f"{path}: metadata {key}={val!r} is not an integer")
             stride = int(val)
         else:
             pairs.append((key, val))

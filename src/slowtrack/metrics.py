@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .patches import read_boxes_csv, write_boxes_csv
+from .patches import read_boxes_csv
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class BoxTrace:
     @classmethod
     def from_csv(cls, path) -> "BoxTrace":
         return cls(read_boxes_csv(path))
-
-    def to_csv(self, path) -> None:
-        write_boxes_csv(path, self.boxes)
 
 
 def _check_lengths(pred: BoxTrace, gt: BoxTrace) -> None:

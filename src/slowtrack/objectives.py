@@ -60,7 +60,7 @@ class SlownessObjective:
     """Slowness plus reconstruction objective over vector sequences.
 
     `sequences` is a list of (L_i, D) arrays; rows are consecutive-frame
-    patch vectors. Use `from_training_set` for patch data.
+    patch vectors.
     """
 
     def __init__(
@@ -93,10 +93,6 @@ class SlownessObjective:
     @property
     def n(self) -> int:
         return self._all.shape[0]
-
-    @classmethod
-    def from_training_set(cls, training_set, lam: float, **kwargs):
-        return cls(training_set.sequence_arrays(), lam, **kwargs)
 
     def _check_w(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=np.float64)
@@ -191,14 +187,6 @@ class AdaptationObjective:
             t = self.base._all @ delta.T
             value += self.gamma * float((t * t).sum())
         return value
-
-
-def eval_slowness(obj: SlownessObjective, w) -> ObjectiveEvaluation:
-    return obj.evaluate(w)
-
-
-def eval_adaptation(obj: AdaptationObjective, w) -> ObjectiveEvaluation:
-    return obj.evaluate(w)
 
 
 def finite_difference_gradient(f, w, h: float = 1e-5) -> np.ndarray:

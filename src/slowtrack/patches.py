@@ -10,6 +10,7 @@ meaningful within one video.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,6 +142,13 @@ def normalize_values(values: np.ndarray) -> np.ndarray:
     return centered / std
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """`normalize_values` applied to each row of a 2-D array, bit for bit."""
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    std = centered.std(axis=1, keepdims=True)
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std >= _CONST_STD)
+
+
 def _next_token(buf: bytes, pos: int) -> tuple[bytes, int, int]:
     """Skip whitespace/comments; return (token, token_start, next_pos)."""
     n = len(buf)
@@ -216,13 +224,18 @@ def save_frame(frame: Frame, path) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def load_frame_dir(directory) -> list[Frame]:
-    """Load all *.pgm files in a directory, sorted by filename."""
+def stream_frame_dir(directory) -> Iterator[Frame]:
+    """Lazily load a directory's *.pgm files by filename; DataError if none."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.pgm"))
     if not paths:
         raise DataError(f"no .pgm frames found in {directory}")
-    return [load_frame(p) for p in paths]
+    return map(load_frame, paths)
+
+
+def load_frame_dir(directory) -> list[Frame]:
+    """Load all *.pgm files in a directory, sorted by filename."""
+    return list(stream_frame_dir(directory))
 
 
 def _nearest_indices(out_len: int, in_len: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .geometry import snapped_cos_sin
 from .metrics import BoxTrace
 from .patches import Frame, save_frame, write_boxes_csv
 
-SCRIPT_KINDS = ("translation", "rotation", "scaling", "deformation", "composite")
+SCRIPT_KINDS = ("translation", "rotation", "scaling", "deformation")
 
 # required clearance between the target and the frame border, in pixels
 BORDER_MARGIN = 8

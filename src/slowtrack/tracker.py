@@ -18,23 +18,16 @@ features-in, likelihood-out contract.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CandidateRejectedError,
-    DataError,
-    OptimizationError,
-    TrackingLostError,
-)
+from .errors import DataError, OptimizationError, TrackingLostError
 from .geometry import snapped_cos_sin, wrap_angle
 from .hierarchy import HierarchicalModel, adapt, encode_hier, sub_windows
 from .optimizer import LbfgsConfig
-from .patches import Frame, Patch, PatchSequence, TrainingSet, normalize_values
+from .patches import Frame, Patch, PatchSequence, TrainingSet, normalize_rows
 
 CANDIDATE_SIDE = 32
 
@@ -92,27 +85,40 @@ class MotionModel:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Weighted state samples; weights are nonnegative and sum to 1."""
+    """Weighted poses over one base box.
 
-    states: tuple[TrackState, ...]
-    weights: np.ndarray
+    `states` holds one (cx, cy, scale, rotation) row per particle; weights
+    are nonnegative and sum to 1.
+    """
+
+    states: np.ndarray  # (N, 4)
+    weights: np.ndarray  # (N,)
+    base_w: float
+    base_h: float
 
     def __post_init__(self):
-        states = tuple(self.states)
+        # own copy: the set must stay immutable without freezing the caller's array
+        states = np.array(self.states, dtype=np.float64)
         w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if len(states) != w.size or not states:
+        if len(states) != w.size or not w.size:
             raise ValueError(
                 f"{len(states)} states but {w.size} weights (both nonempty required)"
             )
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be nonnegative and sum to 1")
+        states.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def single(cls, state: TrackState) -> "ParticleSet":
-        return cls((state,), np.array([1.0]))
+        row = [[state.cx, state.cy, state.scale, state.rotation]]
+        return cls(np.array(row), np.array([1.0]), state.base_w, state.base_h)
+
+    def state(self, i: int) -> TrackState:
+        cx, cy, scale, rotation = (float(v) for v in self.states[i])
+        return TrackState(cx, cy, scale, rotation, self.base_w, self.base_h)
 
 
 class ExemplarLibrary:
@@ -152,7 +158,6 @@ class TrackerConfig:
     sigma: float = 0.2
     library_capacity: int = 10
     seed: int = 0
-    threads: int | None = None  # worker cap; None = machine parallelism
     raw_only: bool = False
     adapt_optimizer: LbfgsConfig = field(
         default_factory=lambda: LbfgsConfig(max_iters=50, grad_tol=1e-5)
@@ -168,12 +173,8 @@ class TrackerConfig:
             )
         if self.update_period < 1 or self.init_frames < 1 or self.n_candidates < 1:
             raise ValueError("counts must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
-
-    @property
-    def worker_count(self) -> int:
-        return self.threads if self.threads is not None else (os.cpu_count() or 1)
+        if self.sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -206,70 +207,65 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n if n > 1e-12 else v.copy()
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _perturb(states, motion: MotionModel, rng: np.random.Generator):
-    noise = rng.standard_normal((len(states), 4))
-    out = []
-    for st, row in zip(states, noise):
-        scale = st.scale + row[2] * motion.std_scale
-        out.append(
-            TrackState(
-                cx=st.cx + row[0] * motion.std_cx,
-                cy=st.cy + row[1] * motion.std_cy,
-                scale=max(scale, 1e-3),
-                rotation=wrap_angle(st.rotation + row[3] * motion.std_rotation),
-                base_w=st.base_w,
-                base_h=st.base_h,
-            )
-        )
+def _perturb(states: np.ndarray, motion: MotionModel, rng: np.random.Generator):
+    """Independent Gaussian noise on every (cx, cy, scale, rotation) row."""
+    stds = np.array([motion.std_cx, motion.std_cy, motion.std_scale, motion.std_rotation])
+    out = states + rng.standard_normal(states.shape) * stds
+    np.maximum(out[:, 2], 1e-3, out=out[:, 2])
+    out[:, 3] = wrap_angle(out[:, 3])
     return out
 
 
-def propagate(prev: TrackState, motion: MotionModel, n: int, rng) -> list[TrackState]:
-    """n Gaussian perturbations of one state; deterministic given the seed."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
-    rng = np.random.default_rng(rng)
-    return _perturb([prev] * n, motion, rng)
-
-
-def _systematic_resample(particles: ParticleSet, n: int, rng: np.random.Generator):
+def _systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator):
+    """Indices of n systematically resampled particles."""
     positions = (np.arange(n) + rng.random()) / n
-    cum = np.cumsum(particles.weights)
+    cum = np.cumsum(weights)
     cum[-1] = 1.0  # guard against round-off
-    idx = np.searchsorted(cum, positions, side="left")
-    return [particles.states[i] for i in idx]
+    return np.searchsorted(cum, positions, side="left")
 
 
-def candidate_patch(frame: Frame, state: TrackState) -> Patch:
-    """Sample the rotated, scaled box into a normalized 32x32 patch.
-
-    Raises CandidateRejectedError when less than half of the sample grid
-    lies inside the frame; samples outside are clamped to the border.
-    """
-    w = state.base_w * state.scale
-    h = state.base_h * state.scale
+def _sample_indices(frame: Frame, states: np.ndarray, base_w: float, base_h: float):
+    """Flat frame index of each candidate's grid samples, and the valid mask."""
     n = CANDIDATE_SIDE
-    off_u = (np.arange(n) + 0.5) * w / n - w / 2.0
-    off_v = (np.arange(n) + 0.5) * h / n - h / 2.0
-    u, v = np.meshgrid(off_u, off_v)
-    c, s = snapped_cos_sin(state.rotation)
-    xs = state.cx + u * c - v * s
-    ys = state.cy + u * s + v * c
+    grid = np.arange(n) + 0.5
+    w = base_w * states[:, 2:3]
+    h = base_h * states[:, 2:3]
+    off_u = (grid * w / n - w / 2.0)[:, None, :]
+    off_v = (grid * h / n - h / 2.0)[:, :, None]
+    # per row, not np.cos: the snapped values keep quarter turns exact
+    cos_sin = np.array([snapped_cos_sin(r) for r in states[:, 3]]).reshape(-1, 2)
+    c = cos_sin[:, 0, None, None]
+    s = cos_sin[:, 1, None, None]
+    # u varies along the last axis and v along the middle one, so only the
+    # last operation on each line allocates a full (N, 32, 32) array
+    xs = states[:, 0, None, None] + off_u * c - off_v * s
+    ys = states[:, 1, None, None] + off_u * s + off_v * c
     inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
-    if inside.mean() < _MIN_INSIDE_FRACTION:
-        raise CandidateRejectedError(
-            f"candidate at ({state.cx:.1f}, {state.cy:.1f}) lies outside the frame"
-        )
-    ix = np.clip(np.floor(xs).astype(np.int64), 0, frame.width - 1)
-    iy = np.clip(np.floor(ys).astype(np.int64), 0, frame.height - 1)
-    return Patch(n, normalize_values(frame.pixels[iy, ix]))
+    valid = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
+    # clamp in float and build the flat index in place
+    np.clip(np.floor(xs, out=xs), 0, frame.width - 1, out=xs)
+    np.clip(np.floor(ys, out=ys), 0, frame.height - 1, out=ys)
+    ys *= frame.width
+    ys += xs
+    return ys.astype(np.intp).reshape(len(states), n * n), valid
+
+
+def candidate_patches(
+    frame: Frame, states: np.ndarray, base_w: float, base_h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample every rotated, scaled box into a normalized 32x32 patch.
+
+    `states` holds one (cx, cy, scale, rotation) row per candidate. Returns
+    `(values, valid)`: (N, 1024) patch values and an (N,) mask that is
+    False where less than half of a candidate's sample grid lies inside
+    the frame. Samples outside are clamped to the border; rejected rows
+    are zero. All candidates are read from the frame in one gather.
+    """
+    states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
+    index, valid = _sample_indices(frame, states, base_w, base_h)
+    values = normalize_rows(frame.pixels.take(index))
+    values[~valid] = 0.0
+    return values, valid
 
 
 def likelihood(lib: ExemplarLibrary, feature) -> float:
@@ -294,24 +290,18 @@ def step(
     Learned re-ranking is active once the library is seeded (after the
     bootstrap frames) unless the config is raw-only.
     """
-    parents = _systematic_resample(prev, cfg.n_candidates, rng)
-    states = _perturb(parents, cfg.motion, rng)
+    parents = _systematic_resample(prev.weights, cfg.n_candidates, rng)
+    states = _perturb(prev.states[parents], cfg.motion, rng)
+    values, accepted = candidate_patches(frame, states, prev.base_w, prev.base_h)
+    valid = np.flatnonzero(accepted)
+    if not valid.size:
+        raise TrackingLostError(frame_index, prev.state(int(np.argmax(prev.weights))))
 
-    def try_patch(st):
-        try:
-            return candidate_patch(frame, st)
-        except CandidateRejectedError:
-            return None
-
-    patches = _ordered_map(try_patch, states, cfg.worker_count)
-    valid = [i for i, p in enumerate(patches) if p is not None]
-    if not valid:
-        raise TrackingLostError(frame_index, prev.states[int(np.argmax(prev.weights))])
-
+    # one norm per row: a batched norm sums in another order and moves ulps
     t_unit = _unit(np.asarray(template, dtype=np.float64).ravel())
     dist = np.full(cfg.n_candidates, np.inf)
     for i in valid:
-        dist[i] = float(np.linalg.norm(_unit(patches[i].values) - t_unit))
+        dist[i] = np.linalg.norm(_unit(values[i]) - t_unit)
 
     use_features = (
         not cfg.raw_only
@@ -323,11 +313,8 @@ def step(
     if use_features:
         order = np.argsort(dist, kind="stable")
         top = [int(i) for i in order[: cfg.top_k] if np.isfinite(dist[i])]
-
-        def feature_distance(i):
-            return lib.min_distance(encode_hier(model, patches[i]).combined)
-
-        fdist = np.asarray(_ordered_map(feature_distance, top, cfg.worker_count))
+        patches = (Patch(CANDIDATE_SIDE, values[i]) for i in top)
+        fdist = np.array([lib.min_distance(encode_hier(model, p).combined) for p in patches])
         # subtract the minimum before exponentiating: a positive rescaling of
         # every likelihood, harmless for the argmax and immune to underflow
         d2 = fdist * fdist
@@ -340,10 +327,11 @@ def step(
 
     best = int(np.argmax(weights))  # ties resolve to the lowest index
     coarse_rank = int(np.count_nonzero(dist < dist[best]))
+    particles = ParticleSet(states, weights, prev.base_w, prev.base_h)
     return StepResult(
-        state=states[best],
-        particles=ParticleSet(tuple(states), weights),
-        patch=patches[best],
+        state=particles.state(best),
+        particles=particles,
+        patch=Patch(CANDIDATE_SIDE, values[best]),
         coarse_rank=coarse_rank,
     )
 
@@ -366,7 +354,10 @@ def _object_training_sets(patches32, stride: int):
 def run_tracker(
     frames, init_box, model: HierarchicalModel | None, cfg: TrackerConfig
 ) -> TrackResult:
-    """Track through a frame list from a first-frame box.
+    """Track through an iterable of frames from a first-frame box.
+
+    Frames are read once, in order, so a lazy iterable keeps one frame in
+    memory at a time.
 
     The first init_frames frames run on raw-pixel ranking while object
     patches are collected; adaptation then runs on the collected patches
@@ -375,25 +366,23 @@ def run_tracker(
     filters. A failed adaptation is logged and tracking continues with
     the previous filters.
     """
-    frames = list(frames)
-    if not frames:
+    frames = iter(frames)
+    f0 = next(frames, None)
+    if f0 is None:
         raise DataError("no frames to track")
     if model is None and not cfg.raw_only:
         raise ValueError("a model is required unless raw_only is set")
     x, y, w, h = (float(v) for v in init_box)
-    f0 = frames[0]
-    if x < 0 or y < 0 or x + w > f0.width or y + h > f0.height:
+    if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > f0.width or y + h > f0.height:
         raise DataError(
-            f"initial box {init_box} not inside frame 0 ({f0.width}x{f0.height})"
+            f"initial box {init_box} is empty or not inside frame 0 "
+            f"({f0.width}x{f0.height})"
         )
     rng = np.random.default_rng(cfg.seed)
     state = TrackState.from_box(init_box)
-    try:
-        patch = candidate_patch(f0, state)
-    except CandidateRejectedError:
-        raise DataError(f"initial box {init_box} cannot be sampled") from None
-
     particles = ParticleSet.single(state)
+    # a box inside the frame has every sample inside, so it is never rejected
+    patch = Patch(CANDIDATE_SIDE, candidate_patches(f0, particles.states, w, h)[0][0])
     template = patch.values
     boxes = [state.box()]
     collected: list[Patch] = [patch]
@@ -444,9 +433,9 @@ def run_tracker(
             lib.add(encode_hier(current, collected[-1]).combined)
 
     maybe_adapt(1)
-    for t in range(1, len(frames)):
+    for t, frame in enumerate(frames, start=1):
         try:
-            res = step(frames[t], particles, template, current, lib, cfg, t, rng)
+            res = step(frame, particles, template, current, lib, cfg, t, rng)
         except TrackingLostError as err:
             raise TrackingLostError(t, err.state, np.asarray(boxes)) from None
         state, particles, patch = res.state, res.particles, res.patch

@@ -286,6 +286,16 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match="layer1 weights"):
             load_model(path)
 
+    def test_non_integer_stride_metadata(self, tmp_path):
+        path = tmp_path / "m.hftm"
+        save_model(build_model(), path)
+        data = path.read_bytes()
+        assert data.count(b"sub_patch_stride=16") == 1
+        # same length, so the line-length prefix stays valid
+        path.write_bytes(data.replace(b"sub_patch_stride=16", b"sub_patch_stride=xx"))
+        with pytest.raises(ModelFormatError, match="sub_patch_stride='xx'"):
+            load_model(path)
+
 
 class TestModelInvariants:
     def test_layer1_input_dim_checked(self):

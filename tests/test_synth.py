@@ -29,19 +29,6 @@ class TestScripts:
         with pytest.raises(ValueError, match="kind"):
             MotionScript("warp", np.zeros((1, 2)), [0.0], [1.0], [0.0])
 
-    def test_composite_kind_constructible(self):
-        n = 6
-        centers = np.tile([60.0, 50.0], (n, 1)) + np.arange(n)[:, None]
-        script = MotionScript(
-            "composite",
-            centers,
-            0.01 * np.arange(n),
-            np.full(n, 1.0),
-            np.zeros(n),
-        )
-        frames, gt = generate_sequence(script, (140, 120), seed=3)
-        assert len(frames) == n
-
     def test_factories_cover_patterns(self):
         assert translation_script(5, (0, 0), (1, 0)).kind == "translation"
         assert rotation_script(5, (0, 0), 0.1).kind == "rotation"

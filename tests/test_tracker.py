@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowtrack.errors import CandidateRejectedError, DataError, TrackingLostError
+from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import encode_hier
-from slowtrack.patches import Frame, normalize_values
+from slowtrack.patches import Frame, Patch, normalize_values
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
     ExemplarLibrary,
@@ -16,9 +16,9 @@ from slowtrack.tracker import (
     ParticleSet,
     TrackerConfig,
     TrackState,
-    candidate_patch,
+    _perturb,
+    candidate_patches,
     likelihood,
-    propagate,
     run_tracker,
     step,
 )
@@ -27,6 +27,36 @@ from slowtrack.tracker import (
 def random_frame(w=96, h=96, seed=0):
     rng = np.random.default_rng(seed)
     return Frame(w, h, rng.random((h, w)))
+
+
+def reference_candidate_patch(frame, state):
+    """One candidate sampled on its own: the oracle for `candidate_patches`.
+
+    Returns the normalized 32x32 values, or None when less than half of
+    the sample grid lies inside the frame.
+    """
+    w = state.base_w * state.scale
+    h = state.base_h * state.scale
+    n = 32
+    off_u = (np.arange(n) + 0.5) * w / n - w / 2.0
+    off_v = (np.arange(n) + 0.5) * h / n - h / 2.0
+    u, v = np.meshgrid(off_u, off_v)
+    c, s = snapped_cos_sin(state.rotation)
+    xs = state.cx + u * c - v * s
+    ys = state.cy + u * s + v * c
+    inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
+    if inside.mean() < 0.5:
+        return None
+    ix = np.clip(np.floor(xs).astype(np.int64), 0, frame.width - 1)
+    iy = np.clip(np.floor(ys).astype(np.int64), 0, frame.height - 1)
+    return normalize_values(frame.pixels[iy, ix])
+
+
+def sample_one(frame, state):
+    """candidate_patches on a single TrackState: (values, accepted)."""
+    row = [[state.cx, state.cy, state.scale, state.rotation]]
+    values, valid = candidate_patches(frame, np.array(row), state.base_w, state.base_h)
+    return values[0], bool(valid[0])
 
 
 class TestWrapAngle:
@@ -51,30 +81,33 @@ class TestWrapAngle:
 
 
 class TestPropagate:
-    def state(self):
-        return TrackState(48.0, 40.0, 1.0, 0.0, 32.0, 32.0)
+    """Gaussian propagation of a particle array (`_perturb`)."""
+
+    row = np.array([48.0, 40.0, 1.0, 0.0])
+
+    def perturb(self, motion, n, seed):
+        return _perturb(np.tile(self.row, (n, 1)), motion, np.random.default_rng(seed))
 
     def test_zero_noise_copies(self):
-        motion = MotionModel(0.0, 0.0, 0.0, 0.0)
-        states = propagate(self.state(), motion, 5, 1)
-        assert all(s == self.state() for s in states)
+        states = self.perturb(MotionModel(0.0, 0.0, 0.0, 0.0), 5, 1)
+        np.testing.assert_array_equal(states, np.tile(self.row, (5, 1)))
 
     def test_deterministic_given_seed(self):
-        motion = MotionModel()
-        a = propagate(self.state(), motion, 10, 42)
-        b = propagate(self.state(), motion, 10, 42)
-        assert a == b
+        a = self.perturb(MotionModel(), 10, 42)
+        b = self.perturb(MotionModel(), 10, 42)
+        np.testing.assert_array_equal(a, b)
 
     def test_empirical_std_matches(self):
-        motion = MotionModel(std_cx=4.0)
-        states = propagate(self.state(), motion, 100_000, 7)
-        cx = np.array([s.cx for s in states])
-        assert abs(cx.std() - 4.0) / 4.0 < 0.02
+        states = self.perturb(MotionModel(std_cx=4.0), 100_000, 7)
+        assert abs(states[:, 0].std() - 4.0) / 4.0 < 0.02
 
     def test_rotation_wrapped(self):
-        motion = MotionModel(std_rotation=10.0)
-        states = propagate(self.state(), motion, 200, 3)
-        assert all(-math.pi < s.rotation <= math.pi for s in states)
+        states = self.perturb(MotionModel(std_rotation=10.0), 200, 3)
+        assert np.all((-math.pi < states[:, 3]) & (states[:, 3] <= math.pi))
+
+    def test_scale_floor(self):
+        states = self.perturb(MotionModel(std_scale=10.0), 200, 4)
+        assert states[:, 2].min() == 1e-3
 
 
 class TestTrackState:
@@ -95,39 +128,81 @@ class TestTrackState:
             TrackState(0, 0, 1.0, 4.0, 32, 32)
 
 
+angles = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, math.pi / 4]),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+)
+
+
+@st.composite
+def candidate_case(draw):
+    w = draw(st.integers(20, 80))
+    h = draw(st.integers(20, 80))
+    if draw(st.booleans()):
+        frame = random_frame(w, h, seed=draw(st.integers(0, 3)))
+    else:
+        frame = Frame(w, h, np.full((h, w), 0.25))
+    base = (draw(st.floats(2.0, 48.0)), draw(st.floats(2.0, 48.0)))
+    states = [
+        TrackState(
+            draw(st.floats(-40.0, w + 40.0)),
+            draw(st.floats(-40.0, h + 40.0)),
+            draw(st.floats(0.05, 3.0)),
+            draw(angles),
+            *base,
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return frame, states
+
+
 class TestCandidatePatch:
     def test_identity_state_recovers_template(self):
         frame = random_frame(seed=3)
         box = (20.0, 24.0, 32.0, 32.0)
-        st_ = TrackState.from_box(box)
-        patch = candidate_patch(frame, st_)
+        values, accepted = sample_one(frame, TrackState.from_box(box))
         window = frame.pixels[24:56, 20:52]
-        np.testing.assert_array_equal(patch.values, normalize_values(window))
+        assert accepted
+        np.testing.assert_array_equal(values, normalize_values(window))
 
     def test_uniform_frame_gives_zero_patch(self):
         frame = Frame(96, 96, np.full((96, 96), 0.5))
-        st_ = TrackState(48.0, 48.0, 2.0, 0.0, 32.0, 32.0)
-        patch = candidate_patch(frame, st_)
-        assert not patch.values.any()
+        values, accepted = sample_one(frame, TrackState(48.0, 48.0, 2.0, 0.0, 32.0, 32.0))
+        assert accepted and not values.any()
 
     def test_half_turn_on_symmetric_checkerboard(self):
         # 2x2-cell blocks aligned with the window: symmetric under a half turn
         ii, jj = np.indices((96, 96))
         board = ((ii // 2) + (jj // 2)) % 2
         frame = Frame(96, 96, board.astype(float))
-        a = candidate_patch(frame, TrackState(48.0, 48.0, 1.0, 0.0, 32.0, 32.0))
-        b = candidate_patch(frame, TrackState(48.0, 48.0, 1.0, math.pi, 32.0, 32.0))
-        np.testing.assert_array_equal(a.values, b.values)
+        a, _ = sample_one(frame, TrackState(48.0, 48.0, 1.0, 0.0, 32.0, 32.0))
+        b, _ = sample_one(frame, TrackState(48.0, 48.0, 1.0, math.pi, 32.0, 32.0))
+        np.testing.assert_array_equal(a, b)
 
     def test_outside_frame_rejected(self):
         frame = random_frame()
-        with pytest.raises(CandidateRejectedError):
-            candidate_patch(frame, TrackState(-30.0, 48.0, 1.0, 0.0, 32.0, 32.0))
+        values, accepted = sample_one(frame, TrackState(-30.0, 48.0, 1.0, 0.0, 32.0, 32.0))
+        assert not accepted and not values.any()
 
     def test_mostly_inside_is_clamped_not_rejected(self):
         frame = random_frame()
-        patch = candidate_patch(frame, TrackState(10.0, 48.0, 1.0, 0.0, 32.0, 32.0))
-        assert patch.values.shape == (1024,)
+        values, accepted = sample_one(frame, TrackState(10.0, 48.0, 1.0, 0.0, 32.0, 32.0))
+        assert accepted and values.shape == (1024,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidate_case())
+    def test_matches_scalar_reference_bit_for_bit(self, case):
+        frame, states = case
+        rows = np.array([[s.cx, s.cy, s.scale, s.rotation] for s in states])
+        values, valid = candidate_patches(frame, rows, states[0].base_w, states[0].base_h)
+        assert values.shape == (len(states), 1024) and valid.shape == (len(states),)
+        for got, ok, state in zip(values, valid, states):
+            want = reference_candidate_patch(frame, state)
+            assert ok == (want is not None)
+            if want is None:
+                assert not got.any()
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 class TestExemplarLibrary:
@@ -167,14 +242,15 @@ class TestExemplarLibrary:
 
 class TestParticleSet:
     def test_weights_must_normalize(self):
-        s = TrackState(0, 0, 1, 0, 8, 8)
+        rows = np.tile([0.0, 0.0, 1.0, 0.0], (2, 1))
         with pytest.raises(ValueError):
-            ParticleSet((s, s), np.array([0.5, 0.2]))
+            ParticleSet(rows, np.array([0.5, 0.2]), 8.0, 8.0)
 
     def test_single(self):
-        s = TrackState(0, 0, 1, 0, 8, 8)
+        s = TrackState(1.0, 2.0, 1.5, 0.25, 8.0, 6.0)
         ps = ParticleSet.single(s)
         assert ps.weights.sum() == 1.0
+        assert ps.state(0) == s
 
 
 class TestStep:
@@ -182,7 +258,7 @@ class TestStep:
         script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=5)
         state = TrackState.from_box(tuple(gt.boxes[0]))
-        template = candidate_patch(frames[0], state)
+        template = Patch(32, sample_one(frames[0], state)[0])
         lib = ExemplarLibrary(capacity=4, sigma=0.2)
         if use_lib:
             lib.add(encode_hier(model, template).combined)
@@ -289,25 +365,42 @@ class TestRunTracker:
         assert res.model is None
         assert len(res.boxes) == 6
 
-    def test_determinism_and_thread_independence(self, trained_model):
+    def test_rerun_determinism(self, trained_model):
         script = translation_script(8, (46.0, 48.0), (1.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=10)
         from slowtrack.optimizer import LbfgsConfig
 
-        def run(threads):
+        def run():
             cfg = TrackerConfig(
                 n_candidates=40,
                 top_k=6,
                 init_frames=4,
                 update_period=3,
-                threads=threads,
                 adapt_optimizer=LbfgsConfig(max_iters=2),
             )
             return run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg).boxes
 
-        a, b, c = run(1), run(1), run(8)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(a, c)
+        np.testing.assert_array_equal(run(), run())
+
+    def test_frames_read_once_in_order(self, trained_model):
+        script = translation_script(6, (48.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=13)
+        read = []
+
+        def stream():
+            for k, frame in enumerate(frames):
+                read.append(k)
+                yield frame
+
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=20)
+        lazy = run_tracker(stream(), tuple(gt.boxes[0]), trained_model, cfg)
+        eager = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
+        assert read == list(range(6))
+        np.testing.assert_array_equal(lazy.boxes, eager.boxes)
+
+    def test_no_frames_rejected(self, trained_model):
+        with pytest.raises(DataError, match="no frames"):
+            run_tracker(iter(()), (0.0, 0.0, 32.0, 32.0), trained_model, TrackerConfig())
 
     def test_init_box_outside_frame_rejected(self, trained_model):
         script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
@@ -342,3 +435,7 @@ class TestConfigValidation:
     def test_motion_stds_nonnegative(self):
         with pytest.raises(ValueError):
             MotionModel(std_cx=-1.0)
+
+    def test_sigma_positive(self):
+        with pytest.raises(ValueError, match="sigma"):
+            TrackerConfig(sigma=0.0)
