@@ -262,7 +262,7 @@ def cmd_pretrain(args) -> int:
     for tag, opt in (("layer1", result.layer1_opt), ("layer2", result.layer2_opt)):
         print(
             f"{tag} objective: {opt.trace[0][0]:.6e} -> {opt.value:.6e} "
-            f"({opt.iterations} iterations, {opt.status})"
+            f"({opt.iterations} iterations, {opt.evals} evals, {opt.status})"
         )
     print(f"wrote model to {args.out}")
     return EXIT_OK

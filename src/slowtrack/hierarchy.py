@@ -145,6 +145,7 @@ class LayerAdaptStats:
     relative_change: float
     iterations: int
     status: str
+    evals: int
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,7 @@ def _adapt_layer(sequences, w_old, lam, gamma, eps_sqrt, eps_abs, cfg, tag):
         relative_change=change / denom if denom > 0 else change,
         iterations=result.iterations,
         status=result.status,
+        evals=result.evals,
     )
     return w_new, stats
 

@@ -15,8 +15,12 @@ toward the frozen pre-learned filters, evaluated on the target object's
 own patches.
 
 Gradients are hand-derived closed forms (no autodiff), so the
-finite-difference function below is a genuinely independent oracle. All
-reductions are ordered numpy sums; results do not depend on thread count.
+finite-difference function below is a genuinely independent oracle.
+The reconstruction term and the adaptation pull are evaluated from the
+Gram matrix C = X^T X, computed once per objective, so an evaluation
+touches the N data rows only in the slowness term. A rerun repeats every
+bit; a different BLAS thread count can move the last digits, because the
+matrix products split their work by thread count.
 """
 
 from __future__ import annotations
@@ -79,12 +83,13 @@ class SlownessObjective:
         self.eps_sqrt = float(eps_sqrt)
         self.eps_abs = float(eps_abs)
         self._all = np.vstack(seqs)
-        ranges = []
-        lo = 0
-        for s in seqs:
-            ranges.append((lo, lo + s.shape[0]))
-            lo += s.shape[0]
-        self._ranges = ranges
+        # the data never changes during a minimization, so the
+        # reconstruction term is evaluated from its Gram matrix
+        self._gram = self._all.T @ self._all
+        # 1 for each consecutive row pair inside a sequence, 0 across a break
+        starts = np.cumsum([s.shape[0] for s in seqs])[:-1]
+        self._pair_mask = np.ones(self.n - 1)
+        self._pair_mask[starts - 1] = 0.0
 
     @property
     def dim(self) -> int:
@@ -105,45 +110,43 @@ class SlownessObjective:
         return w
 
     def evaluate(self, w) -> ObjectiveEvaluation:
-        w = self._check_w(w)
-        value, grad = self._terms(w, with_gradient=True)
-        return ObjectiveEvaluation(value, grad)
+        return ObjectiveEvaluation(*self._terms(self._check_w(w), with_gradient=True))
 
     def value(self, w) -> float:
-        w = self._check_w(w)
-        value, _ = self._terms(w, with_gradient=False)
-        return value
+        return self._terms(self._check_w(w), with_gradient=False)[0]
 
     def _terms(self, w, with_gradient):
-        x = self._all
-        a = x @ w.T  # (N, F) filter responses
-        q0, q1 = a[:, ::2], a[:, 1::2]
-        z = np.sqrt(q0 * q0 + q1 * q1 + self.eps_sqrt)  # (N, F/2)
-
-        r = x - (a @ w)  # reconstruction residuals
-        value = float((r * r).sum())
+        # reconstruction from C = X^T X, with G = W C, K = G W^T, M = W W^T:
+        #   ||X - X W^T W||^2 = tr C - 2 tr K + <K, M>
+        #   gradient          = -4 G + 2 K W + 2 M G
+        g = w @ self._gram
+        k = g @ w.T
+        m = w @ w.T
+        value = float(np.trace(self._gram) - 2.0 * np.trace(k) + (k * m).sum())
         grad = None
         if with_gradient:
-            grad = -2.0 * (a.T @ r + w @ (r.T @ x))
+            grad = -4.0 * g + 2.0 * (k @ w) + 2.0 * (m @ g)
 
         if self.lam > 0:
-            p = np.zeros_like(z) if with_gradient else None
-            for lo, hi in self._ranges:
-                if hi - lo < 2:
-                    continue
-                d = z[lo : hi - 1] - z[lo + 1 : hi]
-                s = np.sqrt(d * d + self.eps_abs)
-                value += self.lam * float(s.sum())
-                if with_gradient:
-                    # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0
-                    c = np.divide(d, s, out=np.zeros_like(d), where=s > 0)
-                    p[lo : hi - 1] += c
-                    p[lo + 1 : hi] -= c
+            x = self._all
+            a = x @ w.T  # (N, F) filter responses
+            q0, q1 = a[:, ::2], a[:, 1::2]
+            z = np.sqrt(q0 * q0 + q1 * q1 + self.eps_sqrt)  # (N, F/2)
+            d = z[:-1] - z[1:]
+            s = np.sqrt(d * d + self.eps_abs)
+            value += self.lam * float((self._pair_mask @ s).sum())
             if with_gradient:
-                ratio = np.divide(p, z, out=np.zeros_like(p), where=z > 0)
-                u = np.empty_like(a)
-                u[:, ::2] = ratio * q0
-                u[:, 1::2] = ratio * q1
+                # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0.
+                # c holds it per pair, zero-padded at both ends, so the
+                # gradient with respect to z_i is c_i - c_{i-1}
+                c = np.zeros((len(z) + 1, z.shape[1]))
+                np.divide(d, s, out=c[1:-1], where=s > 0)
+                c[1:-1] *= self._pair_mask[:, None]
+                # gradient with respect to z, divided by z; where z == 0
+                # both responses are 0, so u is 0 regardless
+                ratio = c[1:] - c[:-1]
+                np.divide(ratio, z, out=ratio, where=z > 0)
+                u = a * np.repeat(ratio, 2, axis=1)
                 grad += self.lam * (u.T @ x)
         return value, grad
 
@@ -162,31 +165,28 @@ class AdaptationObjective:
         self.base = base
         self.gamma = float(gamma)
         self.w_old = w_old
-        # gradient of the pull term is 2*gamma*(W - W_old) @ (X^T X)
-        self._xtx = base._all.T @ base._all
 
     def evaluate(self, w) -> ObjectiveEvaluation:
+        return ObjectiveEvaluation(*self._terms(w, with_gradient=True))
+
+    def value(self, w) -> float:
+        return self._terms(w, with_gradient=False)[0]
+
+    def _terms(self, w, with_gradient):
         w = self.base._check_w(w)
         if w.shape != self.w_old.shape:
             raise ValueError(
                 f"W has shape {w.shape}, W_old has shape {self.w_old.shape}"
             )
-        value, grad = self.base._terms(w, with_gradient=True)
+        value, grad = self.base._terms(w, with_gradient)
         if self.gamma > 0:
+            # ||X D^T||^2 = <D C, D> and its gradient is 2 D C, D = W - W_old
             delta = w - self.w_old
-            t = self.base._all @ delta.T
-            value += self.gamma * float((t * t).sum())
-            grad = grad + 2.0 * self.gamma * (delta @ self._xtx)
-        return ObjectiveEvaluation(value, grad)
-
-    def value(self, w) -> float:
-        w = self.base._check_w(w)
-        value, _ = self.base._terms(w, with_gradient=False)
-        if self.gamma > 0:
-            delta = w - self.w_old
-            t = self.base._all @ delta.T
-            value += self.gamma * float((t * t).sum())
-        return value
+            dc = delta @ self.base._gram
+            value += self.gamma * float((dc * delta).sum())
+            if with_gradient:
+                grad = grad + 2.0 * self.gamma * dc
+        return value, grad
 
 
 def finite_difference_gradient(f, w, h: float = 1e-5) -> np.ndarray:

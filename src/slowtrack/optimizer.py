@@ -95,6 +95,7 @@ class OptimizeResult:
     value: float
     grad_norm: float  # max-norm at w_final
     iterations: int
+    evals: int  # objective evaluations, the start and every line-search probe
     converged: bool
     status: str  # converged | max_iters | line_search_failed
     trace: list  # (value, grad max-norm) per iterate, including the start
@@ -256,8 +257,15 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     iterate.
     """
     cfg = cfg or LbfgsConfig()
+    evals = 0
+
+    def counted(x):
+        nonlocal evals
+        evals += 1
+        return f(x)
+
     x = np.array(x0, dtype=np.float64).ravel()
-    value, grad = f(x)
+    value, grad = counted(x)
     grad = np.asarray(grad, dtype=np.float64).ravel()
     _check_finite(value, grad, "the starting point", x)
     ginf = float(np.max(np.abs(grad))) if grad.size else 0.0
@@ -272,7 +280,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
         for _ in range(cfg.max_iters):
             p = two_loop_direction(grad, hist, b0)
             try:
-                ls = wolfe_line_search(f, x, p, value, grad, cfg)
+                ls = wolfe_line_search(counted, x, p, value, grad, cfg)
             except LineSearchError as err:
                 status = "line_search_failed"
                 if err.value < value:
@@ -298,6 +306,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
         value=value,
         grad_norm=ginf,
         iterations=iterations,
+        evals=evals,
         converged=status == "converged",
         status=status,
         trace=trace,

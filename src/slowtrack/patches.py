@@ -33,9 +33,17 @@ class Frame:
     pixels: np.ndarray  # (height, width) float64
 
     def __post_init__(self):
-        # own copy: the frame must stay immutable without freezing the
-        # caller's array
-        px = np.array(self.pixels, dtype=np.float64)
+        # the frame must stay immutable without freezing the caller's
+        # array: a read-only float64 array that owns its data is adopted,
+        # any other is copied
+        px = self.pixels
+        if not (
+            isinstance(px, np.ndarray)
+            and px.dtype == np.float64
+            and px.flags.owndata
+            and not px.flags.writeable
+        ):
+            px = np.array(px, dtype=np.float64)
         if px.shape != (self.height, self.width):
             raise ValueError(
                 f"pixel block of shape {px.shape} does not match "
@@ -202,18 +210,16 @@ def load_frame(path) -> Frame:
     pos += 1
     width, height = header["width"], header["height"]
     need = width * height
-    payload = buf[pos : pos + need]
-    if len(payload) < need:
+    present = len(buf) - pos
+    if present < need:
         raise PgmFormatError(
-            f"{path}: payload truncated at byte offset {pos + len(payload)} "
-            f"({need} bytes required, {len(payload)} present)"
+            f"{path}: payload truncated at byte offset {pos + present} "
+            f"({need} bytes required, {present} present)"
         )
-    pixels = (
-        np.frombuffer(payload, dtype=np.uint8)
-        .astype(np.float64)
-        .reshape(height, width)
-        / 255.0
-    )
+    raw = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
+    pixels = raw.reshape(height, width).astype(np.float64)
+    pixels /= 255.0  # in place: one float64 block per frame, which Frame adopts
+    pixels.setflags(write=False)
     return Frame(width, height, pixels)
 
 

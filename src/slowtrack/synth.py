@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DataError
 from .geometry import snapped_cos_sin
@@ -123,6 +122,10 @@ def deformation_script(
 
 
 def _bandlimited(rng: np.random.Generator, shape, sigma, lo, hi) -> np.ndarray:
+    # imported here: scipy.ndimage costs every command that imports
+    # slowtrack about 0.4 s, and only synthesis uses it
+    from scipy.ndimage import gaussian_filter
+
     noise = rng.random(shape)
     smooth = gaussian_filter(noise, sigma=sigma, mode="wrap")
     lo_v, hi_v = smooth.min(), smooth.max()

@@ -455,6 +455,9 @@ def format_event(event: AdaptEvent) -> str:
         parts.append(
             f"{st.layer}_before={st.value_before:.6e} "
             f"{st.layer}_after={st.value_after:.6e} "
-            f"{st.layer}_rel_change={st.relative_change:.6e}"
+            f"{st.layer}_rel_change={st.relative_change:.6e} "
+            f"{st.layer}_iters={st.iterations} "
+            f"{st.layer}_status={st.status} "
+            f"{st.layer}_evals={st.evals}"
         )
     return " ".join(parts)

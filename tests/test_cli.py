@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -59,6 +60,18 @@ def init_box_of(seq_dir):
     return ",".join(str(v) for v in row)
 
 
+def test_cli_import_leaves_scipy_ndimage_out():
+    # only synthesis smooths noise; every other command skips the import
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, slowtrack.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 class TestSynth:
     def test_writes_frames_and_gt(self, tmp_path):
         res = synth(tmp_path / "s", frames=10)
@@ -99,6 +112,20 @@ class TestPretrain:
     def test_reports_objectives(self, model_path):
         model = load_model(model_path)
         assert model.layer1.transform.rows == 8
+
+    def test_stdout_says_what_the_optimizer_did(self, tmp_path, data_dir):
+        res = run_cli("pretrain", "--data", data_dir / "a", "--out",
+                      tmp_path / "m.hftm", "--f1", 8, "--f2", 4, "--max-iters", 3)
+        assert res.returncode == 0, res.stderr
+        for layer in ("layer1", "layer2"):
+            m = re.search(
+                rf"^{layer} objective: (\S+) -> (\S+) "
+                r"\(3 iterations, (\d+) evals, max_iters\)$",
+                res.stdout,
+                re.MULTILINE,
+            )
+            assert m, res.stdout
+            assert float(m[2]) < float(m[1]) and int(m[3]) >= 4
 
     def test_lambda_warning_outside_range(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",

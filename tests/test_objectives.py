@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slowtrack.errors import DataError
 from slowtrack.objectives import (
@@ -7,6 +9,46 @@ from slowtrack.objectives import (
     SlownessObjective,
     finite_difference_gradient,
 )
+
+
+def reference_terms(seqs, w, lam, eps_sqrt, eps_abs):
+    """The objective from the explicit residual, one sequence at a time.
+
+    The closed forms in `SlownessObjective` work from X^T X and one masked
+    pair expression; this is the direct reading of the formula they must
+    agree with.
+    """
+    x = np.vstack(seqs)
+    a = x @ w.T
+    q0, q1 = a[:, ::2], a[:, 1::2]
+    z = np.sqrt(q0 * q0 + q1 * q1 + eps_sqrt)
+    r = x - a @ w
+    value = float((r * r).sum())
+    grad = -2.0 * (a.T @ r + w @ (r.T @ x))
+    p = np.zeros_like(z)
+    lo = 0
+    for seq in seqs:
+        hi = lo + len(seq)
+        d = z[lo : hi - 1] - z[lo + 1 : hi]
+        s = np.sqrt(d * d + eps_abs)
+        value += lam * float(s.sum())
+        c = np.divide(d, s, out=np.zeros_like(d), where=s > 0)
+        p[lo : hi - 1] += c
+        p[lo + 1 : hi] -= c
+        lo = hi
+    ratio = np.divide(p, z, out=np.zeros_like(p), where=z > 0)
+    u = np.empty_like(a)
+    u[:, ::2] = ratio * q0
+    u[:, 1::2] = ratio * q1
+    grad += lam * (u.T @ x)
+    return value, grad
+
+
+def reference_pull(seqs, w, w_old, gamma):
+    """gamma * ||X (W - W_old)^T||^2 and its gradient, from the rows."""
+    x = np.vstack(seqs)
+    t = x @ (w - w_old).T
+    return gamma * float((t * t).sum()), 2.0 * gamma * (t.T @ x)
 
 
 def random_instance(rng, with_gamma):
@@ -143,3 +185,54 @@ class TestBoundaryRule:
         zb = np.sqrt(b[::2] ** 2 + b[1::2] ** 2 + eps_sqrt)
         removed = lam * np.sum(np.sqrt((za - zb) ** 2 + eps_abs))
         assert v_joined - v_split == pytest.approx(removed, rel=1e-12)
+
+
+@st.composite
+def gram_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # near-perfect reconstruction: W = I, or I slightly perturbed
+        d = 2 * draw(st.integers(1, 6))
+        f = d
+        w = np.eye(d) + draw(st.sampled_from([0.0, 1e-3])) * rng.standard_normal((d, d))
+    else:
+        d = draw(st.integers(2, 12))
+        f = 2 * draw(st.integers(1, 8))  # f > d is covered, as in layer 2
+        w = draw(st.sampled_from([0.1, 1.0])) * rng.standard_normal((f, d))
+    seqs = [rng.standard_normal((n, d)) for n in lengths]
+    lam = draw(st.sampled_from([0.0, 5.0]))
+    gamma = draw(st.sampled_from([0.0, 100.0]))
+    w_old = w + 0.1 * rng.standard_normal((f, d))
+    return seqs, w, lam, gamma, w_old
+
+
+def assert_matches(got, want, gram_trace):
+    (v_got, g_got), (v_want, g_want) = got, want
+    # the Gram form cancels terms of size tr(X^T X), so its absolute
+    # error scales with that trace rather than with the value
+    assert v_got == pytest.approx(v_want, rel=1e-10, abs=1e-12 * (1.0 + gram_trace))
+    atol = 1e-9 * (1.0 + float(np.max(np.abs(g_want))))
+    np.testing.assert_allclose(g_got, g_want, rtol=1e-10, atol=atol)
+
+
+class TestGramForm:
+    @settings(max_examples=300, deadline=None)
+    @given(gram_case())
+    def test_matches_explicit_residual(self, case):
+        seqs, w, lam, gamma, w_old = case
+        eps_sqrt, eps_abs = 1e-8, 1e-8
+        base = SlownessObjective(seqs, lam, eps_sqrt=eps_sqrt, eps_abs=eps_abs)
+        trace = float(sum((s * s).sum() for s in seqs))
+        want = reference_terms(seqs, w, lam, eps_sqrt, eps_abs)
+        ev = base.evaluate(w)
+        assert_matches((ev.value, ev.gradient), want, trace)
+        assert base.value(w) == ev.value
+
+        pull_value, pull_grad = reference_pull(seqs, w, w_old, gamma)
+        adp = AdaptationObjective(base, gamma, w_old)
+        ev = adp.evaluate(w)
+        assert_matches(
+            (ev.value, ev.gradient), (want[0] + pull_value, want[1] + pull_grad), trace
+        )
+        assert adp.value(w) == ev.value

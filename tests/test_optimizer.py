@@ -204,6 +204,28 @@ class TestMinimize:
         assert res.status == "line_search_failed"
         assert not res.converged
 
+    def test_evals_count_every_objective_call(self):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return rosenbrock(x)
+
+        res = minimize(f, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=100, grad_tol=1e-6))
+        assert res.evals == len(calls)
+        assert res.evals > res.iterations
+
+    def test_evals_include_a_failed_line_search(self):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return float(-x[0]), np.array([-1.0])
+
+        res = minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
+        assert res.status == "line_search_failed"
+        assert res.evals == len(calls) == 1 + LbfgsConfig().max_line_search_steps
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LbfgsConfig(wolfe_c1=0.5, wolfe_c2=0.1)

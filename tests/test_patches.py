@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,30 @@ class TestLoadFrame:
         p.write_bytes(b"P5\n# comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
         frame = load_frame(p)
         assert frame.width == 2 and frame.height == 2
+
+    def test_frame_pixels_allocated_once(self, tmp_path):
+        # a 320x240 frame keeps 0.61 MB of float64; building it twice peaked
+        # at 1.38 MB
+        p = tmp_path / "big.pgm"
+        rng = np.random.default_rng(1)
+        write_pgm(p, 320, 240, rng.integers(0, 256, 320 * 240, dtype=np.uint8).tobytes())
+        load_frame(p)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            frame = load_frame(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert frame.pixels.nbytes == 320 * 240 * 8
+        assert peak <= 0.75e6
+        assert not frame.pixels.flags.writeable
+
+    def test_caller_array_is_copied(self):
+        px = np.full((3, 4), 0.25)
+        frame = Frame(4, 3, px)
+        px[0, 0] = 0.75
+        assert frame.pixels[0, 0] == 0.25
+        assert px.flags.writeable and not frame.pixels.flags.writeable
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

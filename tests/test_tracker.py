@@ -18,6 +18,7 @@ from slowtrack.tracker import (
     TrackState,
     _perturb,
     candidate_patches,
+    format_event,
     likelihood,
     run_tracker,
     step,
@@ -353,6 +354,23 @@ class TestRunTracker:
         res = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
         assert [e.frames_processed for e in res.events] == [3, 5, 7, 9]
         assert [e.kind for e in res.events] == ["init", "update", "update", "update"]
+
+    def test_log_line_says_what_the_optimizer_did(self, trained_model):
+        script = translation_script(3, (48.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        from slowtrack.optimizer import LbfgsConfig
+
+        cfg = TrackerConfig(
+            n_candidates=30, top_k=5, init_frames=3, adapt_optimizer=LbfgsConfig(max_iters=2)
+        )
+        (event,) = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg).events
+        line = format_event(event)
+        tokens = dict(t.split("=", 1) for t in line.split()[1:])
+        for st in event.layers:
+            assert tokens[f"{st.layer}_iters"] == str(st.iterations) == "2"
+            assert tokens[f"{st.layer}_status"] == st.status == "max_iters"
+            assert int(tokens[f"{st.layer}_evals"]) == st.evals >= 3
+            assert f"{st.layer}_before" in tokens and f"{st.layer}_after" in tokens
 
     def test_raw_only_never_adapts(self):
         script = translation_script(6, (48.0, 48.0), (0.5, 0.0))
