@@ -56,8 +56,8 @@ def main():
 
     t0 = time.time()
     frame_seqs, box_seqs = pretraining_data()
-    ts16 = sample_training_set(frame_seqs, box_seqs, 16, 16).training_set
-    ts32 = sample_training_set(frame_seqs, box_seqs, 32, 16).training_set
+    seqs16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
+    seqs32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
     cfg = PretrainConfig(
         lam=args.lam,
         f1=args.f1,
@@ -65,7 +65,7 @@ def main():
         optimizer=LbfgsConfig(max_iters=args.pretrain_iters, grad_tol=1e-4),
         seed=0,
     )
-    result = pretrain(ts16, ts32, cfg)
+    result = pretrain(seqs16, seqs32, cfg)
     model = result.model
     print(
         f"pre-trained in {time.time() - t0:.0f}s "

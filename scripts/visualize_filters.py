@@ -36,7 +36,7 @@ def main():
     args = parser.parse_args()
 
     model = load_model(args.model)
-    images = filters_as_patches(model.layer1.transform, 16)
+    images = filters_as_patches(model.layer1.weights, 16)
     sheet = tile(images)
     save_frame(Frame(sheet.shape[1], sheet.shape[0], sheet), args.out)
     print(f"wrote {len(images)} layer-1 filters to {args.out}")

@@ -8,7 +8,7 @@ make the whole pipeline verifiable at desk scale.
 """
 
 from ._version import __version__
-from .encoder import FeatureTransform, LayerEncoder, PoolingMap, encode, reconstruct
+from .encoder import LayerEncoder, encode
 from .errors import (
     DataError,
     LineSearchError,
@@ -23,6 +23,7 @@ from .hierarchy import (
     PretrainConfig,
     adapt,
     encode_hier,
+    hier_features,
     load_model,
     pretrain,
     save_model,
@@ -38,9 +39,6 @@ from .optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
 from .patches import (
     Frame,
     Patch,
-    PatchSequence,
-    TrainingSet,
-    extract_patch,
     load_frame,
     sample_training_set,
     save_frame,
@@ -52,7 +50,6 @@ from .tracker import (
     ParticleSet,
     TrackerConfig,
     TrackState,
-    likelihood,
     run_tracker,
 )
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening

@@ -101,7 +101,10 @@ def _merge_config(argv: list[str]) -> list[str]:
     if config_path is None:
         return out
     flags = []
-    text = Path(config_path).read_text(encoding="utf-8")
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{config_path}: not UTF-8 text (byte offset {err.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -247,17 +250,14 @@ def cmd_pretrain(args) -> int:
         boxes = read_boxes_csv(gt)
         frame_seqs.append(frames)
         box_seqs.append(boxes)
-    sample16 = sample_training_set(frame_seqs, box_seqs, 16, args.stride)
-    sample32 = sample_training_set(frame_seqs, box_seqs, 32, args.stride)
-    for sample, side in ((sample16, 16), (sample32, 32)):
-        if sample.skipped_sequences:
-            _warn(
-                f"{sample.skipped_sequences} sequence(s) skipped for side {side} "
-                "(box smaller than the patch)"
-            )
-        if sample.training_set.n == 0:
+    seqs = {}
+    for side in (16, 32):
+        seqs[side], skipped = sample_training_set(frame_seqs, box_seqs, side, args.stride)
+        if skipped:
+            _warn(f"{skipped} sequence(s) skipped for side {side} (box smaller than the patch)")
+        if not seqs[side]:
             raise DataError(f"no {side}x{side} training patches sampled")
-    result = pretrain(sample16.training_set, sample32.training_set, cfg)
+    result = pretrain(seqs[16], seqs[32], cfg)
     save_model(result.model, args.out)
     for tag, opt in (("layer1", result.layer1_opt), ("layer2", result.layer2_opt)):
         print(

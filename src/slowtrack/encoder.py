@@ -19,10 +19,11 @@ DEFAULT_EPS_SQRT = 1e-8
 
 
 @dataclass(frozen=True)
-class FeatureTransform:
-    """The filter matrix W; rows are patch filters, F must be even."""
+class LayerEncoder:
+    """One learning module: filters W (F, D), F even, pooled in pairs by `forward`."""
 
-    weights: np.ndarray  # (F, D)
+    weights: np.ndarray
+    eps_sqrt: float = DEFAULT_EPS_SQRT
 
     def __post_init__(self):
         # owned contiguous copy so matmuls take one BLAS path: encodings
@@ -34,116 +35,52 @@ class FeatureTransform:
             raise ValueError(f"filter count must be even and >= 2, got {w.shape[0]}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite entries")
+        if self.eps_sqrt < 0:
+            raise ValueError(f"eps_sqrt must be >= 0, got {self.eps_sqrt}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
-    def rows(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def cols(self) -> int:
+    def input_dim(self) -> int:
         return self.weights.shape[1]
 
-
-@dataclass(frozen=True)
-class PoolingMap:
-    """Fixed map summing adjacent response pairs: H[i, 2i] = H[i, 2i+1] = 1."""
-
-    input_dim: int
-
-    def __post_init__(self):
-        if self.input_dim < 2 or self.input_dim % 2 != 0:
-            raise ValueError(
-                f"pooling input dim must be even and >= 2, got {self.input_dim}"
-            )
-
     @property
     def output_dim(self) -> int:
-        return self.input_dim // 2
-
-    def apply(self, squared: np.ndarray) -> np.ndarray:
-        """Sum adjacent pairs along the last axis."""
-        squared = np.asarray(squared, dtype=np.float64)
-        if squared.shape[-1] != self.input_dim:
-            raise ValueError(
-                f"pooling input has dim {squared.shape[-1]}, expected {self.input_dim}"
-            )
-        shape = squared.shape[:-1] + (self.output_dim, 2)
-        return squared.reshape(shape).sum(axis=-1)
-
-    def matrix(self) -> np.ndarray:
-        """Dense H, mainly for tests and oracles."""
-        h = np.zeros((self.output_dim, self.input_dim))
-        h[np.arange(self.output_dim), 2 * np.arange(self.output_dim)] = 1.0
-        h[np.arange(self.output_dim), 2 * np.arange(self.output_dim) + 1] = 1.0
-        return h
+        return self.weights.shape[0] // 2
 
 
-@dataclass(frozen=True)
-class LayerEncoder:
-    """One learning module: filters, pairwise pooling, smoothed square root."""
+def forward(w: np.ndarray, eps: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responses a = x W^T and pooled z[j] = sqrt(a[2j]^2 + a[2j+1]^2 + eps).
 
-    transform: FeatureTransform
-    pooling: PoolingMap
-    eps_sqrt: float = DEFAULT_EPS_SQRT
-
-    def __post_init__(self):
-        if self.pooling.input_dim != self.transform.rows:
-            raise ValueError(
-                f"pooling input dim {self.pooling.input_dim} != "
-                f"filter count {self.transform.rows}"
-            )
-        if self.eps_sqrt < 0:
-            raise ValueError(f"eps_sqrt must be >= 0, got {self.eps_sqrt}")
-
-    @classmethod
-    def create(cls, weights, eps_sqrt: float = DEFAULT_EPS_SQRT) -> "LayerEncoder":
-        t = FeatureTransform(np.asarray(weights, dtype=np.float64))
-        return cls(t, PoolingMap(t.rows), eps_sqrt)
-
-    @property
-    def input_dim(self) -> int:
-        return self.transform.cols
-
-    @property
-    def output_dim(self) -> int:
-        return self.pooling.output_dim
+    `x` is (..., D); stacked inputs get one matrix product per stack entry.
+    """
+    a = x @ w.T
+    q0, q1 = a[..., ::2], a[..., 1::2]
+    return a, np.sqrt(q0 * q0 + q1 * q1 + eps)
 
 
 def encode(enc: LayerEncoder, x: np.ndarray) -> np.ndarray:
-    """z[j] = sqrt((Wx)[2j]^2 + (Wx)[2j+1]^2 + eps); accepts (D,) or (N, D)."""
+    """Pooled outputs of `enc` for input vectors `x` of shape (..., D)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != enc.input_dim:
         raise ValueError(
             f"input has dim {x.shape[-1]}, encoder expects {enc.input_dim}"
         )
-    a = x @ enc.transform.weights.T
-    return np.sqrt(enc.pooling.apply(a * a) + enc.eps_sqrt)
+    return forward(enc.weights, enc.eps_sqrt, x)[1]
 
 
-def reconstruct(enc: LayerEncoder, x: np.ndarray) -> np.ndarray:
-    """Tied-weight autoencoder map W^T W x; accepts (D,) or (N, D)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != enc.input_dim:
-        raise ValueError(
-            f"input has dim {x.shape[-1]}, encoder expects {enc.input_dim}"
-        )
-    w = enc.transform.weights
-    return (x @ w.T) @ w
-
-
-def filters_as_patches(transform: FeatureTransform, side: int) -> list[np.ndarray]:
+def filters_as_patches(weights: np.ndarray, side: int) -> list[np.ndarray]:
     """Reshape each filter row to side x side, min-max scaled to [0, 1].
 
     Constant rows map to the all-0.5 image.
     """
-    if side * side != transform.cols:
+    weights = np.asarray(weights, dtype=np.float64)
+    if side * side != weights.shape[1]:
         raise ValueError(
-            f"side {side} squared != filter length {transform.cols}"
+            f"side {side} squared != filter length {weights.shape[1]}"
         )
     images = []
-    for row in transform.weights:
+    for row in weights:
         img = row.reshape(side, side)
         lo, hi = img.min(), img.max()
         if hi - lo < 1e-15:

@@ -30,7 +30,7 @@ from .objectives import (
     as_vector_objective,
 )
 from .optimizer import LbfgsConfig, OptimizeResult, minimize
-from .patches import Patch, TrainingSet, normalize_values
+from .patches import Patch, normalize_rows
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening
 
 LAYER1_SIDE = 16
@@ -161,21 +161,29 @@ class AdaptResult:
     layers: tuple[LayerAdaptStats, ...]
 
 
-def sub_windows(values32: np.ndarray, stride: int = 16) -> list[np.ndarray]:
-    """Normalized 16x16 sub-windows of a 32x32 patch, row-major cell order."""
-    img = np.asarray(values32, dtype=np.float64).reshape(LAYER2_SIDE, LAYER2_SIDE)
-    out = []
-    for oy in range(0, LAYER2_SIDE - LAYER1_SIDE + 1, stride):
-        for ox in range(0, LAYER2_SIDE - LAYER1_SIDE + 1, stride):
-            out.append(
-                normalize_values(img[oy : oy + LAYER1_SIDE, ox : ox + LAYER1_SIDE])
-            )
-    return out
+def subpatches(values32, stride: int = 16) -> np.ndarray:
+    """Normalized 16x16 sub-windows of N 32x32 patches: (N, k, 256).
+
+    Cells run in row-major order on a `stride` grid; each is normalized
+    on its own.
+    """
+    img = np.asarray(values32, dtype=np.float64).reshape(-1, LAYER2_SIDE, LAYER2_SIDE)
+    offsets = range(0, LAYER2_SIDE - LAYER1_SIDE + 1, stride)
+    cells = np.stack(
+        [img[:, oy : oy + LAYER1_SIDE, ox : ox + LAYER1_SIDE] for oy in offsets for ox in offsets],
+        axis=1,
+    )
+    n, k = cells.shape[:2]
+    rows = normalize_rows(cells.reshape(n * k, LAYER1_INPUT_DIM))
+    return rows.reshape(n, k, LAYER1_INPUT_DIM)
 
 
-def _layer1_concat(layer1: LayerEncoder, values32: np.ndarray, stride: int) -> np.ndarray:
-    subs = np.stack(sub_windows(values32, stride))
-    return encode(layer1, subs).ravel()
+def _layer1_features(layer1: LayerEncoder, values32, stride: int) -> np.ndarray:
+    """Concatenated layer-1 outputs of every sub-window, one row per patch."""
+    # a (N, k, 256) stack takes one product per patch, the same product
+    # as encoding that patch alone; one flat (N k, 256) product would not
+    z = encode(layer1, subpatches(values32, stride))
+    return z.reshape(len(z), z.shape[1] * z.shape[2])
 
 
 def _random_orthonormal_rows(f: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -199,59 +207,39 @@ def _train_layer(sequences, w0, lam, eps_sqrt, eps_abs, cfg, tag) -> OptimizeRes
     return result
 
 
-def _check_patch_set(ts: TrainingSet, side: int, tag: str) -> None:
-    if ts.n == 0:
+def _check_sequences(seqs, side: int, tag: str) -> list[np.ndarray]:
+    """Training sequences as a list of nonempty (L, side**2) arrays."""
+    seqs = [np.asarray(s, dtype=np.float64) for s in seqs]
+    if not seqs:
         raise DataError(f"{tag}: training set is empty")
-    for seq in ts.sequences:
-        if seq.side != side:
+    for s in seqs:
+        if s.ndim != 2 or s.shape[1] != side * side:
             raise DataError(
-                f"{tag}: expected {side}x{side} patches, got {seq.side}x{seq.side}"
+                f"{tag}: expected {side}x{side} patches, got an array of shape {s.shape}"
             )
-
-
-def _layer2_sequences(layer1, whit, train32: TrainingSet, stride):
-    seqs = []
-    for seq in train32.sequences:
-        vecs = np.stack(
-            [_layer1_concat(layer1, p.values, stride) for p in seq.patches]
-        )
-        seqs.append(apply_whitening(whit, vecs))
+        if not len(s):
+            raise DataError(f"{tag}: a training sequence is empty")
     return seqs
 
 
-def pretrain(
-    train16: TrainingSet, train32: TrainingSet, cfg: PretrainConfig | None = None
-) -> PretrainResult:
-    """Train layer 1, fit whitening on its pooled outputs, train layer 2."""
+def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResult:
+    """Train layer 1, fit whitening on its pooled outputs, train layer 2.
+
+    `seqs16` and `seqs32` are lists of (L, 256) and (L, 1024) arrays of
+    normalized patches, one row per consecutive frame.
+    """
     cfg = cfg or PretrainConfig()
-    _check_patch_set(train16, LAYER1_SIDE, "layer1")
-    _check_patch_set(train32, LAYER2_SIDE, "layer2")
+    seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
+    seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
     rng = np.random.default_rng(cfg.seed)
 
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
     res1 = _train_layer(
-        train16.sequence_arrays(),
-        w1_0,
-        cfg.lam,
-        cfg.eps_sqrt,
-        cfg.eps_abs,
-        cfg.optimizer,
-        "layer1",
+        seqs16, w1_0, cfg.lam, cfg.eps_sqrt, cfg.eps_abs, cfg.optimizer, "layer1"
     )
-    layer1 = LayerEncoder.create(
-        res1.w_final.reshape(cfg.f1, LAYER1_INPUT_DIM), cfg.eps_sqrt
-    )
+    layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape), cfg.eps_sqrt)
 
-    concat_seqs = []
-    for seq in train32.sequences:
-        concat_seqs.append(
-            np.stack(
-                [
-                    _layer1_concat(layer1, p.values, cfg.sub_patch_stride)
-                    for p in seq.patches
-                ]
-            )
-        )
+    concat_seqs = [_layer1_features(layer1, s, cfg.sub_patch_stride) for s in seqs32]
     whit = fit_whitening(
         np.vstack(concat_seqs),
         d=cfg.whiten_dim,
@@ -265,9 +253,7 @@ def pretrain(
     res2 = _train_layer(
         white_seqs, w2_0, cfg.lam, cfg.eps_sqrt, cfg.eps_abs, cfg.optimizer, "layer2"
     )
-    layer2 = LayerEncoder.create(
-        res2.w_final.reshape(cfg.f2, whit.retained_dim), cfg.eps_sqrt
-    )
+    layer2 = LayerEncoder(res2.w_final.reshape(w2_0.shape), cfg.eps_sqrt)
 
     metadata = (
         ("lambda", repr(cfg.lam)),
@@ -286,14 +272,26 @@ def pretrain(
     return PretrainResult(model, res1, res2)
 
 
+def hier_features(model: HierarchicalModel, x32) -> np.ndarray:
+    """Hierarchical features of N normalized 32x32 patches: (N, feature_dim).
+
+    Each row is the layer-1 part (every sub-window) followed by the
+    layer-2 part, bit for bit what the patch gives when encoded alone.
+    """
+    l1 = _layer1_features(model.layer1, x32, model.sub_patch_stride)
+    # whitening and layer 2 run on (N, 1, D) stacks: one product per patch
+    wh = apply_whitening(model.whitening, l1[:, None, :])
+    l2 = encode(model.layer2, wh)[:, 0]
+    return np.concatenate([l1, l2], axis=1)
+
+
 def encode_hier(model: HierarchicalModel, patch32: Patch) -> HierFeature:
-    """Hierarchical feature of one 32x32 patch."""
+    """Hierarchical feature of one 32x32 patch, split into its parts."""
     if patch32.side != LAYER2_SIDE:
         raise ValueError(f"expected a {LAYER2_SIDE}-patch, got side {patch32.side}")
-    l1 = _layer1_concat(model.layer1, patch32.values, model.sub_patch_stride)
-    wh = apply_whitening(model.whitening, l1)
-    l2 = encode(model.layer2, wh)
-    return HierFeature(l1, l2, np.concatenate([l1, l2]))
+    combined = hier_features(model, patch32.values)[0]
+    n1 = model.n_sub_patches * model.layer1.output_dim
+    return HierFeature(combined[:n1], combined[n1:], combined)
 
 
 def _adapt_layer(sequences, w_old, lam, gamma, eps_sqrt, eps_abs, cfg, tag):
@@ -320,8 +318,8 @@ def _adapt_layer(sequences, w_old, lam, gamma, eps_sqrt, eps_abs, cfg, tag):
 
 def adapt(
     model: HierarchicalModel,
-    object_patches16: TrainingSet,
-    object_patches32: TrainingSet,
+    seqs16,
+    seqs32,
     lam: float,
     gamma: float,
     optimizer_cfg: LbfgsConfig | None = None,
@@ -330,36 +328,29 @@ def adapt(
 ) -> AdaptResult:
     """Adapt both layers to the object's patches; returns a new model.
 
-    Each layer starts from and is pulled toward its current filters; the
-    whitening transform is reused unchanged.
+    `seqs16` and `seqs32` are lists of (L, 256) and (L, 1024) arrays, as
+    for `pretrain`. Each layer starts from and is pulled toward its
+    current filters; the whitening transform is reused unchanged.
     """
     cfg = optimizer_cfg or LbfgsConfig(max_iters=50, grad_tol=1e-5)
-    _check_patch_set(object_patches16, LAYER1_SIDE, "layer1")
-    _check_patch_set(object_patches32, LAYER2_SIDE, "layer2")
+    seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
+    seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
 
-    w1_old = model.layer1.transform.weights
     w1_new, stats1 = _adapt_layer(
-        object_patches16.sequence_arrays(),
-        w1_old,
-        lam,
-        gamma,
-        eps_sqrt,
-        eps_abs,
-        cfg,
-        "layer1",
+        seqs16, model.layer1.weights, lam, gamma, eps_sqrt, eps_abs, cfg, "layer1"
     )
-    layer1 = LayerEncoder.create(w1_new, model.layer1.eps_sqrt)
+    layer1 = LayerEncoder(w1_new, model.layer1.eps_sqrt)
 
-    seqs2 = _layer2_sequences(
-        layer1, model.whitening, object_patches32, model.sub_patch_stride
-    )
-    w2_old = model.layer2.transform.weights
+    seqs2 = [
+        apply_whitening(model.whitening, _layer1_features(layer1, s, model.sub_patch_stride))
+        for s in seqs32
+    ]
     w2_new, stats2 = _adapt_layer(
-        seqs2, w2_old, lam, gamma, eps_sqrt, eps_abs, cfg, "layer2"
+        seqs2, model.layer2.weights, lam, gamma, eps_sqrt, eps_abs, cfg, "layer2"
     )
-    layer2 = LayerEncoder.create(w2_new, model.layer2.eps_sqrt)
+    layer2 = LayerEncoder(w2_new, model.layer2.eps_sqrt)
 
     new_model = replace(model, layer1=layer1, layer2=layer2)
     return AdaptResult(new_model, (stats1, stats2))
@@ -367,36 +358,33 @@ def adapt(
 
 # ---------------------------------------------------------------------------
 # model file format: magic "HFTM", version 0x01, then tagged sections, each
-# tag (4 ascii bytes) + uint32 payload length + payload. All integers are
-# 32-bit little-endian; floats are 64-bit little-endian.
+# tag (4 ascii bytes) + uint32 payload length + payload, in the order
+# L1W L1P L1E WHIT L2W L2P L2E META. All integers are 32-bit
+# little-endian; floats are 64-bit little-endian.
 
 _MAGIC = b"HFTM"
 _VERSION = 1
-_SECTION_ORDER = (b"L1W ", b"L1P ", b"L1E ", b"WHIT", b"L2W ", b"L2P ", b"L2E ", b"META")
 
 
 def _pack_section(tag: bytes, payload: bytes) -> bytes:
     return tag + struct.pack("<I", len(payload)) + payload
 
 
-def _weights_payload(enc: LayerEncoder) -> bytes:
-    w = enc.transform.weights
-    return struct.pack("<II", w.shape[0], w.shape[1]) + w.astype("<f8").tobytes()
+def _layer_sections(enc: LayerEncoder, prefix: bytes) -> list[bytes]:
+    """Weights, pooling dims and eps of one layer: the `LnW`, `LnP`, `LnE` sections."""
+    w = enc.weights
+    f, d = w.shape
+    return [
+        _pack_section(prefix + b"W ", struct.pack("<II", f, d) + w.astype("<f8").tobytes()),
+        _pack_section(prefix + b"P ", struct.pack("<II", f, f // 2)),
+        _pack_section(prefix + b"E ", struct.pack("<d", enc.eps_sqrt)),
+    ]
 
 
 def save_model(model: HierarchicalModel, path) -> None:
     """Serialize the model; the round trip is bit-exact."""
     out = [_MAGIC, bytes([_VERSION])]
-    out.append(_pack_section(b"L1W ", _weights_payload(model.layer1)))
-    out.append(
-        _pack_section(
-            b"L1P ",
-            struct.pack(
-                "<II", model.layer1.pooling.input_dim, model.layer1.pooling.output_dim
-            ),
-        )
-    )
-    out.append(_pack_section(b"L1E ", struct.pack("<d", model.layer1.eps_sqrt)))
+    out.extend(_layer_sections(model.layer1, b"L1"))
     whit = model.whitening
     wh_payload = (
         struct.pack("<II", whit.input_dim, whit.retained_dim)
@@ -405,16 +393,7 @@ def save_model(model: HierarchicalModel, path) -> None:
         + whit.projection.astype("<f8").tobytes()
     )
     out.append(_pack_section(b"WHIT", wh_payload))
-    out.append(_pack_section(b"L2W ", _weights_payload(model.layer2)))
-    out.append(
-        _pack_section(
-            b"L2P ",
-            struct.pack(
-                "<II", model.layer2.pooling.input_dim, model.layer2.pooling.output_dim
-            ),
-        )
-    )
-    out.append(_pack_section(b"L2E ", struct.pack("<d", model.layer2.eps_sqrt)))
+    out.extend(_layer_sections(model.layer2, b"L2"))
     lines = [f"{_RESERVED_META_KEY}={model.sub_patch_stride}"]
     lines.extend(f"{k}={v}" for k, v in model.metadata)
     meta_payload = [struct.pack("<I", len(lines))]
@@ -542,9 +521,9 @@ def load_model(path) -> HierarchicalModel:
 
     try:
         return HierarchicalModel(
-            layer1=LayerEncoder.create(w1, eps1),
+            layer1=LayerEncoder(w1, eps1),
             whitening=WhiteningTransform(mean, proj, eps_reg),
-            layer2=LayerEncoder.create(w2, eps2),
+            layer2=LayerEncoder(w2, eps2),
             sub_patch_stride=stride,
             metadata=tuple(pairs),
         )

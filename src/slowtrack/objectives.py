@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import DEFAULT_EPS_SQRT, forward
 from .errors import DataError
 
-DEFAULT_EPS_SQRT = 1e-8
 DEFAULT_EPS_ABS = 1e-8
 
 
@@ -129,9 +129,7 @@ class SlownessObjective:
 
         if self.lam > 0:
             x = self._all
-            a = x @ w.T  # (N, F) filter responses
-            q0, q1 = a[:, ::2], a[:, 1::2]
-            z = np.sqrt(q0 * q0 + q1 * q1 + self.eps_sqrt)  # (N, F/2)
+            a, z = forward(w, self.eps_sqrt, x)  # (N, F) responses, (N, F/2) pooled
             d = z[:-1] - z[1:]
             s = np.sqrt(d * d + self.eps_abs)
             value += self.lam * float((self._pair_mask @ s).sum())

@@ -3,9 +3,9 @@
 Frames come from binary 8-bit PGM (P5) files. Patches are square windows
 normalized to zero mean and unit variance so downstream objectives see
 inputs on a common scale; constant windows normalize to the all-zero
-patch. Training data is organized sequence-by-sequence with explicit
-boundaries, because consecutive-frame feature differences are only
-meaningful within one video.
+patch. Training data is a list of (L, side**2) arrays, one per sequence,
+so sequence boundaries stay explicit: consecutive-frame feature
+differences are only meaningful within one video.
 """
 
 from __future__ import annotations
@@ -81,63 +81,6 @@ class Patch:
     def image(self) -> np.ndarray:
         """Values reshaped to (side, side)."""
         return self.values.reshape(self.side, self.side)
-
-
-@dataclass(frozen=True)
-class PatchSequence:
-    """Consecutive-frame patches from one video; uniform side, nonempty."""
-
-    patches: tuple[Patch, ...]
-    sequence_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "patches", tuple(self.patches))
-        if not self.patches:
-            raise ValueError("patch sequence may not be empty")
-        sides = {p.side for p in self.patches}
-        if len(sides) != 1:
-            raise ValueError(f"mixed patch sides in one sequence: {sorted(sides)}")
-
-    @property
-    def side(self) -> int:
-        return self.patches[0].side
-
-    def __len__(self) -> int:
-        return len(self.patches)
-
-    def values_matrix(self) -> np.ndarray:
-        """Stack patch values into an (L, side**2) matrix."""
-        return np.stack([p.values for p in self.patches])
-
-
-@dataclass(frozen=True)
-class TrainingSet:
-    """Multiple patch sequences; N is the total patch count across sequences."""
-
-    sequences: tuple[PatchSequence, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-
-    @property
-    def n(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
-    @property
-    def pair_count(self) -> int:
-        """Number of consecutive slowness pairs (sequence boundaries excluded)."""
-        return sum(len(s) - 1 for s in self.sequences)
-
-    def sequence_arrays(self) -> list[np.ndarray]:
-        return [s.values_matrix() for s in self.sequences]
-
-
-@dataclass(frozen=True)
-class SampleResult:
-    """Training set plus bookkeeping from `sample_training_set`."""
-
-    training_set: TrainingSet
-    skipped_sequences: int
 
 
 def normalize_values(values: np.ndarray) -> np.ndarray:
@@ -244,48 +187,17 @@ def load_frame_dir(directory) -> list[Frame]:
     return list(stream_frame_dir(directory))
 
 
-def _nearest_indices(out_len: int, in_len: int) -> np.ndarray:
-    # center of output cell k maps to input coordinate (2k+1)*in/(2*out)
-    return (2 * np.arange(out_len) + 1) * in_len // (2 * out_len)
-
-
-def extract_patch(frame: Frame, center, side: int, window: int | None = None) -> Patch:
-    """Cut and normalize a side x side patch around `center` (x, y).
-
-    The window is clamped to the frame bounds. An optional larger/smaller
-    source `window` is resampled to `side` by nearest neighbor.
-    """
-    if side not in PATCH_SIDES:
-        raise ValueError(f"unsupported patch side {side}; expected one of {PATCH_SIDES}")
-    win = side if window is None else int(window)
-    if win <= 0:
-        raise ValueError(f"window size must be positive, got {win}")
-    if frame.width < win or frame.height < win:
-        raise DataError(
-            f"window {win}x{win} exceeds frame {frame.width}x{frame.height} "
-            "even after clamping"
-        )
-    cx, cy = float(center[0]), float(center[1])
-    x0 = int(round(cx - win / 2.0))
-    y0 = int(round(cy - win / 2.0))
-    x0 = min(max(x0, 0), frame.width - win)
-    y0 = min(max(y0, 0), frame.height - win)
-    block = frame.pixels[y0 : y0 + win, x0 : x0 + win]
-    if win != side:
-        idx = _nearest_indices(side, win)
-        block = block[np.ix_(idx, idx)]
-    return Patch(side, normalize_values(block))
-
-
 def sample_training_set(
     frame_sequences, box_sequences, side: int, stride: int
-) -> SampleResult:
+) -> tuple[list[np.ndarray], int]:
     """Cut a fixed stride grid of patch sequences from tracked videos.
 
     The grid is anchored at each sequence's first box and kept at identical
     pixel coordinates across all frames of that sequence, so grid cell k in
-    frame t corresponds spatially to cell k in frame t+1. Sequences whose
-    box is smaller than `side` are skipped and counted.
+    frame t corresponds spatially to cell k in frame t+1. Returns
+    `(sequences, skipped)`: one (L, side**2) array of normalized patches
+    per grid cell, cells in row-major order, and the number of videos
+    skipped because their box is smaller than `side`.
     """
     if side not in PATCH_SIDES:
         raise ValueError(f"unsupported patch side {side}; expected one of {PATCH_SIDES}")
@@ -324,17 +236,9 @@ def sample_training_set(
         ]
         for gy in ys:
             for gx in xs:
-                patches = tuple(
-                    Patch(
-                        side,
-                        normalize_values(f.pixels[gy : gy + side, gx : gx + side]),
-                    )
-                    for f in frames
-                )
-                sequences.append(
-                    PatchSequence(patches, sequence_id=f"{si}:{gx},{gy}")
-                )
-    return SampleResult(TrainingSet(tuple(sequences)), skipped)
+                windows = [f.pixels[gy : gy + side, gx : gx + side].ravel() for f in frames]
+                sequences.append(normalize_rows(np.stack(windows)))
+    return sequences, skipped
 
 
 def read_boxes_csv(path) -> np.ndarray:
@@ -347,6 +251,8 @@ def read_boxes_csv(path) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"box file not found: {path}") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte offset {err.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -359,6 +265,8 @@ def read_boxes_csv(path) -> np.ndarray:
             vals = [float(p) for p in parts[1:]]
         except ValueError:
             raise DataError(f"{path}: malformed row at line {lineno}") from None
+        if not np.all(np.isfinite(vals)):
+            raise DataError(f"{path}: non-finite value at line {lineno}")
         if idx != len(rows):
             raise DataError(
                 f"{path}: frame index {idx} out of order at line {lineno}"

@@ -12,7 +12,7 @@ filters.
 The appearance model is a nearest-exemplar Gaussian kernel over
 unit-normalized combined features, standing in for the structural sparse
 model of the surrounding tracking system while preserving the same
-features-in, likelihood-out contract.
+features-in, weights-out contract.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import DataError, OptimizationError, TrackingLostError
 from .geometry import snapped_cos_sin, wrap_angle
-from .hierarchy import HierarchicalModel, adapt, encode_hier, sub_windows
+from .hierarchy import HierarchicalModel, adapt, hier_features, subpatches
 from .optimizer import LbfgsConfig
-from .patches import Frame, Patch, PatchSequence, TrainingSet, normalize_rows
+from .patches import Frame, normalize_rows
 
 CANDIDATE_SIDE = 32
 
@@ -191,7 +191,7 @@ class AdaptEvent:
 class StepResult:
     state: TrackState
     particles: ParticleSet
-    patch: Patch
+    patch: np.ndarray  # (1024,) normalized values of the chosen candidate
     coarse_rank: int  # rank of the prediction among coarse candidates
 
 
@@ -268,13 +268,6 @@ def candidate_patches(
     return values, valid
 
 
-def likelihood(lib: ExemplarLibrary, feature) -> float:
-    """exp(-d^2 / (2 sigma^2)) with d the nearest-exemplar unit-feature distance."""
-    combined = getattr(feature, "combined", feature)
-    d = lib.min_distance(combined)
-    return math.exp(-(d * d) / (2.0 * lib.sigma * lib.sigma))
-
-
 def step(
     frame: Frame,
     prev: ParticleSet,
@@ -313,10 +306,9 @@ def step(
     if use_features:
         order = np.argsort(dist, kind="stable")
         top = [int(i) for i in order[: cfg.top_k] if np.isfinite(dist[i])]
-        patches = (Patch(CANDIDATE_SIDE, values[i]) for i in top)
-        fdist = np.array([lib.min_distance(encode_hier(model, p).combined) for p in patches])
+        fdist = np.array([lib.min_distance(f) for f in hier_features(model, values[top])])
         # subtract the minimum before exponentiating: a positive rescaling of
-        # every likelihood, harmless for the argmax and immune to underflow
+        # every kernel value, harmless for the argmax and immune to underflow
         d2 = fdist * fdist
         weights[top] = np.exp(-(d2 - d2.min()) / (2.0 * cfg.sigma * cfg.sigma))
     else:
@@ -331,24 +323,9 @@ def step(
     return StepResult(
         state=particles.state(best),
         particles=particles,
-        patch=Patch(CANDIDATE_SIDE, values[best]),
+        patch=values[best].copy(),  # a copy, so the (N, 1024) block is freed
         coarse_rank=coarse_rank,
     )
-
-
-def _object_training_sets(patches32, stride: int):
-    cells = None
-    for p in patches32:
-        subs = sub_windows(p.values, stride)
-        if cells is None:
-            cells = [[] for _ in subs]
-        for cell, values in zip(cells, subs):
-            cell.append(Patch(16, values))
-    ts16 = TrainingSet(
-        tuple(PatchSequence(tuple(cell), sequence_id=f"cell{k}") for k, cell in enumerate(cells))
-    )
-    ts32 = TrainingSet((PatchSequence(tuple(patches32), sequence_id="object"),))
-    return ts16, ts32
 
 
 def run_tracker(
@@ -373,23 +350,24 @@ def run_tracker(
     if model is None and not cfg.raw_only:
         raise ValueError("a model is required unless raw_only is set")
     x, y, w, h = (float(v) for v in init_box)
-    if w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > f0.width or y + h > f0.height:
+    if (
+        not np.all(np.isfinite([x, y, w, h]))
+        or w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > f0.width or y + h > f0.height
+    ):
         raise DataError(
-            f"initial box {init_box} is empty or not inside frame 0 "
+            f"initial box {init_box} is empty, not finite or not inside frame 0 "
             f"({f0.width}x{f0.height})"
         )
     rng = np.random.default_rng(cfg.seed)
     state = TrackState.from_box(init_box)
     particles = ParticleSet.single(state)
     # a box inside the frame has every sample inside, so it is never rejected
-    patch = Patch(CANDIDATE_SIDE, candidate_patches(f0, particles.states, w, h)[0][0])
-    template = patch.values
+    template = candidate_patches(f0, particles.states, w, h)[0][0]
     boxes = [state.box()]
-    collected: list[Patch] = [patch]
+    collected = [template]  # (1024,) patch values of each tracked frame
     lib = ExemplarLibrary(cfg.library_capacity, cfg.sigma)
     events: list[AdaptEvent] = []
     current = model
-    stride = model.sub_patch_stride if model is not None else 16
 
     def maybe_adapt(frames_processed: int):
         nonlocal current
@@ -400,13 +378,14 @@ def run_tracker(
         is_init = frames_processed == cfg.init_frames
         if not is_init and (frames_processed - cfg.init_frames) % cfg.update_period:
             return
-        window = collected if is_init else collected[-cfg.update_period :]
-        ts16, ts32 = _object_training_sets(window, stride)
+        x32 = np.stack(collected if is_init else collected[-cfg.update_period :])
+        # one 16x16 sequence per sub-window cell, one 32x32 object sequence
+        subs = subpatches(x32, current.sub_patch_stride)
         try:
             result = adapt(
                 current,
-                ts16,
-                ts32,
+                [subs[:, k] for k in range(subs.shape[1])],
+                [x32],
                 cfg.lam,
                 cfg.gamma,
                 cfg.adapt_optimizer,
@@ -426,11 +405,8 @@ def run_tracker(
                 layers=result.layers,
             )
         )
-        if is_init:
-            for p in collected:
-                lib.add(encode_hier(current, p).combined)
-        else:
-            lib.add(encode_hier(current, collected[-1]).combined)
+        for f in hier_features(current, x32 if is_init else collected[-1]):
+            lib.add(f)
 
     maybe_adapt(1)
     for t, frame in enumerate(frames, start=1):
@@ -438,10 +414,9 @@ def run_tracker(
             res = step(frame, particles, template, current, lib, cfg, t, rng)
         except TrackingLostError as err:
             raise TrackingLostError(t, err.state, np.asarray(boxes)) from None
-        state, particles, patch = res.state, res.particles, res.patch
-        template = patch.values
+        state, particles, template = res.state, res.particles, res.patch
         boxes.append(state.box())
-        collected.append(patch)
+        collected.append(template)
         maybe_adapt(t + 1)
     return TrackResult(np.asarray(boxes), current, tuple(events))
 

@@ -34,9 +34,9 @@ def build_model(f1=8, f2=4, eps_sqrt=1e-8, seed=0, stride=16, whiten_dim=None):
     whit = fit_whitening(samples, d=whiten_dim)
     w2 = _random_orthonormal_rows(f2, whit.retained_dim, rng)
     return HierarchicalModel(
-        layer1=LayerEncoder.create(w1, eps_sqrt),
+        layer1=LayerEncoder(w1, eps_sqrt),
         whitening=whit,
-        layer2=LayerEncoder.create(w2, eps_sqrt),
+        layer2=LayerEncoder(w2, eps_sqrt),
         sub_patch_stride=stride,
     )
 
@@ -80,8 +80,8 @@ def translation_data(n_seqs, n_frames, seed0, velocity=1.0, target_side=48):
 def trained_model():
     """A small model pre-trained on mixed-motion sequences (shared, ~5 s)."""
     frame_seqs, box_seqs = mixed_motion_data()
-    ts16 = sample_training_set(frame_seqs, box_seqs, 16, 16).training_set
-    ts32 = sample_training_set(frame_seqs, box_seqs, 32, 16).training_set
+    seqs16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
+    seqs32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
     cfg = PretrainConfig(
         lam=5.0,
         f1=32,
@@ -89,13 +89,39 @@ def trained_model():
         optimizer=LbfgsConfig(max_iters=100, grad_tol=1e-4),
         seed=0,
     )
-    return pretrain(ts16, ts32, cfg).model
+    return pretrain(seqs16, seqs32, cfg).model
 
 
 @pytest.fixture(scope="session")
 def small_training_sets():
-    """Tiny 16/32 training sets for fast objective/adaptation tests."""
+    """Tiny 16/32 training sets (lists of arrays) for fast adaptation tests."""
     frame_seqs, box_seqs = mixed_motion_data(n_frames=8, seed0=31)
-    ts16 = sample_training_set(frame_seqs[:2], box_seqs[:2], 16, 16).training_set
-    ts32 = sample_training_set(frame_seqs[:2], box_seqs[:2], 32, 16).training_set
-    return ts16, ts32
+    seqs16, _ = sample_training_set(frame_seqs[:2], box_seqs[:2], 16, 16)
+    seqs32, _ = sample_training_set(frame_seqs[:2], box_seqs[:2], 32, 16)
+    return seqs16, seqs32
+
+
+def corruptions(data: bytes):
+    """Hypothesis strategy: `data` with a few bytes overwritten, then truncated.
+
+    Edits favour the first and last 256 bytes, where file headers and the
+    small trailing sections sit.
+    """
+    from hypothesis import strategies as st
+
+    n = len(data)
+    position = st.one_of(
+        st.integers(0, min(n, 256) - 1),
+        st.integers(max(0, n - 256), n - 1),
+        st.integers(0, n - 1),
+    )
+    edits = st.lists(st.tuples(position, st.integers(0, 255)), max_size=6)
+
+    def apply(args):
+        changes, cut = args
+        buf = bytearray(data)
+        for pos, value in changes:
+            buf[pos] = value
+        return bytes(buf[:cut])
+
+    return st.tuples(edits, st.integers(0, n)).map(apply)

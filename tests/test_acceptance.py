@@ -31,14 +31,7 @@ from slowtrack.objectives import (
     finite_difference_gradient,
 )
 from slowtrack.optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
-from slowtrack.patches import (
-    Patch,
-    PatchSequence,
-    TrainingSet,
-    normalize_values,
-    read_boxes_csv,
-    sample_training_set,
-)
+from slowtrack.patches import normalize_values, read_boxes_csv, sample_training_set
 from slowtrack.synth import (
     deformation_script,
     generate_sequence,
@@ -163,10 +156,10 @@ def test_criterion_3_optimizer_sanity():
 # -------------------------------------------------------------------- 4
 
 
-def unit_feature_distance(enc, training_set):
+def unit_feature_distance(enc, sequences):
     dists = []
-    for seq in training_set.sequences:
-        z = encode(enc, seq.values_matrix())
+    for seq in sequences:
+        z = encode(enc, seq)
         norms = np.linalg.norm(z, axis=1, keepdims=True)
         zu = np.divide(z, norms, out=np.zeros_like(z), where=norms > 1e-12)
         dists.extend(np.linalg.norm(zu[:-1] - zu[1:], axis=1).tolist())
@@ -176,18 +169,18 @@ def unit_feature_distance(enc, training_set):
 def test_criterion_4_slowness_improvement():
     t0 = time.perf_counter()
     frame_seqs, box_seqs = translation_data(8, 50, seed0=42)
-    ts16 = sample_training_set(frame_seqs, box_seqs, 16, 16).training_set
-    ts32 = sample_training_set(frame_seqs, box_seqs, 32, 16).training_set
+    ts16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
+    ts32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
     cfg = PretrainConfig(
         lam=10.0, f1=32, f2=4, optimizer=LbfgsConfig(max_iters=200, grad_tol=1e-4), seed=0
     )
     model = pretrain(ts16, ts32, cfg).model
 
     held_frames, held_boxes = translation_data(3, 50, seed0=777)
-    held16 = sample_training_set(held_frames, held_boxes, 16, 16).training_set
+    held16, _ = sample_training_set(held_frames, held_boxes, 16, 16)
     trained = unit_feature_distance(model.layer1, held16)
     w_rand = _random_orthonormal_rows(cfg.f1, 256, np.random.default_rng(2024))
-    random_enc = LayerEncoder.create(w_rand, cfg.eps_sqrt)
+    random_enc = LayerEncoder(w_rand, cfg.eps_sqrt)
     rand = unit_feature_distance(random_enc, held16)
     elapsed = time.perf_counter() - t0
     report(
@@ -202,13 +195,9 @@ def test_criterion_4_slowness_improvement():
 
 
 def full_rank_object_sets(rng, n16=512, n32=160):
-    seq16 = PatchSequence(
-        tuple(Patch(16, normalize_values(rng.random((16, 16)))) for _ in range(n16))
-    )
-    seq32 = PatchSequence(
-        tuple(Patch(32, normalize_values(rng.random((32, 32)))) for _ in range(n32))
-    )
-    return TrainingSet((seq16,)), TrainingSet((seq32,))
+    seq16 = np.stack([normalize_values(rng.random((16, 16))) for _ in range(n16)])
+    seq32 = np.stack([normalize_values(rng.random((32, 32))) for _ in range(n32)])
+    return [seq16], [seq32]
 
 
 def test_criterion_5_adaptation_contract(trained_model):
@@ -315,8 +304,8 @@ class TrackCase:
 def tracking_runs():
     t0 = time.perf_counter()
     frame_seqs, box_seqs = mixed_motion_data()
-    ts16 = sample_training_set(frame_seqs, box_seqs, 16, 16).training_set
-    ts32 = sample_training_set(frame_seqs, box_seqs, 32, 16).training_set
+    ts16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
+    ts32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
     model = pretrain(
         ts16,
         ts32,

@@ -111,7 +111,7 @@ class TestPretrain:
 
     def test_reports_objectives(self, model_path):
         model = load_model(model_path)
-        assert model.layer1.transform.rows == 8
+        assert model.layer1.weights.shape[0] == 8
 
     def test_stdout_says_what_the_optimizer_did(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",
@@ -175,9 +175,7 @@ class TestAdapt:
         assert res.returncode == 0, res.stderr
         before = load_model(model_path)
         after = load_model(out)
-        assert not np.array_equal(
-            before.layer1.transform.weights, after.layer1.transform.weights
-        )
+        assert not np.array_equal(before.layer1.weights, after.layer1.weights)
 
 
 class TestTrack:
@@ -296,6 +294,57 @@ class TestErrorPaths:
         res = run_cli("track", "--model", model_path, "--frames", track_dir,
                       "--init-box", "500,500,32,32", "--out", tmp_path / "b.csv")
         assert res.returncode == 3
+
+
+def assert_data_error(res):
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert any(line.startswith("error: ") for line in res.stderr.splitlines())
+
+
+class TestTypedDataErrors:
+    """Undecodable or non-finite input files end in exit 3, not a traceback."""
+
+    def test_eval_undecodable_box_file(self, tmp_path, track_dir):
+        (tmp_path / "bad.csv").write_bytes(b"0,1,2,3,4\n\xd2\n")
+        res = run_cli("eval", "--pred", tmp_path / "bad.csv", "--gt", track_dir / "gt.csv")
+        assert_data_error(res)
+        assert "UTF-8" in res.stderr
+
+    def test_eval_infinite_box(self, tmp_path, track_dir):
+        (tmp_path / "inf.csv").write_text("0,inf,0,2,2\n")
+        (tmp_path / "b.csv").write_text("0,0,0,2,2\n")
+        res = run_cli("eval", "--pred", tmp_path / "inf.csv", "--gt", tmp_path / "b.csv")
+        assert_data_error(res)
+        assert "ACE" not in res.stdout
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_pretrain_non_finite_first_box(self, tmp_path, data_dir, value):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for path in (data_dir / "a").iterdir():
+            (seq / path.name).write_bytes(path.read_bytes())
+        rows = (seq / "gt.csv").read_text().splitlines()
+        rows[0] = "0," + value + "," + rows[0].split(",", 2)[2]
+        (seq / "gt.csv").write_text("\n".join(rows) + "\n")
+        res = run_cli("pretrain", "--data", seq, "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 2)
+        assert_data_error(res)
+        assert "non-finite value at line 1" in res.stderr
+
+    def test_track_nan_init_box(self, tmp_path, track_dir):
+        res = run_cli("track", "--frames", track_dir, "--init-box", "nan,1,30,30",
+                      "--out", tmp_path / "b.csv", "--raw-only")
+        assert_data_error(res)
+        assert "not finite" in res.stderr
+
+    def test_undecodable_config_file(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"frames=3\n\xd2\n")
+        res = run_cli("synth", "--config", cfg, "--pattern", "rotation",
+                      "--out", tmp_path / "s")
+        assert_data_error(res)
+        assert "UTF-8" in res.stderr
 
 
 class TestBadFlags:

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slowtrack.encoder import (
-    FeatureTransform,
-    LayerEncoder,
-    PoolingMap,
-    encode,
-    filters_as_patches,
-    reconstruct,
-)
+import slowtrack.objectives
+from slowtrack.encoder import LayerEncoder, encode, filters_as_patches
+from slowtrack.objectives import SlownessObjective
 
 
 def enc_from(rows, eps=0.0):
-    return LayerEncoder.create(np.array(rows, dtype=float), eps_sqrt=eps)
+    return LayerEncoder(np.array(rows, dtype=float), eps_sqrt=eps)
+
+
+def reconstruction_cost(w, x):
+    """||x - W^T W x||^2 as the objective evaluates it (lambda = 0)."""
+    return SlownessObjective([np.atleast_2d(x)], lam=0.0).value(np.asarray(w, dtype=float))
 
 
 class TestEncode:
@@ -65,7 +65,7 @@ class TestEncodeProperties:
         rng = np.random.default_rng(seed)
         enc = enc_from(rng.standard_normal((8, 5)))
         x = rng.standard_normal(5)
-        a = enc.transform.weights @ x
+        a = enc.weights @ x
         z = encode(enc, x)
         for j in range(4):
             assert abs(z[j] - np.hypot(a[2 * j], a[2 * j + 1])) < 1e-12
@@ -91,64 +91,93 @@ class TestEncodeProperties:
 
 
 class TestReconstruct:
+    """The tied-weight reconstruction cost of the slowness objective."""
+
     def test_orthonormal_complete_rows_identity(self):
-        enc = enc_from(np.eye(4))
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_allclose(reconstruct(enc, x), x)
+        assert reconstruction_cost(np.eye(4), x) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_matrix(self):
-        enc = enc_from(np.zeros((4, 3)))
-        np.testing.assert_array_equal(reconstruct(enc, np.ones(3)), np.zeros(3))
+        assert reconstruction_cost(np.zeros((4, 3)), np.ones(3)) == 3.0
 
     def test_dimension_mismatch(self):
-        enc = enc_from([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="dim 5.*expects 2"):
-            reconstruct(enc, np.zeros(5))
+        with pytest.raises(ValueError, match=r"W has shape \(2, 2\), data dim is 5"):
+            reconstruction_cost(np.eye(2), np.zeros(5))
 
     def test_hand_multiplied_2x2(self):
-        # W = [[1,0],[1,0]], x = (1,1): W x = (1,1), W^T W x = (2, 0)
-        enc = enc_from([[1.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(reconstruct(enc, np.array([1.0, 1.0])), [2.0, 0.0])
+        # W = [[1,0],[1,0]], x = (1,1): W^T W x = (2, 0), residual (-1, 1)
+        assert reconstruction_cost([[1.0, 0.0], [1.0, 0.0]], np.ones(2)) == 2.0
 
 
 class TestFiltersAsPatches:
     def test_constant_row_maps_to_half(self):
-        t = FeatureTransform(np.full((2, 4), 3.0))
-        images = filters_as_patches(t, 2)
+        images = filters_as_patches(np.full((2, 4), 3.0), 2)
         np.testing.assert_array_equal(images[0], np.full((2, 2), 0.5))
 
     def test_count_preserved(self):
         rng = np.random.default_rng(5)
-        t = FeatureTransform(rng.standard_normal((6, 9)))
-        assert len(filters_as_patches(t, 3)) == 6
+        assert len(filters_as_patches(rng.standard_normal((6, 9)), 3)) == 6
 
     def test_min_max_scaling(self):
-        t = FeatureTransform(np.array([[0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1.0]]))
-        img = filters_as_patches(t, 2)[0]
+        img = filters_as_patches(np.array([[0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1.0]]), 2)[0]
         np.testing.assert_allclose(img, [[0.0, 1 / 3], [2 / 3, 1.0]])
 
     def test_side_mismatch(self):
-        t = FeatureTransform(np.zeros((2, 4)) + np.eye(2, 4))
         with pytest.raises(ValueError):
-            filters_as_patches(t, 3)
+            filters_as_patches(np.eye(2, 4), 3)
 
 
 class TestTypes:
     def test_odd_filter_count_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            FeatureTransform(np.ones((3, 4)))
+            LayerEncoder(np.ones((3, 4)))
 
     def test_non_finite_rejected(self):
         w = np.ones((2, 2))
         w[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            FeatureTransform(w)
+            LayerEncoder(w)
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps_sqrt"):
+            LayerEncoder(np.ones((2, 2)), eps_sqrt=-1e-9)
+
+    def test_weights_owned_read_only_copy(self):
+        w = np.asfortranarray(np.ones((2, 3)))
+        enc = LayerEncoder(w)
+        w[0, 0] = 5.0
+        assert enc.weights[0, 0] == 1.0
+        assert enc.weights.flags.c_contiguous and not enc.weights.flags.writeable
 
     def test_pooling_map_matrix(self):
-        h = PoolingMap(4).matrix()
-        np.testing.assert_array_equal(h, [[1, 1, 0, 0], [0, 0, 1, 1]])
+        # pooled^2 - eps is H a^2 with the dense pair-sum map H
+        h = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float)
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((4, 3))
+        x = rng.standard_normal(3)
+        z = encode(enc_from(w, eps=0.0), x)
+        np.testing.assert_allclose(z * z, h @ (w @ x) ** 2, rtol=1e-12)
 
     def test_pooling_encoder_dim_match(self):
-        t = FeatureTransform(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="pooling input dim"):
-            LayerEncoder(t, PoolingMap(6))
+        enc = LayerEncoder(np.ones((4, 2)))
+        assert (enc.input_dim, enc.output_dim) == (2, 2)
+        assert encode(enc, np.ones(2)).shape == (2,)
+
+
+def test_objective_and_encode_pool_alike(monkeypatch):
+    """The slowness objective sees the pooled values `encode` returns."""
+    seen = []
+    forward = slowtrack.objectives.forward
+
+    def spy(w, eps, x):
+        out = forward(w, eps, x)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(slowtrack.objectives, "forward", spy)
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((6, 5))
+    x = rng.standard_normal((7, 5))
+    SlownessObjective([x[:3], x[3:]], lam=1.0, eps_sqrt=1e-6).value(w)
+    (pooled,) = seen
+    assert pooled.tobytes() == encode(enc_from(w, eps=1e-6), x).tobytes()

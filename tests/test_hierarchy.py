@@ -1,8 +1,14 @@
+import functools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import build_model
-from slowtrack.encoder import encode
+from conftest import build_model, corruptions
+from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.errors import DataError, ModelFormatError
 from slowtrack.hierarchy import (
     HierarchicalModel,
@@ -11,15 +17,33 @@ from slowtrack.hierarchy import (
     _random_orthonormal_rows,
     adapt,
     encode_hier,
+    hier_features,
     load_model,
     pretrain,
     save_model,
-    sub_windows,
 )
 from slowtrack.objectives import SlownessObjective
 from slowtrack.optimizer import LbfgsConfig
-from slowtrack.patches import Patch, PatchSequence, TrainingSet, normalize_values
+from slowtrack.patches import Patch, normalize_values
 from slowtrack.whitening import apply_whitening
+
+
+def reference_sub_windows(values32, stride=16):
+    """Normalized 16x16 sub-windows of one 32x32 patch, row-major cell order."""
+    img = np.asarray(values32, dtype=np.float64).reshape(32, 32)
+    return [
+        normalize_values(img[oy : oy + 16, ox : ox + 16])
+        for oy in range(0, 17, stride)
+        for ox in range(0, 17, stride)
+    ]
+
+
+def reference_encode_hier(model, values32):
+    """One patch at a time: the oracle for the batched `hier_features`."""
+    subs = np.stack(reference_sub_windows(values32, model.sub_patch_stride))
+    l1 = encode(model.layer1, subs).ravel()
+    l2 = encode(model.layer2, apply_whitening(model.whitening, l1))
+    return np.concatenate([l1, l2])
 
 
 def patch32(values):
@@ -27,11 +51,8 @@ def patch32(values):
 
 
 def patch_set(arrays, side):
-    seqs = tuple(
-        PatchSequence(tuple(Patch(side, normalize_values(a)) for a in seq))
-        for seq in arrays
-    )
-    return TrainingSet(seqs)
+    """One (L, side**2) array of normalized patches per image sequence."""
+    return [np.stack([normalize_values(a) for a in seq]) for seq in arrays]
 
 
 def random_patch_sets(rng, n16=8, n32=8):
@@ -69,13 +90,13 @@ class TestPretrain:
         ts16 = patch_set([[img] * 5 for img in imgs16], 16)
         ts32 = patch_set([[img] * 5 for img in imgs32], 32)
         model = pretrain(ts16, ts32, FAST).model
-        w2 = model.layer2.transform.weights
+        w2 = model.layer2.weights
         slowness_only = 0.0
         for img in imgs32:
             vec = apply_whitening(
                 model.whitening,
                 np.concatenate(
-                    [encode(model.layer1, s) for s in sub_windows(img32_values(img))]
+                    [encode(model.layer1, s) for s in reference_sub_windows(img32_values(img))]
                 ),
             )
             seq = [np.tile(vec, (5, 1))]
@@ -93,7 +114,7 @@ class TestPretrain:
     def test_empty_training_set_rejected(self, small_training_sets):
         _, ts32 = small_training_sets
         with pytest.raises(DataError, match="empty"):
-            pretrain(TrainingSet(()), ts32, FAST)
+            pretrain([], ts32, FAST)
 
     def test_wrong_side_rejected(self, small_training_sets):
         ts16, ts32 = small_training_sets
@@ -138,7 +159,7 @@ class TestEncodeHier:
         p = patch32(rng.random((32, 32)))
         feat = encode_hier(model, p)
         manual = np.concatenate(
-            [encode(model.layer1, s) for s in sub_windows(p.values)]
+            [encode(model.layer1, s) for s in reference_sub_windows(p.values)]
         )
         assert np.max(np.abs(feat.layer1_part - manual)) <= 1e-12
 
@@ -153,6 +174,59 @@ class TestEncodeHier:
         feat = encode_hier(model, patch32(rng.random((32, 32))))
         assert np.all(feat.layer1_part >= 0)
         assert np.all(feat.layer2_part >= 0)
+
+
+@functools.cache
+def cached_model(stride):
+    return build_model(f1=8, f2=4, stride=stride, seed=stride)
+
+
+@functools.cache
+def valid_model_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.hftm"
+        save_model(build_model(f1=2, f2=2), path)
+        return path.read_bytes()
+
+
+@st.composite
+def patch_batches(draw):
+    """(stride, (N, 1024) patches): random, all-zero, constant, or with a
+    constant 16x16 corner, so that some sub-windows normalize to zero."""
+    stride = draw(st.sampled_from([16, 8, 5]))
+    kinds = draw(st.lists(st.sampled_from(["random", "zero", "flat", "flat_corner"]), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rows = []
+    for kind in kinds:
+        img = rng.random((32, 32))
+        if kind == "zero":
+            img[:] = 0.0
+        elif kind == "flat":
+            img[:] = 0.4
+        elif kind == "flat_corner":
+            img[:16, :16] = 0.7
+        rows.append(normalize_values(img))
+    return stride, np.array(rows).reshape(len(rows), 1024)
+
+
+class TestHierFeatures:
+    @settings(max_examples=60, deadline=None)
+    @given(patch_batches())
+    def test_matches_per_patch_reference_bit_for_bit(self, case):
+        stride, x = case
+        model = cached_model(stride)
+        got = hier_features(model, x)
+        assert got.shape == (len(x), model.feature_dim)
+        for row, values in zip(got, x):
+            assert row.tobytes() == reference_encode_hier(model, values).tobytes()
+
+    def test_encode_hier_is_one_row(self):
+        model = build_model(f1=8, f2=4)
+        p = patch32(np.random.default_rng(7).random((32, 32)))
+        feat = encode_hier(model, p)
+        assert feat.combined.tobytes() == hier_features(model, p.values[None])[0].tobytes()
+        n1 = model.n_sub_patches * model.layer1.output_dim
+        np.testing.assert_array_equal(feat.layer1_part, feat.combined[:n1])
 
 
 class TestAdapt:
@@ -190,7 +264,7 @@ class TestAdapt:
         adapted = adapt(model, obj16, obj32, lam=5.0, gamma=10.0)
         # identical consecutive inputs: the slowness term is zero throughout,
         # so the eps-free objective equals reconstruction + regularizer
-        w = adapted.model.layer1.transform.weights
+        w = adapted.model.layer1.weights
         x = normalize_values(img16)
         with_slowness = SlownessObjective(
             [np.tile(x, (6, 1))], lam=5.0, eps_sqrt=0.0, eps_abs=0.0
@@ -203,9 +277,9 @@ class TestAdapt:
     def test_input_model_unchanged(self, small_training_sets):
         ts16, ts32 = small_training_sets
         model = pretrain(ts16, ts32, FAST).model
-        before = model.layer1.transform.weights.copy()
+        before = model.layer1.weights.copy()
         adapt(model, ts16, ts32, lam=2.0, gamma=10.0)
-        np.testing.assert_array_equal(model.layer1.transform.weights, before)
+        np.testing.assert_array_equal(model.layer1.weights, before)
 
 
 class TestModelFile:
@@ -222,12 +296,8 @@ class TestModelFile:
         path = tmp_path / "m.hftm"
         save_model(model, path)
         back = load_model(path)
-        np.testing.assert_array_equal(
-            back.layer1.transform.weights, model.layer1.transform.weights
-        )
-        np.testing.assert_array_equal(
-            back.layer2.transform.weights, model.layer2.transform.weights
-        )
+        np.testing.assert_array_equal(back.layer1.weights, model.layer1.weights)
+        np.testing.assert_array_equal(back.layer2.weights, model.layer2.weights)
         np.testing.assert_array_equal(back.whitening.mean, model.whitening.mean)
         np.testing.assert_array_equal(
             back.whitening.projection, model.whitening.projection
@@ -297,15 +367,25 @@ class TestModelFile:
             load_model(path)
 
 
+class TestModelFileFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corrupt_bytes_load_or_raise_model_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.hftm"
+        path.write_bytes(data.draw(corruptions(valid_model_bytes())))
+        try:
+            load_model(path)
+        except ModelFormatError:
+            pass
+
+
 class TestModelInvariants:
     def test_layer1_input_dim_checked(self):
         model = build_model(f1=8, f2=4)
         bad = np.ones((8, 100))
-        from slowtrack.encoder import LayerEncoder
-
         with pytest.raises(ValueError, match="layer 1 input dim"):
             HierarchicalModel(
-                layer1=LayerEncoder.create(bad),
+                layer1=LayerEncoder(bad),
                 whitening=model.whitening,
                 layer2=model.layer2,
             )

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corruptions
 from slowtrack.errors import DataError, PgmFormatError
+from slowtrack.hierarchy import PretrainConfig, pretrain
 from slowtrack.patches import (
     Frame,
     Patch,
-    PatchSequence,
-    TrainingSet,
-    extract_patch,
     load_frame,
     load_frame_dir,
     normalize_values,
@@ -20,10 +19,17 @@ from slowtrack.patches import (
     save_frame,
     write_boxes_csv,
 )
+from slowtrack.tracker import candidate_patches
 
 
 def write_pgm(path, width, height, payload, maxval=255, magic=b"P5"):
     path.write_bytes(magic + f"\n{width} {height}\n{maxval}\n".encode() + payload)
+
+
+def cut(frame, x, y, side):
+    """The normalized side x side training patch at (x, y) of one frame."""
+    (seq,), _ = sample_training_set([[frame]], [[(x, y, side, side)]], side, side)
+    return seq[0]
 
 
 class TestLoadFrame:
@@ -106,23 +112,19 @@ class TestLoadFrame:
 class TestNormalization:
     def test_constant_window_is_all_zero(self):
         frame = Frame(32, 32, np.full((32, 32), 0.7))
-        patch = extract_patch(frame, (16, 16), 16)
-        assert not patch.values.any()
+        assert not cut(frame, 8, 8, 16).any()
 
     def test_affine_ramp_invariance(self):
         ramp = np.tile(np.arange(32) / 64.0, (32, 1))
         f1 = Frame(32, 32, 0.1 + 0.5 * ramp)
         f2 = Frame(32, 32, 0.3 + 1.2 * ramp)
-        p1 = extract_patch(f1, (16, 16), 16)
-        p2 = extract_patch(f2, (16, 16), 16)
-        np.testing.assert_allclose(p1.values, p2.values, atol=1e-12)
+        np.testing.assert_allclose(cut(f1, 8, 8, 16), cut(f2, 8, 8, 16), atol=1e-12)
 
     def test_checkerboard_normalizes_to_plus_minus_one(self):
         # mean 0.5, population variance 0.25 -> values (v - 0.5) / 0.5
         board = np.indices((16, 16)).sum(axis=0) % 2
         frame = Frame(16, 16, board.astype(float))
-        patch = extract_patch(frame, (8, 8), 16)
-        np.testing.assert_allclose(np.sort(np.unique(patch.values)), [-1.0, 1.0])
+        np.testing.assert_allclose(np.sort(np.unique(cut(frame, 0, 0, 16))), [-1.0, 1.0])
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=256, max_size=256), st.integers(0, 5))
@@ -139,30 +141,27 @@ class TestNormalization:
 
 
 class TestExtractPatch:
+    """Windows cut from a frame: the training sampler and the tracker's gather."""
+
     def test_unsupported_side(self):
         frame = Frame(64, 64, np.zeros((64, 64)))
         with pytest.raises(ValueError, match="unsupported patch side"):
-            extract_patch(frame, (32, 32), 24)
+            sample_training_set([[frame]], [[(0, 0, 32, 32)]], 24, 8)
 
     def test_window_exceeding_frame(self):
+        # no grid cell of a 16x16 window fits an 8x8 frame: nothing is cut
         frame = Frame(8, 8, np.zeros((8, 8)))
-        with pytest.raises(DataError, match="exceeds frame"):
-            extract_patch(frame, (4, 4), 16)
-
-    def test_clamped_to_bounds(self):
-        rng = np.random.default_rng(1)
-        frame = Frame(32, 32, rng.random((32, 32)))
-        near_corner = extract_patch(frame, (2, 2), 16)
-        at_corner = extract_patch(frame, (8, 8), 16)
-        np.testing.assert_array_equal(near_corner.values, at_corner.values)
+        assert sample_training_set([[frame]], [[(0, 0, 16, 16)]], 16, 16) == ([], 0)
 
     def test_window_resampled_nearest(self):
+        # a 64x64 box sampled on the 32x32 candidate grid reads every other pixel
         rng = np.random.default_rng(2)
         frame = Frame(64, 64, rng.random((64, 64)))
-        patch = extract_patch(frame, (32, 32), 16, window=32)
-        idx = (2 * np.arange(16) + 1) * 32 // 32
-        block = frame.pixels[16:48, 16:48][np.ix_(idx, idx)]
-        np.testing.assert_allclose(patch.values, normalize_values(block))
+        values, valid = candidate_patches(frame, np.array([[32.0, 32.0, 1.0, 0.0]]), 64.0, 64.0)
+        idx = (2 * np.arange(32) + 1) * 64 // 64
+        block = frame.pixels[np.ix_(idx, idx)]
+        assert valid[0]
+        np.testing.assert_allclose(values[0], normalize_values(block))
 
 
 class TestSampleTrainingSet:
@@ -173,66 +172,60 @@ class TestSampleTrainingSet:
     def test_single_cell(self):
         frames = self.frames(2)
         boxes = [(10, 12, 16, 16)] * 2
-        out = sample_training_set([frames], [boxes], 16, 16)
-        ts = out.training_set
-        assert len(ts.sequences) == 1
-        assert len(ts.sequences[0]) == 2
-        assert out.skipped_sequences == 0
+        seqs, skipped = sample_training_set([frames], [boxes], 16, 16)
+        assert len(seqs) == 1
+        assert seqs[0].shape == (2, 256)
+        assert skipped == 0
 
     def test_2x2_grid(self):
         frames = self.frames(3)
         boxes = [(8, 8, 32, 32)] * 3
-        ts = sample_training_set([frames], [boxes], 16, 16).training_set
-        assert len(ts.sequences) == 4
-        assert ts.n == 12
+        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        assert len(seqs) == 4
+        assert sum(len(s) for s in seqs) == 12
 
     def test_empty_input(self):
-        out = sample_training_set([], [], 16, 16)
-        assert out.training_set.n == 0
+        assert sample_training_set([], [], 16, 16) == ([], 0)
 
     def test_small_box_skipped_with_count(self):
         frames = self.frames(2)
-        out = sample_training_set(
+        seqs, skipped = sample_training_set(
             [frames, frames], [[(0, 0, 8, 8)] * 2, [(0, 0, 16, 16)] * 2], 16, 16
         )
-        assert out.skipped_sequences == 1
-        assert len(out.training_set.sequences) == 1
+        assert skipped == 1
+        assert len(seqs) == 1
 
     def test_grid_correspondence_identical_pixel_coordinates(self):
         frames = self.frames(4, seed=5)
-        # boxes move, the sampling grid must not
+        # boxes move, the sampling grid must not; cells run in row-major order
         boxes = [(8 + t, 8, 32, 32) for t in range(4)]
-        ts = sample_training_set([frames], [boxes], 16, 16).training_set
-        for seq in ts.sequences:
-            _, coords = seq.sequence_id.split(":")
-            gx, gy = (int(v) for v in coords.split(","))
-            for t, patch in enumerate(seq.patches):
+        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        cells = [(gx, gy) for gy in (8, 24) for gx in (8, 24)]
+        assert len(seqs) == len(cells)
+        for seq, (gx, gy) in zip(seqs, cells):
+            for t, values in enumerate(seq):
                 window = frames[t].pixels[gy : gy + 16, gx : gx + 16]
-                np.testing.assert_array_equal(patch.values, normalize_values(window))
+                np.testing.assert_array_equal(values, normalize_values(window))
 
     def test_n_bookkeeping(self):
         frames = self.frames(5)
         boxes = [(8, 8, 32, 32)] * 5
-        ts = sample_training_set([frames], [boxes], 16, 16).training_set
-        assert ts.n == ts.pair_count + len(ts.sequences)
+        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        assert [s.shape for s in seqs] == [(5, 256)] * 4
 
 
 class TestSequenceTypes:
+    """Training sequences are (L, side**2) arrays; pretrain checks them."""
+
+    FAST = PretrainConfig(f1=2, f2=2)
+
     def test_sequence_must_be_nonempty(self):
-        with pytest.raises(ValueError, match="empty"):
-            PatchSequence(())
+        with pytest.raises(DataError, match="empty"):
+            pretrain([np.zeros((0, 256))], [np.zeros((2, 1024))], self.FAST)
 
     def test_mixed_sides_rejected(self):
-        p16 = Patch(16, np.zeros(256))
-        p32 = Patch(32, np.zeros(1024))
-        with pytest.raises(ValueError, match="mixed"):
-            PatchSequence((p16, p32))
-
-    def test_training_set_n(self):
-        p = Patch(16, np.zeros(256))
-        ts = TrainingSet((PatchSequence((p, p)), PatchSequence((p,))))
-        assert ts.n == 3
-        assert ts.pair_count == 1
+        with pytest.raises(DataError, match="expected 16x16"):
+            pretrain([np.zeros((2, 256)), np.zeros((2, 1024))], [np.zeros((2, 1024))], self.FAST)
 
 
 class TestBoxCsv:
@@ -257,6 +250,20 @@ class TestBoxCsv:
             read_boxes_csv(path)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "b.csv"
+        path.write_text(f"0,1,2,3,4\n1,{value},2,3,4\n")
+        with pytest.raises(DataError, match="non-finite value at line 2"):
+            read_boxes_csv(path)
+
+    def test_undecodable_bytes_name_offset(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"0,1,2,3,4\n1,\xd2,2,3,4\n")
+        with pytest.raises(DataError, match="not UTF-8 text.*offset 12"):
+            read_boxes_csv(path)
+
+
 class TestLoadFrameDir:
     def test_sorted_by_filename(self, tmp_path):
         rng = __import__("numpy").random.default_rng(0)
@@ -269,3 +276,31 @@ class TestLoadFrameDir:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no .pgm frames"):
             load_frame_dir(tmp_path)
+
+
+class TestParserFuzz:
+    """Corrupt bytes give a result or the parser's typed error, never another."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pgm(self, tmp_path_factory, data):
+        header = b"P5\n# c\n6 5\n255\n"
+        valid = header + bytes(range(0, 240, 8))
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        path.write_bytes(data.draw(corruptions(valid)))
+        try:
+            load_frame(path)
+        except PgmFormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_boxes_csv(self, tmp_path_factory, data):
+        valid = b"0,144.0,104.0,32.0,32.0\n1,145.5,104.25,32.0,32.0\n2,147.0,103.0,33.5,31.0\n"
+        path = tmp_path_factory.getbasetemp() / "fuzz_gt.csv"
+        path.write_bytes(data.draw(corruptions(valid)))
+        try:
+            boxes = read_boxes_csv(path)
+        except DataError:
+            return
+        assert boxes.ndim == 2 and boxes.shape[1] == 4 and np.all(np.isfinite(boxes))

@@ -1,0 +1,48 @@
+"""Smoke tests: both experiment scripts run end to end on small inputs."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import build_model
+from slowtrack.hierarchy import save_model
+from slowtrack.patches import load_frame
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_visualize_filters_writes_a_tile_sheet(tmp_path):
+    save_model(build_model(f1=8, f2=4), tmp_path / "m.hftm")
+    res = run_script("visualize_filters.py", tmp_path / "m.hftm", "--out", tmp_path / "f.pgm")
+    assert res.returncode == 0, res.stderr
+    assert "wrote 8 layer-1 filters" in res.stdout
+    # 3x3 tiles of 16 pixels with 2-pixel gutters
+    frame = load_frame(tmp_path / "f.pgm")
+    assert (frame.width, frame.height) == (56, 56)
+
+
+def test_synthetic_benchmark_prints_six_rows():
+    res = run_script("run_synthetic_benchmark.py", "--frames", 22, "--pretrain-iters", 2)
+    assert res.returncode == 0, res.stderr
+    rows = re.findall(
+        r"^(translation|rotation|shear) +(learned|raw) +\d+\.\d\d +\d\.\d{3} +\d+s$",
+        res.stdout,
+        re.MULTILINE,
+    )
+    assert len(rows) == 6, res.stdout
+    assert {r[1] for r in rows} == {"learned", "raw"}

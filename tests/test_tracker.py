@@ -19,10 +19,19 @@ from slowtrack.tracker import (
     _perturb,
     candidate_patches,
     format_event,
-    likelihood,
     run_tracker,
     step,
 )
+
+
+def likelihood(lib, feature):
+    """exp(-d^2 / (2 sigma^2)), d the nearest-exemplar unit-feature distance.
+
+    The kernel `step` weights the top-k candidates by, before it rescales
+    them by their maximum.
+    """
+    d = lib.min_distance(feature)
+    return math.exp(-(d * d) / (2.0 * lib.sigma * lib.sigma))
 
 
 def random_frame(w=96, h=96, seed=0):
@@ -425,6 +434,13 @@ class TestRunTracker:
         frames, _ = generate_sequence(script, (96, 96), seed=11)
         with pytest.raises(DataError, match="not inside"):
             run_tracker(frames, (90.0, 90.0, 32.0, 32.0), trained_model, TrackerConfig())
+
+    @pytest.mark.parametrize("box", [(np.nan, 1.0, 30.0, 30.0), (1.0, 1.0, np.inf, 30.0)])
+    def test_non_finite_init_box_rejected(self, trained_model, box):
+        script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
+        frames, _ = generate_sequence(script, (96, 96), seed=11)
+        with pytest.raises(DataError, match="not finite"):
+            run_tracker(frames, box, trained_model, TrackerConfig())
 
     def test_library_bound_respected(self, trained_model):
         script = translation_script(12, (46.0, 48.0), (0.5, 0.0))
