@@ -47,9 +47,7 @@ from .synth import MotionScript, generate_sequence
 from .tracker import (
     ExemplarLibrary,
     MotionModel,
-    ParticleSet,
     TrackerConfig,
-    TrackState,
     run_tracker,
 )
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -285,12 +286,13 @@ def cmd_adapt(args) -> int:
         adapt_optimizer=_config(LbfgsConfig, max_iters=args.max_iters, grad_tol=1e-5),
     )
     model = _load_model_arg(args.model)
-    frames = load_frame_dir(args.frames)
+    # only the first init_frames frames are read, so later ones are never decoded
+    frames = list(islice(stream_frame_dir(args.frames), args.init_frames))
     if len(frames) < args.init_frames:
         raise DataError(
             f"need at least {args.init_frames} frames, found {len(frames)}"
         )
-    result = run_tracker(frames[: args.init_frames], args.init_box, model, cfg)
+    result = run_tracker(frames, args.init_box, model, cfg)
     adapt_events = [e for e in result.events if e.kind != "failed"]
     if not adapt_events:
         raise OptimizationError(

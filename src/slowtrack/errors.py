@@ -32,10 +32,9 @@ class LineSearchError(OptimizationError):
 
 
 class TrackingLostError(Exception):
-    """Every candidate was rejected; carries the frame index and last state."""
+    """Every candidate was rejected; carries the frame index and earlier boxes."""
 
-    def __init__(self, frame_index, state, boxes=None):
+    def __init__(self, frame_index, boxes=None):
         super().__init__(f"tracking lost at frame {frame_index}")
         self.frame_index = frame_index
-        self.state = state
         self.boxes = boxes

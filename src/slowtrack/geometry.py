@@ -13,16 +13,14 @@ def wrap_angle(theta) -> np.ndarray:
     return np.where(w <= -math.pi, math.pi, w)
 
 
-def snapped_cos_sin(theta: float) -> tuple[float, float]:
-    """cos/sin with values within 1e-12 of {-1, 0, 1} snapped exactly.
+def snapped_cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin of each angle, with values within 1e-12 of {-1, 0, 1} snapped exactly.
 
     Keeps nearest-neighbor sampling stable at exact quarter-turn angles,
     where round-off in sin/cos would otherwise flip floor() results.
     """
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     for target in (-1.0, 0.0, 1.0):
-        if abs(c - target) < 1e-12:
-            c = target
-        if abs(s - target) < 1e-12:
-            s = target
+        c = np.where(np.abs(c - target) < 1e-12, target, c)
+        s = np.where(np.abs(s - target) < 1e-12, target, s)
     return c, s

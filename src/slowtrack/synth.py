@@ -134,10 +134,11 @@ def _bandlimited(rng: np.random.Generator, shape, sigma, lo, hi) -> np.ndarray:
     return lo + (smooth - lo_v) / (hi_v - lo_v) * (hi - lo)
 
 
-def _render_target(texture, cx, cy, theta, scale, amp, period, width, height):
+def _render_target(texture, cx, cy, c, s, scale, amp, period, width, height):
     """Nearest-neighbor inverse map of the transformed texture into the frame.
 
-    Returns (ys, xs, values) of the covered frame pixels.
+    `c` and `s` are the snapped cosine and sine of the rotation. Returns
+    (ys, xs, values) of the covered frame pixels.
     """
     ts = texture.shape[0]
     radius = 0.5 * ts * scale * math.sqrt(2.0) + abs(amp) * scale + 2.0
@@ -150,7 +151,6 @@ def _render_target(texture, cx, cy, theta, scale, amp, period, width, height):
     xs = np.arange(ix0, ix1, dtype=np.float64) + 0.5 - cx
     ys = np.arange(iy0, iy1, dtype=np.float64) + 0.5 - cy
     dx, dy = np.meshgrid(xs, ys)
-    c, s = snapped_cos_sin(theta)
     px = (dx * c + dy * s) / scale
     py = (-dx * s + dy * c) / scale
     v = py + ts / 2.0
@@ -173,6 +173,7 @@ def generate_sequence(
     rng = np.random.default_rng(seed)
     texture = _bandlimited(rng, (script.target_side, script.target_side), 1.2, 0.02, 0.98)
     background = _bandlimited(rng, (height, width), 3.0, 0.35, 0.65)
+    cos, sin = snapped_cos_sin(script.rotations)
     frames = []
     boxes = []
     for t in range(script.n_frames):
@@ -181,7 +182,8 @@ def generate_sequence(
             texture,
             script.centers[t, 0],
             script.centers[t, 1],
-            script.rotations[t],
+            cos[t],
+            sin[t],
             script.scales[t],
             script.shear_amps[t],
             script.shear_period,

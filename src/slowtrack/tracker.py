@@ -1,13 +1,23 @@
 """Particle-filter tracking with hierarchical features.
 
-Each frame: candidate states are Gaussian perturbations of
-systematically-resampled previous particles; all candidates are ranked
-cheaply by raw-pixel distance to the previous predicted patch, the top
-few are re-ranked with hierarchical features against an exemplar
-library, and the maximum-weight candidate becomes the prediction. The
-feature filters and the exemplar library are re-adapted on the tracked
-object's own patches every M frames, warm-started from the current
-filters.
+A step is a short run of array stages over plain (N, 4) states, one
+(cx, cy, scale, rotation) row per particle over a fixed base box, and
+(N,) weights:
+
+- `propose`: systematically resample the previous particles and add
+  Gaussian motion noise;
+- `candidate_patches`: sample every candidate's 32x32 grid and read all
+  of them from the frame in one gather;
+- `coarse_distances`: rank all candidates by raw-pixel distance to the
+  previous predicted patch, in correlation form;
+- `fine_distances`: re-rank the top few with hierarchical features
+  against an exemplar library;
+- `weigh`: a Gaussian kernel over the distances; the maximum-weight
+  candidate becomes the prediction.
+
+The feature filters and the exemplar library are re-adapted on the
+tracked object's own patches every M frames, warm-started from the
+current filters.
 
 The appearance model is a nearest-exemplar Gaussian kernel over
 unit-normalized combined features, standing in for the structural sparse
@@ -17,7 +27,6 @@ features-in, weights-out contract.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -27,46 +36,12 @@ from .errors import DataError, OptimizationError, TrackingLostError
 from .geometry import snapped_cos_sin, wrap_angle
 from .hierarchy import HierarchicalModel, adapt, hier_features, subpatches
 from .optimizer import LbfgsConfig
-from .patches import Frame, normalize_rows
+from .patches import _CONST_STD, Frame, normalize_rows
 
 CANDIDATE_SIDE = 32
 
 # a candidate needs at least this fraction of its samples inside the frame
 _MIN_INSIDE_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class TrackState:
-    """Target pose: center, scale and in-plane rotation over a fixed base box."""
-
-    cx: float
-    cy: float
-    scale: float
-    rotation: float  # radians, in (-pi, pi]
-    base_w: float
-    base_h: float
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not (-math.pi < self.rotation <= math.pi):
-            raise ValueError(f"rotation {self.rotation} outside (-pi, pi]")
-        if self.base_w <= 0 or self.base_h <= 0:
-            raise ValueError("base box dims must be positive")
-
-    @classmethod
-    def from_box(cls, box) -> "TrackState":
-        x, y, w, h = (float(v) for v in box)
-        return cls(x + w / 2.0, y + h / 2.0, 1.0, 0.0, w, h)
-
-    def box(self) -> tuple[float, float, float, float]:
-        """Axis-aligned bounding box (x, y, w, h) of the rotated box."""
-        w = self.base_w * self.scale
-        h = self.base_h * self.scale
-        c, s = snapped_cos_sin(self.rotation)
-        ext_x = 0.5 * (abs(w * c) + abs(h * s))
-        ext_y = 0.5 * (abs(w * s) + abs(h * c))
-        return (self.cx - ext_x, self.cy - ext_y, 2.0 * ext_x, 2.0 * ext_y)
 
 
 @dataclass(frozen=True)
@@ -83,54 +58,13 @@ class MotionModel:
             raise ValueError("motion stds must be >= 0")
 
 
-@dataclass(frozen=True)
-class ParticleSet:
-    """Weighted poses over one base box.
-
-    `states` holds one (cx, cy, scale, rotation) row per particle; weights
-    are nonnegative and sum to 1.
-    """
-
-    states: np.ndarray  # (N, 4)
-    weights: np.ndarray  # (N,)
-    base_w: float
-    base_h: float
-
-    def __post_init__(self):
-        # own copy: the set must stay immutable without freezing the caller's array
-        states = np.array(self.states, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
-        if len(states) != w.size or not w.size:
-            raise ValueError(
-                f"{len(states)} states but {w.size} weights (both nonempty required)"
-            )
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        states.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def single(cls, state: TrackState) -> "ParticleSet":
-        row = [[state.cx, state.cy, state.scale, state.rotation]]
-        return cls(np.array(row), np.array([1.0]), state.base_w, state.base_h)
-
-    def state(self, i: int) -> TrackState:
-        cx, cy, scale, rotation = (float(v) for v in self.states[i])
-        return TrackState(cx, cy, scale, rotation, self.base_w, self.base_h)
-
-
 class ExemplarLibrary:
     """Bounded recency buffer of unit-normalized combined feature vectors."""
 
-    def __init__(self, capacity: int = 10, sigma: float = 0.2):
+    def __init__(self, capacity: int = 10):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
         self.capacity = capacity
-        self.sigma = float(sigma)
         self._exemplars: deque[np.ndarray] = deque(maxlen=capacity)
 
     def add(self, combined) -> None:
@@ -171,10 +105,12 @@ class TrackerConfig:
                 f"top_k ({self.top_k}) must not exceed n_candidates "
                 f"({self.n_candidates})"
             )
-        if self.update_period < 1 or self.init_frames < 1 or self.n_candidates < 1:
+        if min(self.top_k, self.update_period, self.init_frames, self.n_candidates) < 1:
             raise ValueError("counts must be >= 1")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.lam < 0 or self.gamma < 0:
+            raise ValueError(f"lambda ({self.lam}) and gamma ({self.gamma}) must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -188,14 +124,6 @@ class AdaptEvent:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    state: TrackState
-    particles: ParticleSet
-    patch: np.ndarray  # (1024,) normalized values of the chosen candidate
-    coarse_rank: int  # rank of the prediction among coarse candidates
-
-
-@dataclass(frozen=True)
 class TrackResult:
     boxes: np.ndarray  # (n_frames, 4)
     model: HierarchicalModel
@@ -205,6 +133,18 @@ class TrackResult:
 def _unit(v: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(v)
     return v / n if n > 1e-12 else v.copy()
+
+
+def boxes_of(states: np.ndarray, base_w: float, base_h: float) -> np.ndarray:
+    """Axis-aligned bounding box (x, y, w, h) of each rotated (N, 4) state."""
+    w = base_w * states[:, 2]
+    h = base_h * states[:, 2]
+    c, s = snapped_cos_sin(states[:, 3])
+    ext_x = 0.5 * (np.abs(w * c) + np.abs(h * s))
+    ext_y = 0.5 * (np.abs(w * s) + np.abs(h * c))
+    return np.stack(
+        [states[:, 0] - ext_x, states[:, 1] - ext_y, 2.0 * ext_x, 2.0 * ext_y], axis=1
+    )
 
 
 def _perturb(states: np.ndarray, motion: MotionModel, rng: np.random.Generator):
@@ -224,6 +164,11 @@ def _systematic_resample(weights: np.ndarray, n: int, rng: np.random.Generator):
     return np.searchsorted(cum, positions, side="left")
 
 
+def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generator):
+    """n candidate states: resampled by weight, then perturbed."""
+    return _perturb(states[_systematic_resample(weights, n, rng)], motion, rng)
+
+
 def _sample_indices(frame: Frame, states: np.ndarray, base_w: float, base_h: float):
     """Flat frame index of each candidate's grid samples, and the valid mask."""
     n = CANDIDATE_SIDE
@@ -232,10 +177,7 @@ def _sample_indices(frame: Frame, states: np.ndarray, base_w: float, base_h: flo
     h = base_h * states[:, 2:3]
     off_u = (grid * w / n - w / 2.0)[:, None, :]
     off_v = (grid * h / n - h / 2.0)[:, :, None]
-    # per row, not np.cos: the snapped values keep quarter turns exact
-    cos_sin = np.array([snapped_cos_sin(r) for r in states[:, 3]]).reshape(-1, 2)
-    c = cos_sin[:, 0, None, None]
-    s = cos_sin[:, 1, None, None]
+    c, s = snapped_cos_sin(states[:, 3, None, None])
     # u varies along the last axis and v along the middle one, so only the
     # last operation on each line allocates a full (N, 32, 32) array
     xs = states[:, 0, None, None] + off_u * c - off_v * s
@@ -253,48 +195,82 @@ def _sample_indices(frame: Frame, states: np.ndarray, base_w: float, base_h: flo
 def candidate_patches(
     frame: Frame, states: np.ndarray, base_w: float, base_h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample every rotated, scaled box into a normalized 32x32 patch.
+    """Sample every rotated, scaled box into a raw 32x32 patch.
 
     `states` holds one (cx, cy, scale, rotation) row per candidate. Returns
-    `(values, valid)`: (N, 1024) patch values and an (N,) mask that is
-    False where less than half of a candidate's sample grid lies inside
-    the frame. Samples outside are clamped to the border; rejected rows
-    are zero. All candidates are read from the frame in one gather.
+    `(raw, valid)`: (N, 1024) frame intensities, not normalized, and an
+    (N,) mask that is False where less than half of a candidate's sample
+    grid lies inside the frame. Samples outside are clamped to the border.
+    All candidates are read from the frame in one gather.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     index, valid = _sample_indices(frame, states, base_w, base_h)
-    values = normalize_rows(frame.pixels.take(index))
-    values[~valid] = 0.0
-    return values, valid
+    return frame.pixels.take(index), valid
+
+
+def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray:
+    """Distance between each candidate's and the template's unit patches.
+
+    With â the centred row over its norm and t̂ the unit template,
+    ‖â − t̂‖² = live + ‖t̂‖² − 2ρ where ρ = ⟨â, t̂⟩ (normalized cross
+    correlation). `live` is 0 for a constant row (std below the constant
+    threshold), whose normalized patch is all zeros, and ‖t̂‖² is 1, or 0
+    for a constant template. Round-off can push the square below zero, so
+    it is clipped there. Rejected rows are at inf.
+    """
+    t = np.asarray(template, dtype=np.float64).ravel()
+    t_norm = np.linalg.norm(t)
+    t_live = t_norm > 1e-12
+    t_hat = t / t_norm if t_live else np.zeros_like(t)
+    centred = raw - raw.mean(axis=1, keepdims=True)
+    norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
+    live = norms >= _CONST_STD * np.sqrt(raw.shape[1])  # std >= _CONST_STD
+    rho = np.divide(centred @ t_hat, norms, out=np.zeros(len(raw)), where=live)
+    d2 = live + float(t_live) - 2.0 * rho
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    dist[~valid] = np.inf
+    return dist
+
+
+def fine_distances(model: HierarchicalModel, lib: ExemplarLibrary, x32) -> np.ndarray:
+    """Nearest-exemplar distance of each normalized patch's hierarchical feature."""
+    return np.array([lib.min_distance(f) for f in hier_features(model, x32)])
+
+
+def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian kernel exp(-d²/2σ²), rescaled so its largest value is 1.
+
+    Subtracting the minimum before exponentiating is a positive rescaling
+    of every kernel value, harmless for the argmax and immune to underflow.
+    """
+    d2 = dist * dist
+    return np.exp(-(d2 - d2.min()) / (2.0 * sigma * sigma))
 
 
 def step(
     frame: Frame,
-    prev: ParticleSet,
+    states: np.ndarray,
+    weights: np.ndarray,
+    base: tuple[float, float],
     template: np.ndarray,
     model: HierarchicalModel | None,
     lib: ExemplarLibrary,
     cfg: TrackerConfig,
     frame_index: int,
     rng: np.random.Generator,
-) -> StepResult:
-    """One tracking step; see the module docstring for the ranking scheme.
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """One tracking step; see the module docstring for the stages.
 
-    Learned re-ranking is active once the library is seeded (after the
-    bootstrap frames) unless the config is raw-only.
+    Returns `(states, weights, best, patch)`: the new (N, 4) particles,
+    their (N,) weights, the index of the prediction and its normalized
+    (1024,) patch. Learned re-ranking is active once the library is
+    seeded (after the bootstrap frames) unless the config is raw-only.
     """
-    parents = _systematic_resample(prev.weights, cfg.n_candidates, rng)
-    states = _perturb(prev.states[parents], cfg.motion, rng)
-    values, accepted = candidate_patches(frame, states, prev.base_w, prev.base_h)
-    valid = np.flatnonzero(accepted)
-    if not valid.size:
-        raise TrackingLostError(frame_index, prev.state(int(np.argmax(prev.weights))))
-
-    # one norm per row: a batched norm sums in another order and moves ulps
-    t_unit = _unit(np.asarray(template, dtype=np.float64).ravel())
-    dist = np.full(cfg.n_candidates, np.inf)
-    for i in valid:
-        dist[i] = np.linalg.norm(_unit(values[i]) - t_unit)
+    states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
+    raw, valid = candidate_patches(frame, states, *base)
+    if not valid.any():
+        raise TrackingLostError(frame_index)
+    dist = coarse_distances(raw, valid, template)
 
     use_features = (
         not cfg.raw_only
@@ -302,30 +278,17 @@ def step(
         and len(lib) > 0
         and frame_index >= cfg.init_frames
     )
-    weights = np.zeros(cfg.n_candidates)
+    weights = np.zeros(len(states))
     if use_features:
-        order = np.argsort(dist, kind="stable")
-        top = [int(i) for i in order[: cfg.top_k] if np.isfinite(dist[i])]
-        fdist = np.array([lib.min_distance(f) for f in hier_features(model, values[top])])
-        # subtract the minimum before exponentiating: a positive rescaling of
-        # every kernel value, harmless for the argmax and immune to underflow
-        d2 = fdist * fdist
-        weights[top] = np.exp(-(d2 - d2.min()) / (2.0 * cfg.sigma * cfg.sigma))
+        top = np.argsort(dist, kind="stable")[: cfg.top_k]
+        top = top[np.isfinite(dist[top])]
+        weights[top] = weigh(fine_distances(model, lib, normalize_rows(raw[top])), cfg.sigma)
     else:
-        d = dist[valid]
-        d2 = d * d
-        weights[valid] = np.exp(-(d2 - d2.min()) / (2.0 * cfg.sigma * cfg.sigma))
-    weights = weights / weights.sum()
+        weights[valid] = weigh(dist[valid], cfg.sigma)
+    weights /= weights.sum()
 
     best = int(np.argmax(weights))  # ties resolve to the lowest index
-    coarse_rank = int(np.count_nonzero(dist < dist[best]))
-    particles = ParticleSet(states, weights, prev.base_w, prev.base_h)
-    return StepResult(
-        state=particles.state(best),
-        particles=particles,
-        patch=values[best].copy(),  # a copy, so the (N, 1024) block is freed
-        coarse_rank=coarse_rank,
-    )
+    return states, weights, best, normalize_rows(raw[best : best + 1])[0]
 
 
 def run_tracker(
@@ -359,13 +322,13 @@ def run_tracker(
             f"({f0.width}x{f0.height})"
         )
     rng = np.random.default_rng(cfg.seed)
-    state = TrackState.from_box(init_box)
-    particles = ParticleSet.single(state)
+    states = np.array([[x + w / 2.0, y + h / 2.0, 1.0, 0.0]])
+    weights = np.ones(1)
+    chosen = [states[0]]  # the predicted state of each frame
     # a box inside the frame has every sample inside, so it is never rejected
-    template = candidate_patches(f0, particles.states, w, h)[0][0]
-    boxes = [state.box()]
+    template = normalize_rows(candidate_patches(f0, states, w, h)[0])[0]
     collected = [template]  # (1024,) patch values of each tracked frame
-    lib = ExemplarLibrary(cfg.library_capacity, cfg.sigma)
+    lib = ExemplarLibrary(cfg.library_capacity)
     events: list[AdaptEvent] = []
     current = model
 
@@ -411,14 +374,15 @@ def run_tracker(
     maybe_adapt(1)
     for t, frame in enumerate(frames, start=1):
         try:
-            res = step(frame, particles, template, current, lib, cfg, t, rng)
-        except TrackingLostError as err:
-            raise TrackingLostError(t, err.state, np.asarray(boxes)) from None
-        state, particles, template = res.state, res.particles, res.patch
-        boxes.append(state.box())
+            states, weights, best, template = step(
+                frame, states, weights, (w, h), template, current, lib, cfg, t, rng
+            )
+        except TrackingLostError:
+            raise TrackingLostError(t, boxes_of(np.array(chosen), w, h)) from None
+        chosen.append(states[best])
         collected.append(template)
         maybe_adapt(t + 1)
-    return TrackResult(np.asarray(boxes), current, tuple(events))
+    return TrackResult(boxes_of(np.array(chosen), w, h), current, tuple(events))
 
 
 def format_event(event: AdaptEvent) -> str:

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +179,41 @@ class TestAdapt:
         assert not np.array_equal(before.layer1.weights, after.layer1.weights)
 
 
+    def test_reads_only_the_frames_it_uses(self, tmp_path, model_path, track_dir):
+        # a truncated late frame is never decoded by a 5-frame adaptation
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for path in track_dir.iterdir():
+            (seq / path.name).write_bytes(path.read_bytes())
+        last = sorted(seq.glob("*.pgm"))[-1]
+        last.write_bytes(last.read_bytes()[:100])
+        res = run_cli("adapt", "--model", model_path, "--frames", seq,
+                      "--init-box", init_box_of(seq), "--out", tmp_path / "o.hftm",
+                      "--init-frames", 5, "--max-iters", 3)
+        assert res.returncode == 0, res.stderr
+        assert load_model(tmp_path / "o.hftm").layer1.weights.shape[0] == 8
+
+    def test_too_few_frames_exits_3(self, tmp_path, model_path, track_dir):
+        res = run_cli("adapt", "--model", model_path, "--frames", track_dir,
+                      "--init-box", init_box_of(track_dir), "--out", tmp_path / "o.hftm",
+                      "--init-frames", 40)
+        assert res.returncode == 3
+        assert "need at least 40 frames, found 30" in res.stderr
+
+
 class TestTrack:
+    def test_raw_only_boxes_match_committed_bytes(self, tmp_path):
+        # the box CSV is a byte contract: a change that moves any byte of
+        # this short rotating track must say why and refresh the fixture
+        seq = tmp_path / "rot"
+        synth(seq, pattern="rotation", frames=12, seed=9, size="120x100", target_side="32")
+        res = run_cli("track", "--raw-only", "--frames", seq, "--init-box", init_box_of(seq),
+                      "--out", tmp_path / "boxes.csv", "--particles", 100, "--topk", 5,
+                      "--seed", 3)
+        assert res.returncode == 0, res.stderr
+        want = (Path(__file__).parent / "fixtures" / "raw_track_rotation.csv").read_bytes()
+        assert (tmp_path / "boxes.csv").read_bytes() == want
+
     def test_static_zero_noise_returns_init_box(self, tmp_path, model_path):
         synth(tmp_path / "static", frames=8, seed=4, velocity="0,0",
               size="120x100", target_side="32")
@@ -354,6 +389,12 @@ class TestBadFlags:
             ("track", "--sigma", 0),
             ("track", "--particles", 0, "--topk", 0),
             ("track", "--std-xy", -1),
+            ("track", "--topk", 0),
+            ("track", "--topk", -1),
+            ("track", "--gamma", -1),
+            ("track", "--lambda", -1),
+            ("adapt", "--gamma", -1),
+            ("adapt", "--lambda", -1),
             ("pretrain", "--stride", 0),
             ("pretrain", "--f1", 3),
             ("pretrain", "--lambda", -1),
@@ -367,6 +408,9 @@ class TestBadFlags:
         if command == "track":
             args = ["track", "--model", model_path, "--frames", track_dir,
                     "--init-box", init_box_of(track_dir), "--out", tmp_path / "b.csv"]
+        elif command == "adapt":
+            args = ["adapt", "--model", model_path, "--frames", track_dir,
+                    "--init-box", init_box_of(track_dir), "--out", tmp_path / "o.hftm"]
         else:
             args = ["pretrain", "--data", data_dir / "a", "--out", tmp_path / "m.hftm"]
         res = run_cli(*args, *bad)

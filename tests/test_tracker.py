@@ -8,30 +8,61 @@ from hypothesis import strategies as st
 from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import encode_hier
-from slowtrack.patches import Frame, Patch, normalize_values
+from slowtrack.patches import Frame, Patch, normalize_rows, normalize_values
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
     ExemplarLibrary,
     MotionModel,
-    ParticleSet,
     TrackerConfig,
-    TrackState,
     _perturb,
+    boxes_of,
     candidate_patches,
+    coarse_distances,
     format_event,
+    propose,
     run_tracker,
     step,
 )
 
 
-def likelihood(lib, feature):
+def likelihood(lib, feature, sigma):
     """exp(-d^2 / (2 sigma^2)), d the nearest-exemplar unit-feature distance.
 
     The kernel `step` weights the top-k candidates by, before it rescales
     them by their maximum.
     """
     d = lib.min_distance(feature)
-    return math.exp(-(d * d) / (2.0 * lib.sigma * lib.sigma))
+    return math.exp(-(d * d) / (2.0 * sigma * sigma))
+
+
+def reference_snapped_cos_sin(theta):
+    """`math.cos`/`math.sin` of one angle, snapped within 1e-12 of {-1, 0, 1}."""
+    c, s = math.cos(theta), math.sin(theta)
+    for target in (-1.0, 0.0, 1.0):
+        if abs(c - target) < 1e-12:
+            c = target
+        if abs(s - target) < 1e-12:
+            s = target
+    return c, s
+
+
+def unit(v):
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-12 else v.copy()
+
+
+def reference_coarse_distances(raw, valid, template):
+    """One row at a time: the oracle for `coarse_distances`.
+
+    Each valid row is normalized, scaled to unit length and compared with
+    the unit template; rejected rows are at inf.
+    """
+    values = normalize_rows(raw)
+    t_unit = unit(np.asarray(template, dtype=np.float64).ravel())
+    dist = np.full(len(raw), np.inf)
+    for i in np.flatnonzero(valid):
+        dist[i] = np.linalg.norm(unit(values[i]) - t_unit)
+    return dist
 
 
 def random_frame(w=96, h=96, seed=0):
@@ -39,34 +70,39 @@ def random_frame(w=96, h=96, seed=0):
     return Frame(w, h, rng.random((h, w)))
 
 
-def reference_candidate_patch(frame, state):
+def reference_candidate_patch(frame, row, base_w, base_h):
     """One candidate sampled on its own: the oracle for `candidate_patches`.
 
-    Returns the normalized 32x32 values, or None when less than half of
-    the sample grid lies inside the frame.
+    `row` is (cx, cy, scale, rotation). Returns the raw 32x32 samples
+    (clamped to the border) and whether at least half of the sample grid
+    lies inside the frame.
     """
-    w = state.base_w * state.scale
-    h = state.base_h * state.scale
+    cx, cy, scale, rotation = row
+    w = base_w * scale
+    h = base_h * scale
     n = 32
     off_u = (np.arange(n) + 0.5) * w / n - w / 2.0
     off_v = (np.arange(n) + 0.5) * h / n - h / 2.0
     u, v = np.meshgrid(off_u, off_v)
-    c, s = snapped_cos_sin(state.rotation)
-    xs = state.cx + u * c - v * s
-    ys = state.cy + u * s + v * c
+    c, s = reference_snapped_cos_sin(rotation)
+    xs = cx + u * c - v * s
+    ys = cy + u * s + v * c
     inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
-    if inside.mean() < 0.5:
-        return None
     ix = np.clip(np.floor(xs).astype(np.int64), 0, frame.width - 1)
     iy = np.clip(np.floor(ys).astype(np.int64), 0, frame.height - 1)
-    return normalize_values(frame.pixels[iy, ix])
+    return frame.pixels[iy, ix].ravel(), inside.mean() >= 0.5
 
 
-def sample_one(frame, state):
-    """candidate_patches on a single TrackState: (values, accepted)."""
-    row = [[state.cx, state.cy, state.scale, state.rotation]]
-    values, valid = candidate_patches(frame, np.array(row), state.base_w, state.base_h)
-    return values[0], bool(valid[0])
+def sample_one(frame, row, base=(32.0, 32.0)):
+    """candidate_patches on a single state row: (normalized values, accepted)."""
+    raw, valid = candidate_patches(frame, np.array([row], dtype=float), *base)
+    return normalize_rows(raw)[0], bool(valid[0])
+
+
+def row_of_box(box):
+    """The state row of an axis-aligned (x, y, w, h) box over itself."""
+    x, y, w, h = box
+    return [x + w / 2.0, y + h / 2.0, 1.0, 0.0]
 
 
 class TestWrapAngle:
@@ -88,6 +124,16 @@ class TestWrapAngle:
         assert snapped_cos_sin(-math.pi / 2) == (0.0, -1.0)
         c, s = snapped_cos_sin(0.3)
         assert c == math.cos(0.3) and s == math.sin(0.3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-50.0, 50.0), max_size=64))
+    def test_array_form_matches_scalar_math_form(self, random_angles):
+        quarter_turns = [k * math.pi / 2 for k in range(-4, 5)]
+        theta = np.array([math.pi, -math.pi / 2, math.pi / 2, *quarter_turns, *random_angles])
+        c, s = snapped_cos_sin(theta)
+        want = np.array([reference_snapped_cos_sin(t) for t in theta]).reshape(-1, 2)
+        assert c.tobytes() == want[:, 0].tobytes()
+        assert s.tobytes() == want[:, 1].tobytes()
 
 
 class TestPropagate:
@@ -121,21 +167,16 @@ class TestPropagate:
 
 
 class TestTrackState:
+    """A state row and its axis-aligned box (`boxes_of`)."""
+
     def test_box_round_trip(self):
-        st_ = TrackState.from_box((10.0, 20.0, 32.0, 48.0))
-        assert st_.box() == (10.0, 20.0, 32.0, 48.0)
+        rows = np.array([row_of_box((10.0, 20.0, 32.0, 48.0))])
+        assert tuple(boxes_of(rows, 32.0, 48.0)[0]) == (10.0, 20.0, 32.0, 48.0)
 
     def test_rotated_box_grows(self):
-        st_ = TrackState(50, 50, 1.0, math.pi / 4, 32.0, 32.0)
-        x, y, w, h = st_.box()
+        x, y, w, h = boxes_of(np.array([[50.0, 50.0, 1.0, math.pi / 4]]), 32.0, 32.0)[0]
         assert w == pytest.approx(32 * math.sqrt(2))
         assert h == pytest.approx(32 * math.sqrt(2))
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            TrackState(0, 0, -1.0, 0.0, 32, 32)
-        with pytest.raises(ValueError):
-            TrackState(0, 0, 1.0, 4.0, 32, 32)
 
 
 angles = st.one_of(
@@ -153,31 +194,30 @@ def candidate_case(draw):
     else:
         frame = Frame(w, h, np.full((h, w), 0.25))
     base = (draw(st.floats(2.0, 48.0)), draw(st.floats(2.0, 48.0)))
-    states = [
-        TrackState(
+    rows = [
+        (
             draw(st.floats(-40.0, w + 40.0)),
             draw(st.floats(-40.0, h + 40.0)),
             draw(st.floats(0.05, 3.0)),
             draw(angles),
-            *base,
         )
         for _ in range(draw(st.integers(1, 6)))
     ]
-    return frame, states
+    return frame, np.array(rows), base
 
 
 class TestCandidatePatch:
     def test_identity_state_recovers_template(self):
         frame = random_frame(seed=3)
         box = (20.0, 24.0, 32.0, 32.0)
-        values, accepted = sample_one(frame, TrackState.from_box(box))
+        values, accepted = sample_one(frame, row_of_box(box))
         window = frame.pixels[24:56, 20:52]
         assert accepted
         np.testing.assert_array_equal(values, normalize_values(window))
 
     def test_uniform_frame_gives_zero_patch(self):
         frame = Frame(96, 96, np.full((96, 96), 0.5))
-        values, accepted = sample_one(frame, TrackState(48.0, 48.0, 2.0, 0.0, 32.0, 32.0))
+        values, accepted = sample_one(frame, (48.0, 48.0, 2.0, 0.0))
         assert accepted and not values.any()
 
     def test_half_turn_on_symmetric_checkerboard(self):
@@ -185,55 +225,51 @@ class TestCandidatePatch:
         ii, jj = np.indices((96, 96))
         board = ((ii // 2) + (jj // 2)) % 2
         frame = Frame(96, 96, board.astype(float))
-        a, _ = sample_one(frame, TrackState(48.0, 48.0, 1.0, 0.0, 32.0, 32.0))
-        b, _ = sample_one(frame, TrackState(48.0, 48.0, 1.0, math.pi, 32.0, 32.0))
+        a, _ = sample_one(frame, (48.0, 48.0, 1.0, 0.0))
+        b, _ = sample_one(frame, (48.0, 48.0, 1.0, math.pi))
         np.testing.assert_array_equal(a, b)
 
     def test_outside_frame_rejected(self):
         frame = random_frame()
-        values, accepted = sample_one(frame, TrackState(-30.0, 48.0, 1.0, 0.0, 32.0, 32.0))
-        assert not accepted and not values.any()
+        _, accepted = sample_one(frame, (-30.0, 48.0, 1.0, 0.0))
+        assert not accepted
 
     def test_mostly_inside_is_clamped_not_rejected(self):
         frame = random_frame()
-        values, accepted = sample_one(frame, TrackState(10.0, 48.0, 1.0, 0.0, 32.0, 32.0))
+        values, accepted = sample_one(frame, (10.0, 48.0, 1.0, 0.0))
         assert accepted and values.shape == (1024,)
 
     @settings(max_examples=200, deadline=None)
     @given(candidate_case())
     def test_matches_scalar_reference_bit_for_bit(self, case):
-        frame, states = case
-        rows = np.array([[s.cx, s.cy, s.scale, s.rotation] for s in states])
-        values, valid = candidate_patches(frame, rows, states[0].base_w, states[0].base_h)
-        assert values.shape == (len(states), 1024) and valid.shape == (len(states),)
-        for got, ok, state in zip(values, valid, states):
-            want = reference_candidate_patch(frame, state)
-            assert ok == (want is not None)
-            if want is None:
-                assert not got.any()
-            else:
-                assert got.tobytes() == want.tobytes()
+        frame, rows, base = case
+        raw, valid = candidate_patches(frame, rows, *base)
+        assert raw.shape == (len(rows), 1024) and valid.shape == (len(rows),)
+        for got, ok, row in zip(raw, valid, rows):
+            want, want_ok = reference_candidate_patch(frame, row, *base)
+            assert ok == want_ok
+            assert got.tobytes() == want.tobytes()
 
 
 class TestExemplarLibrary:
     def test_stored_exemplar_has_likelihood_one(self):
-        lib = ExemplarLibrary(capacity=4, sigma=0.2)
+        lib = ExemplarLibrary(capacity=4)
         v = np.array([1.0, 2.0, 2.0])
         lib.add(v)
-        assert likelihood(lib, v) == pytest.approx(1.0)
+        assert likelihood(lib, v, 0.2) == pytest.approx(1.0)
 
     def test_flat_limit_large_sigma(self):
-        lib = ExemplarLibrary(capacity=4, sigma=1e9)
+        lib = ExemplarLibrary(capacity=4)
         lib.add(np.array([1.0, 0.0]))
-        assert likelihood(lib, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
+        assert likelihood(lib, np.array([0.0, 1.0]), 1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_unit_features(self):
-        lib = ExemplarLibrary(capacity=4, sigma=1.0)
+        lib = ExemplarLibrary(capacity=4)
         lib.add(np.array([1.0, 0.0]))
-        assert likelihood(lib, np.array([0.0, 1.0])) == pytest.approx(math.exp(-1.0))
+        assert likelihood(lib, np.array([0.0, 1.0]), 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_capacity_bound(self):
-        lib = ExemplarLibrary(capacity=3, sigma=0.2)
+        lib = ExemplarLibrary(capacity=3)
         for i in range(10):
             lib.add(np.eye(4)[i % 4])
         assert len(lib) == 3
@@ -241,88 +277,167 @@ class TestExemplarLibrary:
     def test_empty_library_rejected(self):
         lib = ExemplarLibrary()
         with pytest.raises(DataError, match="empty"):
-            likelihood(lib, np.ones(3))
+            likelihood(lib, np.ones(3), 0.2)
 
     def test_nearest_exemplar_wins(self):
-        lib = ExemplarLibrary(capacity=4, sigma=0.5)
+        lib = ExemplarLibrary(capacity=4)
         lib.add(np.array([1.0, 0.0]))
         lib.add(np.array([0.0, 1.0]))
         assert lib.min_distance(np.array([0.0, 2.0])) == pytest.approx(0.0)
 
 
 class TestParticleSet:
-    def test_weights_must_normalize(self):
-        rows = np.tile([0.0, 0.0, 1.0, 0.0], (2, 1))
-        with pytest.raises(ValueError):
-            ParticleSet(rows, np.array([0.5, 0.2]), 8.0, 8.0)
+    """Plain (N, 4) states with (N,) weights, as `propose` takes them."""
 
     def test_single(self):
-        s = TrackState(1.0, 2.0, 1.5, 0.25, 8.0, 6.0)
-        ps = ParticleSet.single(s)
-        assert ps.weights.sum() == 1.0
-        assert ps.state(0) == s
+        row = np.array([[1.0, 2.0, 1.5, 0.25]])
+        states = propose(row, np.ones(1), MotionModel(0, 0, 0, 0), 5, np.random.default_rng(0))
+        np.testing.assert_array_equal(states, np.tile(row, (5, 1)))
+
+    def test_resampling_follows_the_weights(self):
+        rows = np.array([[1.0, 0.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0], [3.0, 0.0, 1.0, 0.0]])
+        states = propose(rows, np.array([0.0, 1.0, 0.0]), MotionModel(0, 0, 0, 0), 4,
+                         np.random.default_rng(0))
+        np.testing.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0, 2.0])
 
 
 class TestStep:
+    base = (32.0, 32.0)
+
     def setup_case(self, model, use_lib):
         script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=5)
-        state = TrackState.from_box(tuple(gt.boxes[0]))
-        template = Patch(32, sample_one(frames[0], state)[0])
-        lib = ExemplarLibrary(capacity=4, sigma=0.2)
+        row = np.array([row_of_box(gt.boxes[0])])
+        template = sample_one(frames[0], row[0])[0]
+        lib = ExemplarLibrary(capacity=4)
         if use_lib:
-            lib.add(encode_hier(model, template).combined)
-        return frames, state, template, lib
+            lib.add(encode_hier(model, Patch(32, template)).combined)
+        return frames, row, template, lib
+
+    def run_step(self, frames, row, template, model, lib, cfg, seed):
+        return step(frames[1], row, np.ones(1), self.base, template, model, lib, cfg, 1,
+                    np.random.default_rng(seed))
 
     def test_static_zero_noise_keeps_state(self, trained_model):
-        frames, state, template, lib = self.setup_case(trained_model, use_lib=True)
+        frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(
             n_candidates=50, top_k=5, motion=MotionModel(0, 0, 0, 0), init_frames=1
         )
-        rng = np.random.default_rng(0)
-        res = step(frames[1], ParticleSet.single(state), template.values,
-                   trained_model, lib, cfg, 1, rng)
-        assert res.state == state
+        states, _, best, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
+        np.testing.assert_array_equal(states[best], row[0])
 
     def test_weights_normalized_and_sparse(self, trained_model):
-        frames, state, template, lib = self.setup_case(trained_model, use_lib=True)
+        frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(n_candidates=60, top_k=5, init_frames=1)
-        rng = np.random.default_rng(0)
-        res = step(frames[1], ParticleSet.single(state), template.values,
-                   trained_model, lib, cfg, 1, rng)
-        assert abs(res.particles.weights.sum() - 1.0) < 1e-9
-        assert np.count_nonzero(res.particles.weights) <= cfg.top_k
+        states, weights, _, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
+        assert states.shape == (60, 4) and weights.shape == (60,)
+        assert abs(weights.sum() - 1.0) < 1e-9 and weights.min() >= 0.0
+        assert np.count_nonzero(weights) <= cfg.top_k
 
     def test_prediction_among_coarse_top_k(self, trained_model):
-        frames, state, template, lib = self.setup_case(trained_model, use_lib=True)
+        frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(n_candidates=60, top_k=7, init_frames=1)
-        rng = np.random.default_rng(1)
-        res = step(frames[1], ParticleSet.single(state), template.values,
-                   trained_model, lib, cfg, 1, rng)
-        assert res.coarse_rank < cfg.top_k
+        states, _, best, patch = self.run_step(frames, row, template, trained_model, lib, cfg, 1)
+        raw, valid = candidate_patches(frames[1], states, *self.base)
+        dist = coarse_distances(raw, valid, template)
+        assert np.count_nonzero(dist < dist[best]) < cfg.top_k
+        assert patch.tobytes() == normalize_rows(raw)[best].tobytes()
 
     def test_sigma_does_not_change_argmax(self, trained_model):
         # the Gaussian kernel is monotone in distance for every sigma, so the
         # predicted state depends only on the ranking
-        frames, state, template, lib = self.setup_case(trained_model, use_lib=True)
-        states = []
+        frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
+        chosen = []
         for sigma in (0.05, 0.2, 5.0):
             cfg = TrackerConfig(n_candidates=60, top_k=7, sigma=sigma, init_frames=1)
-            rng = np.random.default_rng(2)
-            res = step(frames[1], ParticleSet.single(state), template.values,
-                       trained_model, lib, cfg, 1, rng)
-            states.append(res.state)
-        assert states[0] == states[1] == states[2]
+            states, _, best, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 2)
+            chosen.append(states[best])
+        np.testing.assert_array_equal(chosen[0], chosen[1])
+        np.testing.assert_array_equal(chosen[0], chosen[2])
 
     def test_all_candidates_rejected_raises(self, trained_model):
-        frames, state, template, lib = self.setup_case(trained_model, use_lib=True)
-        far = TrackState(-200.0, -200.0, 1.0, 0.0, 32.0, 32.0)
+        frames, _, template, lib = self.setup_case(trained_model, use_lib=True)
+        far = np.array([[-200.0, -200.0, 1.0, 0.0]])
         cfg = TrackerConfig(
             n_candidates=20, top_k=5, motion=MotionModel(0, 0, 0, 0), init_frames=1
         )
         with pytest.raises(TrackingLostError):
-            step(frames[1], ParticleSet.single(far), template.values,
-                 trained_model, lib, cfg, 1, np.random.default_rng(0))
+            self.run_step(frames, far, template, trained_model, lib, cfg, 0)
+
+
+@st.composite
+def coarse_case(draw):
+    """Raw candidate rows, their valid mask and a normalized template."""
+    frame = random_frame(64, 64, seed=draw(st.integers(0, 3)))
+    n = draw(st.integers(1, 12))
+    rows = np.array([
+        (
+            draw(st.floats(-20.0, 84.0)),
+            draw(st.floats(-20.0, 84.0)),
+            draw(st.floats(0.05, 2.0)),
+            draw(angles),
+        )
+        for _ in range(n)
+    ])
+    raw, valid = candidate_patches(frame, rows, 24.0, 24.0)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        raw[i] = draw(st.sampled_from([0.0, 0.25, 1.0]))  # constant candidates
+    kind = draw(st.sampled_from(["candidate", "other", "constant"]))
+    if kind == "candidate":
+        template = normalize_rows(raw)[draw(st.integers(0, n - 1))]
+    elif kind == "other":
+        other = random_frame(seed=draw(st.integers(4, 6)))
+        template = sample_one(other, (48.0, 48.0, 1.0, 0.0))[0]
+    else:
+        template = np.zeros(1024)
+    return raw, valid, template
+
+
+class TestCoarseDistances:
+    def centred_and_constant(self):
+        """Raw rows of a centred box on a random frame and of a constant patch."""
+        rows = np.array([[48.0, 48.0, 1.0, 0.0]] * 2)
+        raw, valid = candidate_patches(random_frame(seed=1), rows, 32.0, 32.0)
+        raw[1] = 0.5
+        return raw, valid
+
+    @settings(max_examples=200, deadline=None)
+    @given(coarse_case())
+    def test_matches_per_row_reference(self, case):
+        raw, valid, template = case
+        got = coarse_distances(raw, valid, template)
+        want = reference_coarse_distances(raw, valid, template)
+        assert np.array_equal(np.isinf(got), ~valid) and np.array_equal(np.isinf(want), ~valid)
+        got, want = got[valid] ** 2, want[valid] ** 2
+        # compared as squares: next to d = 0 the square root turns the
+        # correlation form's 1e-16 cancellation into a 1e-8 distance
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the same order, except between rows that tie up to round-off: a
+        # constant template puts every live row at 1, and a two-valued patch
+        # normalizes to the values of any affine copy of itself
+        gap = want[:, None] - want[None, :]
+        apart = np.abs(gap) > 2e-12
+        order = np.sign(got[:, None] - got[None, :])
+        assert np.array_equal(order[apart], np.sign(gap[apart]))
+
+    def test_constant_candidate_at_distance_one(self):
+        raw, valid = self.centred_and_constant()
+        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
+        assert dist[1] == 1.0
+        assert dist[0] < 1e-7
+
+    def test_constant_template_gives_zero_unit_template(self):
+        raw, valid = self.centred_and_constant()
+        dist = coarse_distances(raw, valid, np.zeros(1024))
+        # t-hat = 0: a live row is a unit vector away, a constant row none
+        assert dist.tolist() == [1.0, 0.0]
+
+    def test_rejected_rows_at_inf(self):
+        rows = np.array([[48.0, 48.0, 1.0, 0.0], [-30.0, 48.0, 1.0, 0.0]])
+        raw, valid = candidate_patches(random_frame(seed=2), rows, 32.0, 32.0)
+        assert valid.tolist() == [True, False]
+        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
+        assert np.isfinite(dist[0]) and dist[1] == np.inf
 
 
 class TestRunTracker:
