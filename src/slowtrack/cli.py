@@ -70,7 +70,7 @@ def _size(text: str) -> tuple[int, int]:
 
 
 def _config(cls, **kwargs):
-    """Build a config from flag values; an invalid value is a usage error."""
+    """Build a config or script from flag values; an invalid value is a usage error."""
     try:
         return cls(**kwargs)
     except ValueError as err:
@@ -89,7 +89,7 @@ def _merge_config(argv: list[str]) -> list[str]:
         arg = argv[i]
         if arg == "--config":
             if i + 1 >= len(argv):
-                raise DataError("--config requires a file path")
+                raise UsageError("--config requires a file path")
             config_path = argv[i + 1]
             i += 2
             continue
@@ -195,9 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_synth(args) -> int:
-    if args.frames < 1:
-        raise UsageError("--frames must be >= 1")
+def _synth_script(args):
+    """The motion script the synth flags describe."""
     width, height = args.size
     center = (width / 2.0, height / 2.0)
     n = args.frames
@@ -223,7 +222,16 @@ def cmd_synth(args) -> int:
             shear_period=args.shear_period,
             target_side=args.target_side,
         )
-    frames, boxes = generate_sequence(script, (width, height), seed=args.seed)
+    return script
+
+
+def cmd_synth(args) -> int:
+    if args.frames < 1:
+        raise UsageError("--frames must be >= 1")
+    if min(args.size) < 1:
+        raise UsageError(f"--size must be at least 1x1, got {args.size[0]}x{args.size[1]}")
+    script = _config(_synth_script, args=args)
+    frames, boxes = generate_sequence(script, args.size, seed=args.seed)
     write_sequence(frames, boxes, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
@@ -265,6 +273,11 @@ def cmd_pretrain(args) -> int:
             f"{tag} objective: {opt.trace[0][0]:.6e} -> {opt.value:.6e} "
             f"({opt.iterations} iterations, {opt.evals} evals, {opt.status})"
         )
+    whit = result.model.whitening
+    print(
+        f"whitening: {whit.retained_dim} of {whit.input_dim} dimensions kept "
+        f"({whit.variance_fraction:.6f} of the variance)"
+    )
     print(f"wrote model to {args.out}")
     return EXIT_OK
 
@@ -384,6 +397,8 @@ def main(argv=None) -> int:
     try:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

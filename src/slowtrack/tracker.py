@@ -6,14 +6,19 @@ A step is a short run of array stages over plain (N, 4) states, one
 
 - `propose`: systematically resample the previous particles and add
   Gaussian motion noise;
-- `candidate_patches`: sample every candidate's 32x32 grid and read all
-  of them from the frame in one gather;
+- `candidate_patches`: sample every candidate's 32x32 grid and read it
+  from the frame, 16 candidates at a time through block-sized buffers;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
-  previous predicted patch, in correlation form;
+  previous predicted patch, in correlation form, with one product over
+  all of them;
 - `fine_distances`: re-rank the top few with hierarchical features
   against an exemplar library;
 - `weigh`: a Gaussian kernel over the distances; the maximum-weight
   candidate becomes the prediction.
+
+A run allocates one (2, N, 1024) work array for the raw and the centred
+candidate rows and passes it to every step, so a step allocates no
+candidate-sized array.
 
 The feature filters and the exemplar library are re-adapted on the
 tracked object's own patches every M frames, warm-started from the
@@ -42,6 +47,9 @@ CANDIDATE_SIDE = 32
 
 # a candidate needs at least this fraction of its samples inside the frame
 _MIN_INSIDE_FRACTION = 0.5
+
+# candidates sampled per block: a (16, 32, 32) float64 buffer is 128 KiB
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -169,46 +177,61 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
     return _perturb(states[_systematic_resample(weights, n, rng)], motion, rng)
 
 
-def _sample_indices(frame: Frame, states: np.ndarray, base_w: float, base_h: float):
-    """Flat frame index of each candidate's grid samples, and the valid mask."""
-    n = CANDIDATE_SIDE
-    grid = np.arange(n) + 0.5
-    w = base_w * states[:, 2:3]
-    h = base_h * states[:, 2:3]
-    off_u = (grid * w / n - w / 2.0)[:, None, :]
-    off_v = (grid * h / n - h / 2.0)[:, :, None]
-    c, s = snapped_cos_sin(states[:, 3, None, None])
-    # u varies along the last axis and v along the middle one, so only the
-    # last operation on each line allocates a full (N, 32, 32) array
-    xs = states[:, 0, None, None] + off_u * c - off_v * s
-    ys = states[:, 1, None, None] + off_u * s + off_v * c
-    inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
-    valid = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
-    # clamp in float and build the flat index in place
-    np.clip(np.floor(xs, out=xs), 0, frame.width - 1, out=xs)
-    np.clip(np.floor(ys, out=ys), 0, frame.height - 1, out=ys)
-    ys *= frame.width
-    ys += xs
-    return ys.astype(np.intp).reshape(len(states), n * n), valid
-
-
 def candidate_patches(
-    frame: Frame, states: np.ndarray, base_w: float, base_h: float
+    frame: Frame, states: np.ndarray, base_w: float, base_h: float, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every rotated, scaled box into a raw 32x32 patch.
 
     `states` holds one (cx, cy, scale, rotation) row per candidate. Returns
-    `(raw, valid)`: (N, 1024) frame intensities, not normalized, and an
-    (N,) mask that is False where less than half of a candidate's sample
-    grid lies inside the frame. Samples outside are clamped to the border.
-    All candidates are read from the frame in one gather.
+    `(raw, valid)`: (N, 1024) frame intensities, not normalized, written
+    into `out` when given, and an (N,) mask that is False where less than
+    half of a candidate's sample grid lies inside the frame. Samples
+    outside are clamped to the border. Candidates run in blocks of
+    `_BLOCK` rows through block-sized buffers, so a call allocates no
+    full (N, 32, 32) temporary.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
-    index, valid = _sample_indices(frame, states, base_w, base_h)
-    return frame.pixels.take(index), valid
+    n = CANDIDATE_SIDE
+    raw = np.empty((len(states), n * n)) if out is None else out
+    valid = np.empty(len(states), dtype=bool)
+    shape = (min(_BLOCK, len(states)), n, n)
+    xs_buf, ys_buf = np.empty(shape), np.empty(shape)
+    inside_buf, test_buf = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    index_buf = np.empty((shape[0], n * n), dtype=np.intp)
+    grid = np.arange(n) + 0.5
+    cos, sin = snapped_cos_sin(states[:, 3, None, None])
+    for lo in range(0, len(states), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        k = len(states[rows])
+        xs, ys, inside, test = xs_buf[:k], ys_buf[:k], inside_buf[:k], test_buf[:k]
+        c, s = cos[rows], sin[rows]
+        w = base_w * states[rows, 2:3]
+        h = base_h * states[rows, 2:3]
+        off_u = (grid * w / n - w / 2.0)[:, None, :]
+        off_v = (grid * h / n - h / 2.0)[:, :, None]
+        # u varies along the last axis and v along the middle one, so only
+        # the last operation on each line fills a (k, 32, 32) block
+        np.subtract(states[rows, 0, None, None] + off_u * c, off_v * s, out=xs)
+        np.add(states[rows, 1, None, None] + off_u * s, off_v * c, out=ys)
+        np.greater_equal(xs, 0, out=inside)
+        inside &= np.less(xs, frame.width, out=test)
+        inside &= np.greater_equal(ys, 0, out=test)
+        inside &= np.less(ys, frame.height, out=test)
+        valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
+        # clamp in float and build the flat index in place
+        np.clip(np.floor(xs, out=xs), 0, frame.width - 1, out=xs)
+        np.clip(np.floor(ys, out=ys), 0, frame.height - 1, out=ys)
+        ys *= frame.width
+        ys += xs
+        index = index_buf[:k]
+        index[...] = ys.reshape(k, n * n)
+        # every index is already clamped inside the frame; "clip" mode
+        # writes straight into `raw`, where "raise" would buffer the block
+        frame.pixels.take(index, out=raw[rows], mode="clip")
+    return raw, valid
 
 
-def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray:
+def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, out=None) -> np.ndarray:
     """Distance between each candidate's and the template's unit patches.
 
     With â the centred row over its norm and t̂ the unit template,
@@ -216,13 +239,14 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray
     correlation). `live` is 0 for a constant row (std below the constant
     threshold), whose normalized patch is all zeros, and ‖t̂‖² is 1, or 0
     for a constant template. Round-off can push the square below zero, so
-    it is clipped there. Rejected rows are at inf.
+    it is clipped there. Rejected rows are at inf. The centred rows are
+    written into `out` when given, an array of `raw`'s shape.
     """
     t = np.asarray(template, dtype=np.float64).ravel()
     t_norm = np.linalg.norm(t)
     t_live = t_norm > 1e-12
     t_hat = t / t_norm if t_live else np.zeros_like(t)
-    centred = raw - raw.mean(axis=1, keepdims=True)
+    centred = np.subtract(raw, raw.mean(axis=1, keepdims=True), out=out)
     norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
     live = norms >= _CONST_STD * np.sqrt(raw.shape[1])  # std >= _CONST_STD
     rho = np.divide(centred @ t_hat, norms, out=np.zeros(len(raw)), where=live)
@@ -247,6 +271,11 @@ def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-(d2 - d2.min()) / (2.0 * sigma * sigma))
 
 
+def _new_work(cfg: TrackerConfig) -> np.ndarray:
+    """The (2, n_candidates, 1024) buffer of raw and centred candidate rows."""
+    return np.empty((2, cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
+
+
 def step(
     frame: Frame,
     states: np.ndarray,
@@ -258,6 +287,7 @@ def step(
     cfg: TrackerConfig,
     frame_index: int,
     rng: np.random.Generator,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """One tracking step; see the module docstring for the stages.
 
@@ -265,12 +295,16 @@ def step(
     their (N,) weights, the index of the prediction and its normalized
     (1024,) patch. Learned re-ranking is active once the library is
     seeded (after the bootstrap frames) unless the config is raw-only.
+    `work` is a (2, n_candidates, 1024) array that receives the raw and
+    the centred candidate rows; a run passes the same one to every step.
     """
+    if work is None:
+        work = _new_work(cfg)
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    raw, valid = candidate_patches(frame, states, *base)
+    raw, valid = candidate_patches(frame, states, *base, out=work[0])
     if not valid.any():
         raise TrackingLostError(frame_index)
-    dist = coarse_distances(raw, valid, template)
+    dist = coarse_distances(raw, valid, template, out=work[1])
 
     use_features = (
         not cfg.raw_only
@@ -372,10 +406,11 @@ def run_tracker(
             lib.add(f)
 
     maybe_adapt(1)
+    work = _new_work(cfg)
     for t, frame in enumerate(frames, start=1):
         try:
             states, weights, best, template = step(
-                frame, states, weights, (w, h), template, current, lib, cfg, t, rng
+                frame, states, weights, (w, h), template, current, lib, cfg, t, rng, work
             )
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h)) from None

@@ -11,7 +11,7 @@ a fixed input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,9 @@ class WhiteningTransform:
     mean: np.ndarray  # (D,)
     projection: np.ndarray  # (d, D); rows ordered by descending eigenvalue
     eps_reg: float = DEFAULT_EPS_REG
+    # share of the fitted samples' variance on the retained directions;
+    # model files do not store it, so a loaded transform has NaN
+    variance_fraction: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64, order="C").ravel()
@@ -85,9 +88,8 @@ def fit_whitening(
     rank = int(np.count_nonzero(evals > evals[0] * _RANK_RTOL)) if evals[0] > 0 else 0
     if rank == 0:
         raise DataError("covariance has rank 0; cannot whiten constant data")
+    cum = np.cumsum(evals) / evals.sum()
     if d is None:
-        total = evals.sum()
-        cum = np.cumsum(evals) / total
         d = int(np.searchsorted(cum, variance_fraction) + 1)
         d = min(d, rank, max_dim)
     else:
@@ -105,7 +107,7 @@ def fit_whitening(
             vectors[:, j] = -vectors[:, j]
     scale = 1.0 / np.sqrt(evals[:d] + eps_reg)
     projection = vectors.T * scale[:, None]
-    return WhiteningTransform(mean, projection, float(eps_reg))
+    return WhiteningTransform(mean, projection, float(eps_reg), float(cum[d - 1]))
 
 
 def apply_whitening(w: WhiteningTransform, x) -> np.ndarray:

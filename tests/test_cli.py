@@ -128,6 +128,17 @@ class TestPretrain:
             assert m, res.stdout
             assert float(m[2]) < float(m[1]) and int(m[3]) >= 4
 
+    def test_stdout_says_what_whitening_kept(self, tmp_path, data_dir):
+        res = run_cli("pretrain", "--data", data_dir / "a", "--out",
+                      tmp_path / "m.hftm", "--f1", 8, "--f2", 4, "--max-iters", 3)
+        assert res.returncode == 0, res.stderr
+        m = re.search(r"^whitening: (\d+) of (\d+) dimensions kept \((\S+) of the variance\)$",
+                      res.stdout, re.MULTILINE)
+        assert m, res.stdout
+        whitening = load_model(tmp_path / "m.hftm").whitening
+        assert (int(m[1]), int(m[2])) == (whitening.retained_dim, whitening.input_dim)
+        assert 0.99 <= float(m[3]) <= 1.0
+
     def test_lambda_warning_outside_range(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",
                       tmp_path / "m.hftm", "--f1", 8, "--f2", 4,
@@ -400,6 +411,13 @@ class TestBadFlags:
             ("pretrain", "--lambda", -1),
             ("pretrain", "--whiten-dim", 0),
             ("pretrain", "--max-iters", -1),
+            ("synth", "--seed", -1),
+            ("pretrain", "--seed", -1),
+            ("adapt", "--seed", -1),
+            ("track", "--seed", -1),
+            ("synth", "--size", "0x0"),
+            ("synth", "--target-side", 0),
+            ("synth", "--config"),
         ],
         ids=lambda flags: " ".join(str(f) for f in flags),
     )
@@ -411,6 +429,9 @@ class TestBadFlags:
         elif command == "adapt":
             args = ["adapt", "--model", model_path, "--frames", track_dir,
                     "--init-box", init_box_of(track_dir), "--out", tmp_path / "o.hftm"]
+        elif command == "synth":
+            args = ["synth", "--pattern", "rotation", "--frames", 3, "--out", tmp_path / "s",
+                    "--size", "140x120", "--target-side", 48]
         else:
             args = ["pretrain", "--data", data_dir / "a", "--out", tmp_path / "m.hftm"]
         res = run_cli(*args, *bad)

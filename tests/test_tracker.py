@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,15 +195,28 @@ def candidate_case(draw):
     else:
         frame = Frame(w, h, np.full((h, w), 0.25))
     base = (draw(st.floats(2.0, 48.0)), draw(st.floats(2.0, 48.0)))
-    rows = [
-        (
-            draw(st.floats(-40.0, w + 40.0)),
-            draw(st.floats(-40.0, h + 40.0)),
-            draw(st.floats(0.05, 3.0)),
-            draw(angles),
-        )
-        for _ in range(draw(st.integers(1, 6)))
-    ]
+    # a few rows, or counts around the sampler's 16-row block edge and one
+    # (601) that ends in a partial block
+    count = draw(st.one_of(st.integers(1, 6), st.sampled_from([1, 15, 16, 17, 601])))
+    if count <= 6:
+        rows = [
+            (
+                draw(st.floats(-40.0, w + 40.0)),
+                draw(st.floats(-40.0, h + 40.0)),
+                draw(st.floats(0.05, 3.0)),
+                draw(angles),
+            )
+            for _ in range(count)
+        ]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        quarter_turns = rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2], count)
+        rows = np.column_stack([
+            rng.uniform(-40.0, w + 40.0, count),
+            rng.uniform(-40.0, h + 40.0, count),
+            rng.uniform(0.05, 3.0, count),
+            np.where(rng.random(count) < 0.3, quarter_turns, rng.uniform(-math.pi, math.pi, count)),
+        ])
     return frame, np.array(rows), base
 
 
@@ -249,6 +263,12 @@ class TestCandidatePatch:
             want, want_ok = reference_candidate_patch(frame, row, *base)
             assert ok == want_ok
             assert got.tobytes() == want.tobytes()
+        # a reused buffer holds the last call's rows: every one is overwritten
+        stale = np.full_like(raw, np.nan)
+        stale[::2] = -1.0
+        out, out_valid = candidate_patches(frame, rows, *base, out=stale)
+        assert out is stale
+        assert out.tobytes() == raw.tobytes() and np.array_equal(out_valid, valid)
 
 
 class TestExemplarLibrary:
@@ -355,6 +375,25 @@ class TestStep:
         np.testing.assert_array_equal(chosen[0], chosen[1])
         np.testing.assert_array_equal(chosen[0], chosen[2])
 
+    def test_work_array_keeps_a_step_small(self, trained_model):
+        # 600 candidates on their own temporaries peaked at 15.7 MB; with the
+        # run's work array the sampler runs in 16-row blocks
+        frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
+        cfg = TrackerConfig(init_frames=1)
+        work = np.empty((2, cfg.n_candidates, 1024))
+        args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg, 1)
+        step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            states, weights, _, _ = step(*args, np.random.default_rng(0), work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        fresh = step(*args, np.random.default_rng(0))
+        assert states.tobytes() == fresh[0].tobytes()
+        assert weights.tobytes() == fresh[1].tobytes()
+
     def test_all_candidates_rejected_raises(self, trained_model):
         frames, _, template, lib = self.setup_case(trained_model, use_lib=True)
         far = np.array([[-200.0, -200.0, 1.0, 0.0]])
@@ -419,6 +458,18 @@ class TestCoarseDistances:
         apart = np.abs(gap) > 2e-12
         order = np.sign(got[:, None] - got[None, :])
         assert np.array_equal(order[apart], np.sign(gap[apart]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(coarse_case(), coarse_case())
+    def test_reused_buffer_matches_fresh_call(self, case, earlier):
+        raw, valid, template = case
+        buffer = np.full((len(raw), 1024), np.nan)
+        # the buffer first serves another call, as it does from step to step
+        other = earlier[0][: len(raw)]
+        coarse_distances(other, earlier[1][: len(raw)], earlier[2], out=buffer[: len(other)])
+        got = coarse_distances(raw, valid, template, out=buffer)
+        want = coarse_distances(raw, valid, template)
+        assert got.tobytes() == want.tobytes()
 
     def test_constant_candidate_at_distance_one(self):
         raw, valid = self.centred_and_constant()

@@ -57,6 +57,16 @@ class TestFit:
         assert w99.retained_dim == 2
         assert fit_whitening(x, variance_fraction=1.0).retained_dim == 4
 
+    def test_reached_variance_fraction_recorded(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((500, 4)) * np.array([10.0, 3.0, 0.1, 0.01])
+        evals = np.sort(np.linalg.eigvalsh(np.cov(x.T, bias=True)))[::-1]
+        for d in (1, None):
+            w = fit_whitening(x, d=d)
+            want = evals[: w.retained_dim].sum() / evals.sum()
+            assert w.variance_fraction == pytest.approx(want, rel=1e-12)
+        assert 0.99 <= fit_whitening(x).variance_fraction < 1.0
+
     def test_max_dim_cap(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((100, 8))
