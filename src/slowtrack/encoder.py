@@ -49,14 +49,22 @@ class LayerEncoder:
         return self.weights.shape[0] // 2
 
 
-def forward(w: np.ndarray, eps: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward(
+    w: np.ndarray, eps: float, x: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Responses a = x W^T and pooled z[j] = sqrt(a[2j]^2 + a[2j+1]^2 + eps).
 
     `x` is (..., D); stacked inputs get one matrix product per stack entry.
+    `out` is None or arrays (a, z, scratch) shaped (..., F), (..., F/2),
+    (..., F/2) to write into; the values are the same either way.
     """
-    a = x @ w.T
+    a, z, scratch = (None, None, None) if out is None else out
+    a = np.matmul(x, w.T, out=a)
     q0, q1 = a[..., ::2], a[..., 1::2]
-    return a, np.sqrt(q0 * q0 + q1 * q1 + eps)
+    z = np.multiply(q0, q0, out=z)
+    z += np.multiply(q1, q1, out=scratch)
+    z += eps
+    return a, np.sqrt(z, out=z)
 
 
 def encode(enc: LayerEncoder, x: np.ndarray) -> np.ndarray:

@@ -21,6 +21,11 @@ Gram matrix C = X^T X, computed once per objective, so an evaluation
 touches the N data rows only in the slowness term. A rerun repeats every
 bit; a different BLAS thread count can move the last digits, because the
 matrix products split their work by thread count.
+
+An objective owns the work arrays of its slowness term: they are
+allocated on its first evaluation (again when the filter count changes)
+and every later evaluation writes into them, so an objective is not
+re-entrant. Each evaluation returns a fresh gradient array.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ class SlownessObjective:
         starts = np.cumsum([s.shape[0] for s in seqs])[:-1]
         self._pair_mask = np.ones(self.n - 1)
         self._pair_mask[starts - 1] = 0.0
+        self._work = None
 
     @property
     def dim(self) -> int:
@@ -115,6 +121,14 @@ class SlownessObjective:
     def value(self, w) -> float:
         return self._terms(self._check_w(w), with_gradient=False)[0]
 
+    def _buffers(self, f):
+        """Work arrays a, z, scratch, s, c, u, u^T X for F filters, made per F."""
+        if self._work is None or self._work[0].shape[1] != f:
+            n, h, d = self.n, f // 2, self.dim
+            shapes = [(n, f), (n, h), (n, h), (n - 1, h), (n + 1, h), (n, f), (f, d)]
+            self._work = [np.empty(shape) for shape in shapes]
+        return self._work
+
     def _terms(self, w, with_gradient):
         # reconstruction from C = X^T X, with G = W C, K = G W^T, M = W W^T:
         #   ||X - X W^T W||^2 = tr C - 2 tr K + <K, M>
@@ -129,23 +143,30 @@ class SlownessObjective:
 
         if self.lam > 0:
             x = self._all
-            a, z = forward(w, self.eps_sqrt, x)  # (N, F) responses, (N, F/2) pooled
-            d = z[:-1] - z[1:]
-            s = np.sqrt(d * d + self.eps_abs)
+            a, z, t, s, c, u, ux = self._buffers(w.shape[0])
+            forward(w, self.eps_sqrt, x, out=(a, z, t))  # (N, F) a, (N, F/2) z
+            d = np.subtract(z[:-1], z[1:], out=t[:-1])
+            np.multiply(d, d, out=s)
+            s += self.eps_abs
+            np.sqrt(s, out=s)
             value += self.lam * float((self._pair_mask @ s).sum())
             if with_gradient:
                 # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0.
                 # c holds it per pair, zero-padded at both ends, so the
-                # gradient with respect to z_i is c_i - c_{i-1}
-                c = np.zeros((len(z) + 1, z.shape[1]))
+                # gradient with respect to z_i is c_i - c_{i-1}; the divide
+                # skips pairs with s == 0, so c is zeroed first
+                c.fill(0.0)
                 np.divide(d, s, out=c[1:-1], where=s > 0)
                 c[1:-1] *= self._pair_mask[:, None]
                 # gradient with respect to z, divided by z; where z == 0
                 # both responses are 0, so u is 0 regardless
-                ratio = c[1:] - c[:-1]
+                ratio = np.subtract(c[1:], c[:-1], out=t)
                 np.divide(ratio, z, out=ratio, where=z > 0)
-                u = a * np.repeat(ratio, 2, axis=1)
-                grad += self.lam * (u.T @ x)
+                np.multiply(a[:, ::2], ratio, out=u[:, ::2])
+                np.multiply(a[:, 1::2], ratio, out=u[:, 1::2])
+                np.matmul(u.T, x, out=ux)
+                ux *= self.lam
+                grad += ux
         return value, grad
 
 

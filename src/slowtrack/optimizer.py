@@ -66,10 +66,6 @@ class LbfgsHistory:
     def __iter__(self):
         return iter(self._pairs)
 
-    @property
-    def pairs(self) -> tuple[CurvaturePair, ...]:
-        return tuple(self._pairs)
-
 
 @dataclass(frozen=True)
 class LbfgsConfig:

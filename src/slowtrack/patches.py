@@ -78,23 +78,9 @@ class Patch:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def image(self) -> np.ndarray:
-        """Values reshaped to (side, side)."""
-        return self.values.reshape(self.side, self.side)
-
-
-def normalize_values(values: np.ndarray) -> np.ndarray:
-    """Zero-mean unit-variance normalization; constant input maps to zeros."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    centered = v - v.mean()
-    std = centered.std()
-    if std < _CONST_STD:
-        return np.zeros_like(v)
-    return centered / std
-
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """`normalize_values` applied to each row of a 2-D array, bit for bit."""
+    """Rows scaled to zero mean and unit variance; constant rows map to zeros."""
     centered = rows - rows.mean(axis=1, keepdims=True)
     std = centered.std(axis=1, keepdims=True)
     return np.divide(centered, std, out=np.zeros_like(centered), where=std >= _CONST_STD)

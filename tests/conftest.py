@@ -20,6 +20,20 @@ from slowtrack.synth import (
 from slowtrack.whitening import fit_whitening
 
 
+def normalize_values(values):
+    """One window normalized: the oracle `normalize_rows` must match per row.
+
+    Zero mean and unit variance, or all zeros when the standard deviation
+    is below 1e-12.
+    """
+    v = np.asarray(values, dtype=np.float64).ravel()
+    centered = v - v.mean()
+    std = centered.std()
+    if std < 1e-12:
+        return np.zeros_like(v)
+    return centered / std
+
+
 def build_model(f1=8, f2=4, eps_sqrt=1e-8, seed=0, stride=16, whiten_dim=None):
     """Assemble an untrained model with random orthonormal filters.
 

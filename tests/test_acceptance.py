@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import mixed_motion_data, translation_data
+from conftest import mixed_motion_data, normalize_values, translation_data
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.hierarchy import (
     PretrainConfig,
@@ -31,7 +31,7 @@ from slowtrack.objectives import (
     finite_difference_gradient,
 )
 from slowtrack.optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
-from slowtrack.patches import normalize_values, read_boxes_csv, sample_training_set
+from slowtrack.patches import read_boxes_csv, sample_training_set
 from slowtrack.synth import (
     deformation_script,
     generate_sequence,

@@ -169,9 +169,9 @@ def test_objective_and_encode_pool_alike(monkeypatch):
     seen = []
     forward = slowtrack.objectives.forward
 
-    def spy(w, eps, x):
-        out = forward(w, eps, x)
-        seen.append(out[1])
+    def spy(w, eps, x, out=None):
+        out = forward(w, eps, x, out)
+        seen.append(out[1].copy())
         return out
 
     monkeypatch.setattr(slowtrack.objectives, "forward", spy)

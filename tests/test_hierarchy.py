@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_model, corruptions
+from conftest import build_model, corruptions, normalize_values
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.errors import DataError, ModelFormatError
 from slowtrack.hierarchy import (
@@ -24,7 +24,7 @@ from slowtrack.hierarchy import (
 )
 from slowtrack.objectives import SlownessObjective
 from slowtrack.optimizer import LbfgsConfig
-from slowtrack.patches import Patch, normalize_values
+from slowtrack.patches import Patch
 from slowtrack.whitening import apply_whitening
 
 

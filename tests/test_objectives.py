@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,3 +238,107 @@ class TestGramForm:
             (ev.value, ev.gradient), (want[0] + pull_value, want[1] + pull_grad), trace
         )
         assert adp.value(w) == ev.value
+
+
+def assert_same(got, want):
+    """Bit-for-bit equality of two evaluations."""
+    assert got.value == want.value
+    assert np.array_equal(got.gradient, want.gradient)
+
+
+class TestWorkBuffers:
+    """An objective reused across evaluations gives what a fresh one gives."""
+
+    def check_sequence(self, make, ws):
+        # the fresh objects all stay alive, so none of them is handed the
+        # freed work arrays of another one
+        fresh = [make() for _ in ws]
+        want = [obj.evaluate(w) for obj, w in zip(fresh, ws)]
+        reused = make()
+        for w, ev in zip(ws, want):
+            assert_same(reused.evaluate(w), ev)
+
+    def test_several_filters_in_sequence(self):
+        rng = np.random.default_rng(10)
+        seqs = [rng.standard_normal((n, 6)) for n in (5, 1, 4)]
+        make = lambda: SlownessObjective(seqs, 3.0, eps_sqrt=1e-6, eps_abs=1e-6)
+        self.check_sequence(make, [rng.standard_normal((4, 6)) for _ in range(4)])
+
+    def test_value_then_evaluate(self):
+        rng = np.random.default_rng(11)
+        seqs = [rng.standard_normal((6, 5))]
+        make = lambda: SlownessObjective(seqs, 2.0)
+        w1, w2 = rng.standard_normal((2, 4, 5))
+        obj = make()
+        assert obj.value(w1) == make().value(w1)
+        assert_same(obj.evaluate(w2), make().evaluate(w2))
+        assert obj.value(w1) == make().value(w1)
+
+    def test_zero_eps_abs_with_equal_neighbours(self):
+        # rows 1 and 2 are equal, so their pair has s == 0 under every W;
+        # under w_tie, rows 0 and 1 pool to the same z > 0 as well, so a
+        # pair written under w_free is skipped under w_tie and must not
+        # keep its old value
+        rng = np.random.default_rng(12)
+        e = np.eye(4)
+        seq = np.vstack([e[0], e[1], e[1], rng.standard_normal((3, 4))])
+        w_tie = np.vstack([e[0], e[1], rng.standard_normal((2, 4))])
+        w_free = rng.standard_normal((4, 4))
+        make = lambda: SlownessObjective([seq], 1.5, eps_sqrt=1e-6, eps_abs=0.0)
+        self.check_sequence(make, [w_free, w_tie, w_free, w_tie])
+
+    def test_zero_eps_sqrt_with_zero_row(self):
+        rng = np.random.default_rng(13)
+        seq = rng.standard_normal((5, 4))
+        seq[2] = 0.0  # z == 0 in every pooled unit of this row
+        make = lambda: SlownessObjective([seq], 2.0, eps_sqrt=0.0, eps_abs=1e-8)
+        self.check_sequence(make, [rng.standard_normal((4, 4)) for _ in range(3)])
+
+    def test_filter_count_change(self):
+        rng = np.random.default_rng(14)
+        seqs = [rng.standard_normal((7, 5))]
+        make = lambda: SlownessObjective(seqs, 4.0)
+        ws = [rng.standard_normal((f, 5)) for f in (4, 6, 4, 2)]
+        self.check_sequence(make, ws)
+
+    def test_adaptation_interleaved_with_base(self):
+        rng = np.random.default_rng(15)
+        seqs = [rng.standard_normal((4, 6)), rng.standard_normal((3, 6))]
+        w_old = rng.standard_normal((4, 6))
+        make_base = lambda: SlownessObjective(seqs, 5.0)
+        make_adp = lambda: AdaptationObjective(make_base(), 10.0, w_old)
+        base = make_base()
+        adp = AdaptationObjective(base, 10.0, w_old)
+        for _ in range(3):
+            w1, w2 = rng.standard_normal((2, 4, 6))
+            assert_same(adp.evaluate(w1), make_adp().evaluate(w1))
+            assert_same(base.evaluate(w2), make_base().evaluate(w2))
+            assert adp.value(w2) == make_adp().value(w2)
+
+    def test_gradient_survives_next_evaluation(self):
+        rng = np.random.default_rng(16)
+        seqs = [rng.standard_normal((6, 5))]
+        base = SlownessObjective(seqs, 3.0)
+        adp = AdaptationObjective(base, 1.0, rng.standard_normal((4, 5)))
+        w1, w2 = rng.standard_normal((2, 4, 5))
+        for obj in (base, adp):
+            g1 = obj.evaluate(w1).gradient
+            kept = g1.copy()
+            obj.evaluate(w2)
+            assert np.array_equal(g1, kept)
+
+    def test_layer1_evaluation_allocates_less_than_one_pooled_array(self):
+        # the layer-1 shape of the pretrain defaults: 2880 rows of 16x16
+        # patches, 64 filters
+        rng = np.random.default_rng(17)
+        seqs = np.split(rng.standard_normal((2880, 256)), 8)
+        obj = SlownessObjective(seqs, 5.0)
+        w = 0.1 * rng.standard_normal((64, 256))
+        obj.evaluate(w)
+        tracemalloc.start()
+        try:
+            obj.evaluate(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2880 * 32 * 8  # one (N, F/2) float64 array

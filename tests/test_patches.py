@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corruptions
+from conftest import corruptions, normalize_values
 from slowtrack.errors import DataError, PgmFormatError
 from slowtrack.hierarchy import PretrainConfig, pretrain
 from slowtrack.patches import (
@@ -13,7 +13,6 @@ from slowtrack.patches import (
     Patch,
     load_frame,
     load_frame_dir,
-    normalize_values,
     read_boxes_csv,
     sample_training_set,
     save_frame,

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import normalize_values
 from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import encode_hier
-from slowtrack.patches import Frame, Patch, normalize_rows, normalize_values
+from slowtrack.patches import Frame, Patch, normalize_rows
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
     ExemplarLibrary,
