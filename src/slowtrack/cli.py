@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, is_dataclass, replace
 from itertools import islice
 from pathlib import Path
 
@@ -16,9 +17,7 @@ import numpy as np
 from .errors import DataError, OptimizationError, TrackingLostError
 from .hierarchy import PretrainConfig, load_model, pretrain, save_model
 from .metrics import BoxTrace, center_error, overlap_rate
-from .optimizer import LbfgsConfig
 from .patches import (
-    load_frame_dir,
     read_boxes_csv,
     sample_training_set,
     stream_frame_dir,
@@ -32,7 +31,7 @@ from .synth import (
     translation_script,
     write_sequence,
 )
-from .tracker import MotionModel, TrackerConfig, format_event, run_tracker
+from .tracker import TrackerConfig, format_event, run_tracker
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,8 +47,8 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _check_tradeoffs(lam=None, gamma=None) -> None:
-    if lam is not None and not (LAMBDA_SOFT_RANGE[0] <= lam <= LAMBDA_SOFT_RANGE[1]):
+def _check_tradeoffs(lam, gamma=None) -> None:
+    if not (LAMBDA_SOFT_RANGE[0] <= lam <= LAMBDA_SOFT_RANGE[1]):
         _warn(f"lambda={lam:g} outside the usual range {LAMBDA_SOFT_RANGE}")
     if gamma is not None and not (GAMMA_SOFT_RANGE[0] <= gamma <= GAMMA_SOFT_RANGE[1]):
         _warn(f"gamma={gamma:g} outside the usual range {GAMMA_SOFT_RANGE}")
@@ -69,12 +68,29 @@ def _size(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _config(cls, **kwargs):
+def _config(build, *args, **kwargs):
     """Build a config or script from flag values; an invalid value is a usage error."""
     try:
-        return cls(**kwargs)
+        return build(*args, **kwargs)
     except ValueError as err:
         raise UsageError(str(err)) from None
+
+
+def _configure(cfg, args):
+    """`cfg` with each field, nested configs' too, replaced by its flag if given.
+
+    Config flags have no argparse default, so `args` holds only the given
+    ones, each under the name of the field it sets.
+    """
+    given = vars(args)
+    changes = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            changes[f.name] = _configure(value, args)
+        elif f.name in given:
+            changes[f.name] = given[f.name]
+    return _config(replace, cfg, **changes)
 
 
 def _merge_config(argv: list[str]) -> list[str]:
@@ -147,47 +163,62 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-period", type=float, default=25.0)
     p.add_argument("--shear-period", type=float, default=16.0)
 
-    p = sub.add_parser("pretrain", help="learn the two-layer model from tracked videos")
+    # each pretrain, adapt and track flag but the paths sets the config
+    # field its dest names; SUPPRESS leaves an absent flag out of the
+    # args, so the config's own default holds
+    p = sub.add_parser(
+        "pretrain",
+        help="learn the two-layer model from tracked videos",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--data", nargs="+", required=True, help="dirs of frames + gt.csv")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=5.0)
-    p.add_argument("--f1", type=int, default=64)
-    p.add_argument("--f2", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=16)
-    p.add_argument("--max-iters", type=int, default=150)
-    p.add_argument("--grad-tol", type=float, default=1e-4)
-    p.add_argument("--whiten-dim", type=int, default=None)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--f1", type=int)
+    p.add_argument("--f2", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--stride", dest="sub_patch_stride", metavar="STRIDE", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--grad-tol", type=float)
+    p.add_argument("--whiten-dim", type=int)
 
-    p = sub.add_parser("adapt", help="adapt a pre-trained model to one target")
+    p = sub.add_parser(
+        "adapt",
+        help="adapt a pre-trained model to one target",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True, help="dir of PGM frames")
     p.add_argument("--init-box", type=lambda s: _pair(s, 4), required=True)
-    p.add_argument("--gamma", type=float, default=100.0)
+    p.add_argument("--gamma", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=5.0)
-    p.add_argument("--init-frames", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--init-frames", type=int)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("track", help="run the tracker over a frame directory")
+    p = sub.add_parser(
+        "track",
+        help="run the tracker over a frame directory",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("--model", default=None)
     p.add_argument("--frames", required=True)
     p.add_argument("--init-box", type=lambda s: _pair(s, 4), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="diagnostics log (default OUT.log)")
-    p.add_argument("--particles", type=int, default=600)
-    p.add_argument("--topk", type=int, default=20)
-    p.add_argument("--update-every", type=int, default=20)
-    p.add_argument("--init-frames", type=int, default=20)
+    p.add_argument("--particles", dest="n_candidates", metavar="PARTICLES", type=int)
+    p.add_argument("--topk", dest="top_k", metavar="TOPK", type=int)
+    p.add_argument("--update-every", dest="update_period", metavar="UPDATE_EVERY", type=int)
+    p.add_argument("--init-frames", type=int)
     p.add_argument("--raw-only", action="store_true")
-    p.add_argument("--lambda", dest="lam", type=float, default=5.0)
-    p.add_argument("--gamma", type=float, default=100.0)
-    p.add_argument("--sigma", type=float, default=0.2)
-    p.add_argument("--std-xy", type=float, default=4.0)
-    p.add_argument("--std-scale", type=float, default=0.02)
-    p.add_argument("--std-rotation", type=float, default=0.10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--std-xy", type=float)
+    p.add_argument("--std-scale", type=float)
+    p.add_argument("--std-rotation", type=float)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("eval", help="score predicted boxes against ground truth")
     p.add_argument("--pred", required=True)
@@ -238,30 +269,23 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _check_tradeoffs(lam=args.lam)
-    cfg = _config(
-        PretrainConfig,
-        lam=args.lam,
-        f1=args.f1,
-        f2=args.f2,
-        whiten_dim=args.whiten_dim,
-        sub_patch_stride=args.stride,
-        optimizer=_config(LbfgsConfig, max_iters=args.max_iters, grad_tol=args.grad_tol),
-        seed=args.seed,
-    )
+    cfg = _configure(PretrainConfig(), args)
+    _check_tradeoffs(cfg.lam)
     frame_seqs, box_seqs = [], []
     for directory in args.data:
         directory = Path(directory)
         gt = directory / "gt.csv"
         if not gt.is_file():
             raise DataError(f"missing gt.csv in data directory {directory}")
-        frames = load_frame_dir(directory)
+        frames = list(stream_frame_dir(directory))
         boxes = read_boxes_csv(gt)
         frame_seqs.append(frames)
         box_seqs.append(boxes)
     seqs = {}
     for side in (16, 32):
-        seqs[side], skipped = sample_training_set(frame_seqs, box_seqs, side, args.stride)
+        seqs[side], skipped = sample_training_set(
+            frame_seqs, box_seqs, side, cfg.sub_patch_stride
+        )
         if skipped:
             _warn(f"{skipped} sequence(s) skipped for side {side} (box smaller than the patch)")
         if not seqs[side]:
@@ -289,21 +313,14 @@ def _load_model_arg(path):
 
 
 def cmd_adapt(args) -> int:
-    _check_tradeoffs(lam=args.lam, gamma=args.gamma)
-    cfg = _config(
-        TrackerConfig,
-        init_frames=args.init_frames,
-        lam=args.lam,
-        gamma=args.gamma,
-        seed=args.seed,
-        adapt_optimizer=_config(LbfgsConfig, max_iters=args.max_iters, grad_tol=1e-5),
-    )
+    cfg = _configure(TrackerConfig(), args)
+    _check_tradeoffs(cfg.lam, cfg.gamma)
     model = _load_model_arg(args.model)
     # only the first init_frames frames are read, so later ones are never decoded
-    frames = list(islice(stream_frame_dir(args.frames), args.init_frames))
-    if len(frames) < args.init_frames:
+    frames = list(islice(stream_frame_dir(args.frames), cfg.init_frames))
+    if len(frames) < cfg.init_frames:
         raise DataError(
-            f"need at least {args.init_frames} frames, found {len(frames)}"
+            f"need at least {cfg.init_frames} frames, found {len(frames)}"
         )
     result = run_tracker(frames, args.init_box, model, cfg)
     adapt_events = [e for e in result.events if e.kind != "failed"]
@@ -323,30 +340,12 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_track(args) -> int:
-    _check_tradeoffs(lam=args.lam, gamma=args.gamma)
-    cfg = _config(
-        TrackerConfig,
-        n_candidates=args.particles,
-        top_k=args.topk,
-        update_period=args.update_every,
-        init_frames=args.init_frames,
-        motion=_config(
-            MotionModel,
-            std_cx=args.std_xy,
-            std_cy=args.std_xy,
-            std_scale=args.std_scale,
-            std_rotation=args.std_rotation,
-        ),
-        lam=args.lam,
-        gamma=args.gamma,
-        sigma=args.sigma,
-        seed=args.seed,
-        raw_only=args.raw_only,
-    )
+    cfg = _configure(TrackerConfig(), args)
+    _check_tradeoffs(cfg.lam, cfg.gamma)
     model = None
     if args.model is not None:
         model = _load_model_arg(args.model)
-    elif not args.raw_only:
+    elif not cfg.raw_only:
         raise UsageError("--model is required unless --raw-only is set")
     frames = stream_frame_dir(args.frames)
     log_path = args.log if args.log is not None else args.out + ".log"

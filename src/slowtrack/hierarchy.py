@@ -16,6 +16,7 @@ space stays fixed while its filters move.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -38,6 +39,9 @@ LAYER2_SIDE = 32
 LAYER1_INPUT_DIM = LAYER1_SIDE * LAYER1_SIDE
 
 _RESERVED_META_KEY = "sub_patch_stride"
+
+# L-BFGS settings of an adaptation run, shared by `adapt` and the tracker
+ADAPT_OPTIMIZER = LbfgsConfig(max_iters=50, grad_tol=1e-5)
 
 
 @dataclass(frozen=True)
@@ -113,12 +117,7 @@ class PretrainConfig:
     lam: float = 5.0
     f1: int = 64
     f2: int = 128
-    eps_sqrt: float = 1e-8
-    eps_abs: float = 1e-6
     whiten_dim: int | None = None
-    whiten_variance_fraction: float = 0.99
-    whiten_max_dim: int = 256
-    whiten_eps_reg: float = 1e-5
     sub_patch_stride: int = 16
     optimizer: LbfgsConfig = field(
         default_factory=lambda: LbfgsConfig(max_iters=150, grad_tol=1e-4)
@@ -126,8 +125,8 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if min(self.f1, self.f2) < 2 or self.f1 % 2 or self.f2 % 2:
             raise ValueError(f"f1 and f2 must be even and >= 2, got {self.f1}, {self.f2}")
         if self.sub_patch_stride < 1:
@@ -199,8 +198,8 @@ def _random_orthonormal_rows(f: int, d: int, rng: np.random.Generator) -> np.nda
     return np.vstack(blocks)
 
 
-def _train_layer(sequences, w0, lam, eps_sqrt, eps_abs, cfg, tag) -> OptimizeResult:
-    obj = SlownessObjective(sequences, lam, eps_sqrt=eps_sqrt, eps_abs=eps_abs)
+def _train_layer(sequences, w0, lam, cfg, tag) -> OptimizeResult:
+    obj = SlownessObjective(sequences, lam)
     result = minimize(as_vector_objective(obj, w0.shape), w0.ravel(), cfg)
     if result.status == "line_search_failed":
         raise OptimizationError(f"{tag}: line search failed during training")
@@ -234,26 +233,16 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     rng = np.random.default_rng(cfg.seed)
 
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
-    res1 = _train_layer(
-        seqs16, w1_0, cfg.lam, cfg.eps_sqrt, cfg.eps_abs, cfg.optimizer, "layer1"
-    )
-    layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape), cfg.eps_sqrt)
+    res1 = _train_layer(seqs16, w1_0, cfg.lam, cfg.optimizer, "layer1")
+    layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape))
 
     concat_seqs = [_layer1_features(layer1, s, cfg.sub_patch_stride) for s in seqs32]
-    whit = fit_whitening(
-        np.vstack(concat_seqs),
-        d=cfg.whiten_dim,
-        variance_fraction=cfg.whiten_variance_fraction,
-        max_dim=cfg.whiten_max_dim,
-        eps_reg=cfg.whiten_eps_reg,
-    )
+    whit = fit_whitening(np.vstack(concat_seqs), d=cfg.whiten_dim)
     white_seqs = [apply_whitening(whit, v) for v in concat_seqs]
 
     w2_0 = _random_orthonormal_rows(cfg.f2, whit.retained_dim, rng)
-    res2 = _train_layer(
-        white_seqs, w2_0, cfg.lam, cfg.eps_sqrt, cfg.eps_abs, cfg.optimizer, "layer2"
-    )
-    layer2 = LayerEncoder(res2.w_final.reshape(w2_0.shape), cfg.eps_sqrt)
+    res2 = _train_layer(white_seqs, w2_0, cfg.lam, cfg.optimizer, "layer2")
+    layer2 = LayerEncoder(res2.w_final.reshape(w2_0.shape))
 
     metadata = (
         ("lambda", repr(cfg.lam)),
@@ -294,8 +283,10 @@ def encode_hier(model: HierarchicalModel, patch32: Patch) -> HierFeature:
     return HierFeature(combined[:n1], combined[n1:], combined)
 
 
-def _adapt_layer(sequences, w_old, lam, gamma, eps_sqrt, eps_abs, cfg, tag):
-    base = SlownessObjective(sequences, lam, eps_sqrt=eps_sqrt, eps_abs=eps_abs)
+def _adapt_layer(sequences, enc: LayerEncoder, lam, gamma, cfg, tag):
+    """`enc` re-optimized on `sequences` with the pull toward its filters."""
+    w_old = enc.weights
+    base = SlownessObjective(sequences, lam, eps_sqrt=enc.eps_sqrt)
     obj = AdaptationObjective(base, gamma, w_old)
     result = minimize(as_vector_objective(obj, w_old.shape), w_old.ravel(), cfg)
     if result.status == "line_search_failed":
@@ -313,7 +304,7 @@ def _adapt_layer(sequences, w_old, lam, gamma, eps_sqrt, eps_abs, cfg, tag):
         status=result.status,
         evals=result.evals,
     )
-    return w_new, stats
+    return LayerEncoder(w_new, enc.eps_sqrt), stats
 
 
 def adapt(
@@ -322,9 +313,7 @@ def adapt(
     seqs32,
     lam: float,
     gamma: float,
-    optimizer_cfg: LbfgsConfig | None = None,
-    eps_sqrt: float = 1e-8,
-    eps_abs: float = 1e-6,
+    optimizer_cfg: LbfgsConfig = ADAPT_OPTIMIZER,
 ) -> AdaptResult:
     """Adapt both layers to the object's patches; returns a new model.
 
@@ -332,25 +321,18 @@ def adapt(
     for `pretrain`. Each layer starts from and is pulled toward its
     current filters; the whitening transform is reused unchanged.
     """
-    cfg = optimizer_cfg or LbfgsConfig(max_iters=50, grad_tol=1e-5)
     seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
     seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
 
-    w1_new, stats1 = _adapt_layer(
-        seqs16, model.layer1.weights, lam, gamma, eps_sqrt, eps_abs, cfg, "layer1"
-    )
-    layer1 = LayerEncoder(w1_new, model.layer1.eps_sqrt)
+    layer1, stats1 = _adapt_layer(seqs16, model.layer1, lam, gamma, optimizer_cfg, "layer1")
 
     seqs2 = [
         apply_whitening(model.whitening, _layer1_features(layer1, s, model.sub_patch_stride))
         for s in seqs32
     ]
-    w2_new, stats2 = _adapt_layer(
-        seqs2, model.layer2.weights, lam, gamma, eps_sqrt, eps_abs, cfg, "layer2"
-    )
-    layer2 = LayerEncoder(w2_new, model.layer2.eps_sqrt)
+    layer2, stats2 = _adapt_layer(seqs2, model.layer2, lam, gamma, optimizer_cfg, "layer2")
 
     new_model = replace(model, layer1=layer1, layer2=layer2)
     return AdaptResult(new_model, (stats1, stats2))

@@ -37,19 +37,18 @@ import numpy as np
 from .encoder import DEFAULT_EPS_SQRT, forward
 from .errors import DataError
 
-DEFAULT_EPS_ABS = 1e-8
+DEFAULT_EPS_ABS = 1e-6
 
 
 @dataclass(frozen=True)
 class ObjectiveEvaluation:
-    """Objective value and its gradient with respect to every entry of W."""
+    """Objective value and its gradient with respect to every entry of W.
+
+    Either may be non-finite; `optimizer.minimize` checks every point it accepts.
+    """
 
     value: float
     gradient: np.ndarray  # (F, D), same shape as W
-
-    def __post_init__(self):
-        if not np.isfinite(self.value) or not np.all(np.isfinite(self.gradient)):
-            raise ValueError("objective evaluation produced non-finite entries")
 
 
 def _as_sequences(sequences) -> list[np.ndarray]:

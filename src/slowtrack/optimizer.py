@@ -12,6 +12,7 @@ Objective closures take a flat float vector and return (value, gradient).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,6 +22,14 @@ from .errors import LineSearchError, OptimizationError
 
 # relative threshold for accepting a curvature pair
 _CURVATURE_RTOL = 1e-12
+
+# textbook quasi-Newton defaults (Nocedal & Wright 2006, sections 3.1 and
+# 7.2): history size m, the strong Wolfe constants c1 < c2, and the
+# objective evaluations one line search may spend
+MEMORY = 5
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+MAX_LINE_SEARCH_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class CurvaturePair:
 class LbfgsHistory:
     """Ring buffer of at most m curvature pairs, oldest first."""
 
-    def __init__(self, m: int = 5):
+    def __init__(self, m: int = MEMORY):
         if m < 1:
             raise ValueError(f"memory size must be >= 1, got {m}")
         self.m = m
@@ -69,20 +78,14 @@ class LbfgsHistory:
 
 @dataclass(frozen=True)
 class LbfgsConfig:
-    m: int = 5
     max_iters: int = 100
     grad_tol: float = 1e-5  # threshold on the max-norm of the gradient
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search_steps: int = 20
 
     def __post_init__(self):
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError(
-                f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
-            )
-        if self.m < 1 or self.max_iters < 0 or self.max_line_search_steps < 1:
-            raise ValueError("invalid optimizer configuration")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if not math.isfinite(self.grad_tol):
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -157,12 +160,12 @@ def _interpolate(lo, f_lo, d_lo, hi, f_hi):
     return min(max(t, lo_ + margin), hi_ - margin)
 
 
-def wolfe_line_search(f, x, p, f0: float, g0, cfg: LbfgsConfig) -> LineSearchResult:
+def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
     """Find alpha satisfying the strong Wolfe conditions along x + alpha p.
 
     Bracketing starts at alpha = 1 and doubles; zoom interpolates inside
     the bracket. Raises LineSearchError (carrying the best point found)
-    when no acceptable step exists within max_line_search_steps
+    when no acceptable step exists within MAX_LINE_SEARCH_STEPS
     evaluations.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -171,8 +174,7 @@ def wolfe_line_search(f, x, p, f0: float, g0, cfg: LbfgsConfig) -> LineSearchRes
     d0 = float(g0 @ p)
     if d0 >= 0:
         raise ValueError(f"p is not a descent direction (p'g = {d0})")
-    c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
-    budget = cfg.max_line_search_steps
+    c1, c2, budget = WOLFE_C1, WOLFE_C2, MAX_LINE_SEARCH_STEPS
 
     best = LineSearchResult(0.0, x, f0, g0, 0)
     evals = 0
@@ -266,7 +268,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     _check_finite(value, grad, "the starting point", x)
     ginf = float(np.max(np.abs(grad))) if grad.size else 0.0
     trace = [(value, ginf)]
-    hist = LbfgsHistory(cfg.m)
+    hist = LbfgsHistory()
     b0 = 1.0
     iterations = 0
     status = "max_iters"
@@ -276,7 +278,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
         for _ in range(cfg.max_iters):
             p = two_loop_direction(grad, hist, b0)
             try:
-                ls = wolfe_line_search(counted, x, p, value, grad, cfg)
+                ls = wolfe_line_search(counted, x, p, value, grad)
             except LineSearchError as err:
                 status = "line_search_failed"
                 if err.value < value:

@@ -168,11 +168,6 @@ def stream_frame_dir(directory) -> Iterator[Frame]:
     return map(load_frame, paths)
 
 
-def load_frame_dir(directory) -> list[Frame]:
-    """Load all *.pgm files in a directory, sorted by filename."""
-    return list(stream_frame_dir(directory))
-
-
 def sample_training_set(
     frame_sequences, box_sequences, side: int, stride: int
 ) -> tuple[list[np.ndarray], int]:

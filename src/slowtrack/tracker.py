@@ -32,6 +32,7 @@ features-in, weights-out contract.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .errors import DataError, OptimizationError, TrackingLostError
 from .geometry import snapped_cos_sin, wrap_angle
-from .hierarchy import HierarchicalModel, adapt, hier_features, subpatches
+from .hierarchy import ADAPT_OPTIMIZER, HierarchicalModel, adapt, hier_features, subpatches
 from .optimizer import LbfgsConfig
 from .patches import _CONST_STD, Frame, normalize_rows
 
@@ -54,16 +55,19 @@ _BLOCK = 16
 
 @dataclass(frozen=True)
 class MotionModel:
-    """Independent Gaussian perturbation scales for each state field."""
+    """Independent Gaussian perturbation scales for each state field.
 
-    std_cx: float = 4.0
-    std_cy: float = 4.0
+    `std_xy` is the scale of both centre coordinates.
+    """
+
+    std_xy: float = 4.0
     std_scale: float = 0.02
     std_rotation: float = 0.10
 
     def __post_init__(self):
-        if min(self.std_cx, self.std_cy, self.std_scale, self.std_rotation) < 0:
-            raise ValueError("motion stds must be >= 0")
+        stds = (self.std_xy, self.std_scale, self.std_rotation)
+        if not all(math.isfinite(v) and v >= 0 for v in stds):
+            raise ValueError(f"motion stds must be finite and >= 0, got {stds}")
 
 
 class ExemplarLibrary:
@@ -98,14 +102,9 @@ class TrackerConfig:
     lam: float = 5.0
     gamma: float = 100.0
     sigma: float = 0.2
-    library_capacity: int = 10
     seed: int = 0
     raw_only: bool = False
-    adapt_optimizer: LbfgsConfig = field(
-        default_factory=lambda: LbfgsConfig(max_iters=50, grad_tol=1e-5)
-    )
-    eps_sqrt: float = 1e-8
-    eps_abs: float = 1e-6
+    adapt_optimizer: LbfgsConfig = ADAPT_OPTIMIZER
 
     def __post_init__(self):
         if self.top_k > self.n_candidates:
@@ -115,10 +114,12 @@ class TrackerConfig:
             )
         if min(self.top_k, self.update_period, self.init_frames, self.n_candidates) < 1:
             raise ValueError("counts must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError(f"lambda ({self.lam}) and gamma ({self.gamma}) must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lam, self.gamma)):
+            raise ValueError(
+                f"lambda ({self.lam}) and gamma ({self.gamma}) must be finite and >= 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def boxes_of(states: np.ndarray, base_w: float, base_h: float) -> np.ndarray:
 
 def _perturb(states: np.ndarray, motion: MotionModel, rng: np.random.Generator):
     """Independent Gaussian noise on every (cx, cy, scale, rotation) row."""
-    stds = np.array([motion.std_cx, motion.std_cy, motion.std_scale, motion.std_rotation])
+    stds = np.array([motion.std_xy, motion.std_xy, motion.std_scale, motion.std_rotation])
     out = states + rng.standard_normal(states.shape) * stds
     np.maximum(out[:, 2], 1e-3, out=out[:, 2])
     out[:, 3] = wrap_angle(out[:, 3])
@@ -362,7 +363,7 @@ def run_tracker(
     # a box inside the frame has every sample inside, so it is never rejected
     template = normalize_rows(candidate_patches(f0, states, w, h)[0])[0]
     collected = [template]  # (1024,) patch values of each tracked frame
-    lib = ExemplarLibrary(cfg.library_capacity)
+    lib = ExemplarLibrary()
     events: list[AdaptEvent] = []
     current = model
 
@@ -386,8 +387,6 @@ def run_tracker(
                 cfg.lam,
                 cfg.gamma,
                 cfg.adapt_optimizer,
-                eps_sqrt=cfg.eps_sqrt,
-                eps_abs=cfg.eps_abs,
             )
         except OptimizationError as err:
             events.append(

@@ -180,7 +180,7 @@ def test_criterion_4_slowness_improvement():
     held16, _ = sample_training_set(held_frames, held_boxes, 16, 16)
     trained = unit_feature_distance(model.layer1, held16)
     w_rand = _random_orthonormal_rows(cfg.f1, 256, np.random.default_rng(2024))
-    random_enc = LayerEncoder(w_rand, cfg.eps_sqrt)
+    random_enc = LayerEncoder(w_rand)
     rand = unit_feature_distance(random_enc, held16)
     elapsed = time.perf_counter() - t0
     report(

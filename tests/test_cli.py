@@ -1,13 +1,17 @@
+import argparse
 import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slowtrack.hierarchy import load_model
+from slowtrack.cli import _build_parser
+from slowtrack.hierarchy import PretrainConfig, load_model
 from slowtrack.patches import read_boxes_csv
+from slowtrack.tracker import TrackerConfig
 
 
 def run_cli(*args, cwd=None):
@@ -411,6 +415,13 @@ class TestBadFlags:
             ("pretrain", "--lambda", -1),
             ("pretrain", "--whiten-dim", 0),
             ("pretrain", "--max-iters", -1),
+            ("pretrain", "--lambda", "nan"),
+            ("pretrain", "--lambda", "inf"),
+            ("pretrain", "--grad-tol", "nan"),
+            ("track", "--gamma", "nan"),
+            ("track", "--sigma", "nan"),
+            ("track", "--std-xy", "nan"),
+            ("track", "--std-rotation", "inf"),
             ("synth", "--seed", -1),
             ("pretrain", "--seed", -1),
             ("adapt", "--seed", -1),
@@ -452,6 +463,67 @@ class TestBadFlags:
         assert res.returncode == 3
         assert last.name in res.stderr and "truncated" in res.stderr
         assert not (tmp_path / "b.csv").exists()
+
+
+class TestOverflow:
+    """An objective that overflows is an optimization failure, not a crash."""
+
+    def test_pretrain_exits_4(self, tmp_path, data_dir):
+        res = run_cli("pretrain", "--data", data_dir / "a", "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 3, "--lambda", 1e300)
+        assert res.returncode == 4, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "error: layer1: line search failed during training" in res.stderr
+
+    def test_track_logs_failed_adaptations(self, tmp_path, model_path, track_dir):
+        res = run_cli("track", "--model", model_path, "--frames", track_dir,
+                      "--init-box", init_box_of(track_dir), "--out", tmp_path / "b.csv",
+                      "--particles", 60, "--topk", 6, "--init-frames", 10,
+                      "--update-every", 10, "--lambda", 1e300)
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        assert len(read_boxes_csv(tmp_path / "b.csv")) == 30
+        lines = (tmp_path / "b.csv.log").read_text().splitlines()
+        assert [line.split()[2] for line in lines] == ["frames=10", "frames=20", "frames=30"]
+        for line in lines:
+            assert line.startswith("adapt kind=failed")
+            assert "line search failed during adaptation" in line
+
+
+def settable(cfg) -> list[str]:
+    """Names of a config's settable values, nested configs' included."""
+    names = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        names += settable(value) if is_dataclass(value) else [f.name]
+    return names
+
+
+def test_config_census():
+    # a new setting has to change this test on purpose
+    pretrain_values = settable(PretrainConfig())
+    track_values = settable(TrackerConfig())
+    assert pretrain_values == [
+        "lam", "f1", "f2", "whiten_dim", "sub_patch_stride", "max_iters", "grad_tol", "seed",
+    ]
+    assert track_values == [
+        "n_candidates", "top_k", "update_period", "init_frames",
+        "std_xy", "std_scale", "std_rotation", "lam", "gamma", "sigma", "seed",
+        "raw_only", "max_iters", "grad_tol",
+    ]
+    assert len(pretrain_values) + len(track_values) == 22
+
+    # every flag but the paths sets a config value and has no default of its own
+    paths = {"help", "data", "out", "model", "frames", "init_box", "log"}
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, values in (("pretrain", pretrain_values), ("adapt", track_values),
+                            ("track", track_values)):
+        flags = [a for a in commands[command]._actions if a.dest not in paths]
+        assert flags
+        for action in flags:
+            assert action.dest in values, (command, action.option_strings)
+            assert action.default is argparse.SUPPRESS, (command, action.option_strings)
 
 
 class TestConfigFile:

@@ -240,8 +240,6 @@ class TestAdapt:
             lam=FAST.lam,
             gamma=0.0,
             optimizer_cfg=LbfgsConfig(max_iters=10, grad_tol=1e-6),
-            eps_abs=FAST.eps_abs,
-            eps_sqrt=FAST.eps_sqrt,
         )
         assert adapted.layers[0].value_after <= res.layer1_opt.value + 1e-9
 
@@ -273,6 +271,16 @@ class TestAdapt:
             [np.tile(x, (6, 1))], lam=0.0, eps_sqrt=0.0, eps_abs=0.0
         ).value(w)
         assert with_slowness == pytest.approx(without, abs=1e-12)
+
+    def test_each_layer_keeps_its_eps_sqrt(self, small_training_sets):
+        # the model file stores eps_sqrt per layer; adaptation optimizes and
+        # encodes with that value, whatever it is
+        ts16, ts32 = small_training_sets
+        model = build_model(eps_sqrt=1e-3)
+        res = adapt(model, ts16, ts32, lam=2.0, gamma=10.0, optimizer_cfg=LbfgsConfig(max_iters=1))
+        want = SlownessObjective(ts16, 2.0, eps_sqrt=1e-3).value(model.layer1.weights)
+        assert res.layers[0].value_before == pytest.approx(want, rel=1e-12)
+        assert res.model.layer1.eps_sqrt == res.model.layer2.eps_sqrt == 1e-3
 
     def test_input_model_unchanged(self, small_training_sets):
         ts16, ts32 = small_training_sets

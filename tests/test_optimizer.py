@@ -3,6 +3,9 @@ import pytest
 
 from slowtrack.errors import LineSearchError, OptimizationError
 from slowtrack.optimizer import (
+    MAX_LINE_SEARCH_STEPS,
+    WOLFE_C1,
+    WOLFE_C2,
     CurvaturePair,
     LbfgsConfig,
     LbfgsHistory,
@@ -114,7 +117,7 @@ class TestWolfe:
     def test_scalar_quadratic_reaches_minimizer(self):
         f = lambda x: (float(x[0] ** 2), np.array([2.0 * x[0]]))
         res = wolfe_line_search(
-            f, np.array([1.0]), np.array([-2.0]), 1.0, np.array([2.0]), LbfgsConfig()
+            f, np.array([1.0]), np.array([-2.0]), 1.0, np.array([2.0])
         )
         assert res.alpha == pytest.approx(0.5)
         assert res.value == pytest.approx(0.0)
@@ -123,7 +126,7 @@ class TestWolfe:
         f = lambda x: (float(-x[0]), np.array([-1.0]))
         with pytest.raises(LineSearchError) as exc:
             wolfe_line_search(
-                f, np.array([0.0]), np.array([1.0]), 0.0, np.array([-1.0]), LbfgsConfig()
+                f, np.array([0.0]), np.array([1.0]), 0.0, np.array([-1.0])
             )
         assert exc.value.value < 0.0  # best point still carried
 
@@ -131,13 +134,12 @@ class TestWolfe:
         f = quadratic
         x = np.array([3.0, -1.0])
         f0, g0 = f(x)
-        res = wolfe_line_search(f, x, -x, f0, g0, LbfgsConfig())
+        res = wolfe_line_search(f, x, -x, f0, g0)
         assert res.alpha == 1.0
         assert res.evals == 1
 
     def test_strong_wolfe_conditions_hold(self):
         rng = np.random.default_rng(3)
-        cfg = LbfgsConfig()
         for _ in range(20):
             a = rng.uniform(0.5, 4.0, size=3)
 
@@ -147,10 +149,10 @@ class TestWolfe:
             x = rng.standard_normal(3)
             f0, g0 = f(x)
             p = -g0
-            res = wolfe_line_search(f, x, p, f0, g0, cfg)
+            res = wolfe_line_search(f, x, p, f0, g0)
             d0 = g0 @ p
-            assert res.value <= f0 + cfg.wolfe_c1 * res.alpha * d0
-            assert abs(res.gradient @ p) <= -cfg.wolfe_c2 * d0
+            assert res.value <= f0 + WOLFE_C1 * res.alpha * d0
+            assert abs(res.gradient @ p) <= -WOLFE_C2 * d0
 
     def test_ascent_direction_rejected(self):
         with pytest.raises(ValueError, match="descent"):
@@ -160,7 +162,6 @@ class TestWolfe:
                 np.array([1.0, 0.0]),
                 0.5,
                 np.array([1.0, 0.0]),
-                LbfgsConfig(),
             )
 
 
@@ -224,11 +225,7 @@ class TestMinimize:
 
         res = minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
         assert res.status == "line_search_failed"
-        assert res.evals == len(calls) == 1 + LbfgsConfig().max_line_search_steps
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LbfgsConfig(wolfe_c1=0.5, wolfe_c2=0.1)
+        assert res.evals == len(calls) == 1 + MAX_LINE_SEARCH_STEPS
 
     def test_non_finite_start_aborts(self):
         f = lambda x: (float("nan"), np.zeros(1))

@@ -12,10 +12,10 @@ from slowtrack.patches import (
     Frame,
     Patch,
     load_frame,
-    load_frame_dir,
     read_boxes_csv,
     sample_training_set,
     save_frame,
+    stream_frame_dir,
     write_boxes_csv,
 )
 from slowtrack.tracker import candidate_patches
@@ -269,12 +269,12 @@ class TestLoadFrameDir:
         for i in (2, 0, 1):
             frame = Frame(4, 4, rng.random((4, 4)))
             save_frame(frame, tmp_path / f"{i:06d}.pgm")
-        frames = load_frame_dir(tmp_path)
+        frames = list(stream_frame_dir(tmp_path))
         assert len(frames) == 3
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no .pgm frames"):
-            load_frame_dir(tmp_path)
+            stream_frame_dir(tmp_path)
 
 
 class TestParserFuzz:

@@ -147,7 +147,7 @@ class TestPropagate:
         return _perturb(np.tile(self.row, (n, 1)), motion, np.random.default_rng(seed))
 
     def test_zero_noise_copies(self):
-        states = self.perturb(MotionModel(0.0, 0.0, 0.0, 0.0), 5, 1)
+        states = self.perturb(MotionModel(0.0, 0.0, 0.0), 5, 1)
         np.testing.assert_array_equal(states, np.tile(self.row, (5, 1)))
 
     def test_deterministic_given_seed(self):
@@ -156,7 +156,7 @@ class TestPropagate:
         np.testing.assert_array_equal(a, b)
 
     def test_empirical_std_matches(self):
-        states = self.perturb(MotionModel(std_cx=4.0), 100_000, 7)
+        states = self.perturb(MotionModel(std_xy=4.0), 100_000, 7)
         assert abs(states[:, 0].std() - 4.0) / 4.0 < 0.02
 
     def test_rotation_wrapped(self):
@@ -312,12 +312,12 @@ class TestParticleSet:
 
     def test_single(self):
         row = np.array([[1.0, 2.0, 1.5, 0.25]])
-        states = propose(row, np.ones(1), MotionModel(0, 0, 0, 0), 5, np.random.default_rng(0))
+        states = propose(row, np.ones(1), MotionModel(0, 0, 0), 5, np.random.default_rng(0))
         np.testing.assert_array_equal(states, np.tile(row, (5, 1)))
 
     def test_resampling_follows_the_weights(self):
         rows = np.array([[1.0, 0.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0], [3.0, 0.0, 1.0, 0.0]])
-        states = propose(rows, np.array([0.0, 1.0, 0.0]), MotionModel(0, 0, 0, 0), 4,
+        states = propose(rows, np.array([0.0, 1.0, 0.0]), MotionModel(0, 0, 0), 4,
                          np.random.default_rng(0))
         np.testing.assert_array_equal(states[:, 0], [2.0, 2.0, 2.0, 2.0])
 
@@ -342,7 +342,7 @@ class TestStep:
     def test_static_zero_noise_keeps_state(self, trained_model):
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(
-            n_candidates=50, top_k=5, motion=MotionModel(0, 0, 0, 0), init_frames=1
+            n_candidates=50, top_k=5, motion=MotionModel(0, 0, 0), init_frames=1
         )
         states, _, best, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
         np.testing.assert_array_equal(states[best], row[0])
@@ -399,7 +399,7 @@ class TestStep:
         frames, _, template, lib = self.setup_case(trained_model, use_lib=True)
         far = np.array([[-200.0, -200.0, 1.0, 0.0]])
         cfg = TrackerConfig(
-            n_candidates=20, top_k=5, motion=MotionModel(0, 0, 0, 0), init_frames=1
+            n_candidates=20, top_k=5, motion=MotionModel(0, 0, 0), init_frames=1
         )
         with pytest.raises(TrackingLostError):
             self.run_step(frames, far, template, trained_model, lib, cfg, 0)
@@ -499,7 +499,7 @@ class TestRunTracker:
         cfg = TrackerConfig(
             n_candidates=40,
             top_k=5,
-            motion=MotionModel(0, 0, 0, 0),
+            motion=MotionModel(0, 0, 0),
             init_frames=3,
             update_period=2,
             adapt_optimizer=__import__("slowtrack.optimizer", fromlist=["LbfgsConfig"]).LbfgsConfig(max_iters=3),
@@ -619,12 +619,11 @@ class TestRunTracker:
             top_k=5,
             init_frames=2,
             update_period=1,
-            library_capacity=3,
             adapt_optimizer=LbfgsConfig(max_iters=1),
         )
         res = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
-        # init at 2 then an update after every frame; the capacity-3 library
-        # keeps absorbing new exemplars without error
+        # init at 2 (two exemplars) then an update after every frame (one
+        # each): 12 exemplars pass the capacity of 10 without error
         assert [e.frames_processed for e in res.events] == list(range(2, 13))
 
 
@@ -635,7 +634,7 @@ class TestConfigValidation:
 
     def test_motion_stds_nonnegative(self):
         with pytest.raises(ValueError):
-            MotionModel(std_cx=-1.0)
+            MotionModel(std_xy=-1.0)
 
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="sigma"):
