@@ -29,12 +29,7 @@ from .hierarchy import (
     save_model,
 )
 from .metrics import BoxTrace, center_error, overlap_rate
-from .objectives import (
-    AdaptationObjective,
-    ObjectiveEvaluation,
-    SlownessObjective,
-    finite_difference_gradient,
-)
+from .objectives import AdaptationObjective, SlownessObjective
 from .optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
 from .patches import (
     Frame,

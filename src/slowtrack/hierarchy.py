@@ -25,11 +25,7 @@ import numpy as np
 from ._version import __version__ as _pkg_version
 from .encoder import LayerEncoder, encode
 from .errors import DataError, ModelFormatError, OptimizationError
-from .objectives import (
-    AdaptationObjective,
-    SlownessObjective,
-    as_vector_objective,
-)
+from .objectives import AdaptationObjective, SlownessObjective
 from .optimizer import LbfgsConfig, OptimizeResult, minimize
 from .patches import Patch, normalize_rows
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening
@@ -198,11 +194,16 @@ def _random_orthonormal_rows(f: int, d: int, rng: np.random.Generator) -> np.nda
     return np.vstack(blocks)
 
 
-def _train_layer(sequences, w0, lam, cfg, tag) -> OptimizeResult:
-    obj = SlownessObjective(sequences, lam)
-    result = minimize(as_vector_objective(obj, w0.shape), w0.ravel(), cfg)
+def _fit_layer(obj, w0, cfg: LbfgsConfig, failure_message: str) -> OptimizeResult:
+    """L-BFGS on `obj` from the filters `w0`, which the optimizer sees flat."""
+
+    def f(x):
+        value, grad = obj.evaluate(x.reshape(w0.shape))
+        return value, grad.ravel()
+
+    result = minimize(f, w0.ravel(), cfg)
     if result.status == "line_search_failed":
-        raise OptimizationError(f"{tag}: line search failed during training")
+        raise OptimizationError(failure_message)
     return result
 
 
@@ -233,7 +234,8 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     rng = np.random.default_rng(cfg.seed)
 
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
-    res1 = _train_layer(seqs16, w1_0, cfg.lam, cfg.optimizer, "layer1")
+    res1 = _fit_layer(SlownessObjective(seqs16, cfg.lam), w1_0, cfg.optimizer,
+                      "layer1: line search failed during training")
     layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape))
 
     concat_seqs = [_layer1_features(layer1, s, cfg.sub_patch_stride) for s in seqs32]
@@ -241,7 +243,8 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     white_seqs = [apply_whitening(whit, v) for v in concat_seqs]
 
     w2_0 = _random_orthonormal_rows(cfg.f2, whit.retained_dim, rng)
-    res2 = _train_layer(white_seqs, w2_0, cfg.lam, cfg.optimizer, "layer2")
+    res2 = _fit_layer(SlownessObjective(white_seqs, cfg.lam), w2_0, cfg.optimizer,
+                      "layer2: line search failed during training")
     layer2 = LayerEncoder(res2.w_final.reshape(w2_0.shape))
 
     metadata = (
@@ -283,30 +286,6 @@ def encode_hier(model: HierarchicalModel, patch32: Patch) -> HierFeature:
     return HierFeature(combined[:n1], combined[n1:], combined)
 
 
-def _adapt_layer(sequences, enc: LayerEncoder, lam, gamma, cfg, tag):
-    """`enc` re-optimized on `sequences` with the pull toward its filters."""
-    w_old = enc.weights
-    base = SlownessObjective(sequences, lam, eps_sqrt=enc.eps_sqrt)
-    obj = AdaptationObjective(base, gamma, w_old)
-    result = minimize(as_vector_objective(obj, w_old.shape), w_old.ravel(), cfg)
-    if result.status == "line_search_failed":
-        raise OptimizationError(f"{tag}: line search failed during adaptation")
-    w_new = result.w_final.reshape(w_old.shape)
-    change = float(np.linalg.norm(w_new - w_old))
-    denom = float(np.linalg.norm(w_old))
-    stats = LayerAdaptStats(
-        layer=tag,
-        value_before=result.trace[0][0],
-        value_after=result.value,
-        frobenius_change=change,
-        relative_change=change / denom if denom > 0 else change,
-        iterations=result.iterations,
-        status=result.status,
-        evals=result.evals,
-    )
-    return LayerEncoder(w_new, enc.eps_sqrt), stats
-
-
 def adapt(
     model: HierarchicalModel,
     seqs16,
@@ -323,19 +302,35 @@ def adapt(
     """
     seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
     seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-
-    layer1, stats1 = _adapt_layer(seqs16, model.layer1, lam, gamma, optimizer_cfg, "layer1")
-
-    seqs2 = [
-        apply_whitening(model.whitening, _layer1_features(layer1, s, model.sub_patch_stride))
-        for s in seqs32
-    ]
-    layer2, stats2 = _adapt_layer(seqs2, model.layer2, lam, gamma, optimizer_cfg, "layer2")
-
-    new_model = replace(model, layer1=layer1, layer2=layer2)
-    return AdaptResult(new_model, (stats1, stats2))
+    adapted, stats = {}, []
+    for tag, enc in (("layer1", model.layer1), ("layer2", model.layer2)):
+        if tag == "layer1":
+            seqs = seqs16
+        else:  # layer 2 learns on features of the adapted layer 1
+            stride = model.sub_patch_stride
+            seqs = [
+                apply_whitening(model.whitening, _layer1_features(adapted["layer1"], s, stride))
+                for s in seqs32
+            ]
+        w_old = enc.weights
+        base = SlownessObjective(seqs, lam, eps_sqrt=enc.eps_sqrt)
+        result = _fit_layer(AdaptationObjective(base, gamma, w_old), w_old, optimizer_cfg,
+                            f"{tag}: line search failed during adaptation")
+        w_new = result.w_final.reshape(w_old.shape)
+        change = float(np.linalg.norm(w_new - w_old))
+        denom = float(np.linalg.norm(w_old))
+        stats.append(LayerAdaptStats(
+            layer=tag,
+            value_before=result.trace[0][0],
+            value_after=result.value,
+            frobenius_change=change,
+            relative_change=change / denom if denom > 0 else change,
+            iterations=result.iterations,
+            status=result.status,
+            evals=result.evals,
+        ))
+        adapted[tag] = LayerEncoder(w_new, enc.eps_sqrt)
+    return AdaptResult(replace(model, **adapted), tuple(stats))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Limited-memory BFGS with a strong Wolfe line search.
 
 The search direction comes from the standard two-loop recursion over the
-m most recent curvature pairs (s_i, y_i) with rho_i = 1 / (y_i' s_i); the
-implicit initial inverse Hessian is b0_scale * I, where b0_scale is the
-usual s'y / y'y heuristic from the latest stored pair. Pairs failing the
-curvature condition s'y > 0 are never stored, which keeps the implicit
-matrix positive definite and every direction a descent direction.
+m most recent curvature pairs (s_i, y_i), each stored with its
+rho_i = 1 / (s_i' y_i); the implicit initial inverse Hessian is
+b0_scale * I, where b0_scale is the usual s'y / y'y heuristic from the
+latest stored pair. Pairs failing the curvature condition s'y > 0 are
+never stored, which keeps the implicit matrix positive definite and every
+direction a descent direction.
 
 Objective closures take a flat float vector and return (value, gradient).
 """
@@ -32,41 +33,27 @@ WOLFE_C2 = 0.9
 MAX_LINE_SEARCH_STEPS = 20
 
 
-@dataclass(frozen=True)
-class CurvaturePair:
-    """One optimizer step: s = theta_{k+1} - theta_k, y = grad_{k+1} - grad_k."""
-
-    s: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64).ravel()
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        if s.shape != y.shape:
-            raise ValueError(f"s has length {s.size}, y has length {y.size}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "y", y)
-
-
 class LbfgsHistory:
-    """Ring buffer of at most m curvature pairs, oldest first."""
+    """Ring buffer of at most m entries (s, y, 1 / s'y), oldest first.
+
+    s = theta_{k+1} - theta_k and y = grad_{k+1} - grad_k, flat float
+    vectors of one length.
+    """
 
     def __init__(self, m: int = MEMORY):
         if m < 1:
             raise ValueError(f"memory size must be >= 1, got {m}")
-        self.m = m
-        self._pairs: deque[CurvaturePair] = deque(maxlen=m)
+        self._pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=m)
 
     def push(self, s, y) -> bool:
         """Store (s, y) if it passes the curvature condition; report whether stored."""
-        pair = CurvaturePair(s, y)
-        sy = float(pair.s @ pair.y)
-        bound = _CURVATURE_RTOL * float(
-            np.linalg.norm(pair.s) * np.linalg.norm(pair.y)
-        )
+        s = np.asarray(s, dtype=np.float64).ravel()
+        y = np.asarray(y, dtype=np.float64).ravel()
+        sy = float(s @ y)
+        bound = _CURVATURE_RTOL * float(np.linalg.norm(s) * np.linalg.norm(y))
         if sy <= bound:
             return False
-        self._pairs.append(pair)
+        self._pairs.append((s, y, 1.0 / sy))
         return True
 
     def __len__(self) -> int:
@@ -113,33 +100,21 @@ def two_loop_direction(grad, hist: LbfgsHistory, b0_scale: float = 1.0) -> np.nd
     """Search direction p = -H_k grad via the two-loop recursion.
 
     H_k is the inverse-BFGS matrix implicitly built from the stored pairs
-    on top of B0^{-1} = b0_scale * I.
+    on top of B0^{-1} = b0_scale * I. `grad` has the length of the pairs.
     """
     if b0_scale <= 0:
         raise ValueError(f"b0_scale must be positive, got {b0_scale}")
     q = np.array(grad, dtype=np.float64).ravel()
     pairs = list(hist)  # oldest first
-    rhos = []
-    for p in pairs:
-        if p.s.shape != q.shape:
-            raise ValueError(
-                f"history pair of dim {p.s.size} does not match gradient dim {q.size}"
-            )
-        sy = float(p.y @ p.s)
-        if sy <= 0:
-            raise ValueError(
-                "history holds a pair with s'y <= 0; it should have been "
-                "rejected at insertion"
-            )
-        rhos.append(1.0 / sy)
     alphas = [0.0] * len(pairs)
     for i in range(len(pairs) - 1, -1, -1):  # newest to oldest
-        alphas[i] = rhos[i] * float(pairs[i].s @ q)
-        q -= alphas[i] * pairs[i].y
+        s, y, rho = pairs[i]
+        alphas[i] = rho * float(s @ q)
+        q -= alphas[i] * y
     r = b0_scale * q
-    for i in range(len(pairs)):  # oldest to newest
-        beta = rhos[i] * float(pairs[i].y @ r)
-        r += pairs[i].s * (alphas[i] - beta)
+    for (s, y, rho), alpha in zip(pairs, alphas):  # oldest to newest
+        beta = rho * float(y @ r)
+        r += s * (alpha - beta)
     return -r
 
 
@@ -239,13 +214,15 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
     )
 
 
-def _check_finite(value, grad, where, x):
+def _check_finite(value, grad, where):
     if not np.isfinite(value) or not np.all(np.isfinite(grad)):
-        err = OptimizationError(f"non-finite objective at {where}")
-        err.x = x  # diagnostic point for the caller
-        raise err
+        raise OptimizationError(f"non-finite objective at {where}")
 
 
+# every point minimize accepts is checked above, so the floating-point
+# warnings of an overflowing probe are noise; the probe fails the line
+# search or the check instead
+@np.errstate(over="ignore", invalid="ignore")
 def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     """Run L-BFGS from x0 until the gradient max-norm drops below grad_tol.
 
@@ -265,7 +242,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     x = np.array(x0, dtype=np.float64).ravel()
     value, grad = counted(x)
     grad = np.asarray(grad, dtype=np.float64).ravel()
-    _check_finite(value, grad, "the starting point", x)
+    _check_finite(value, grad, "the starting point")
     ginf = float(np.max(np.abs(grad))) if grad.size else 0.0
     trace = [(value, ginf)]
     hist = LbfgsHistory()
@@ -290,7 +267,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
             y = ls.gradient - grad
             x, value = ls.x, ls.value
             grad = np.asarray(ls.gradient, dtype=np.float64).ravel()
-            _check_finite(value, grad, f"iteration {iterations + 1}", x)
+            _check_finite(value, grad, f"iteration {iterations + 1}")
             if hist.push(s, y):
                 b0 = float(s @ y) / float(y @ y)
             ginf = float(np.max(np.abs(grad)))

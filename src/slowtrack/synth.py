@@ -65,10 +65,7 @@ class MotionScript:
             ("shear_amps", sh),
         ):
             arr.setflags(write=False)
-            object.__setattr__(self, name if name != "rotations" else "rotations", arr)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "scales", sc)
-        object.__setattr__(self, "shear_amps", sh)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_frames(self) -> int:

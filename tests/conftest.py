@@ -34,6 +34,25 @@ def normalize_values(values):
     return centered / std
 
 
+def finite_difference_gradient(f, w, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function of the matrix W.
+
+    The verification oracle for the analytic gradients of the objectives;
+    O(F*D) evaluations, intended for small instances only.
+    """
+    if h <= 0:
+        raise ValueError(f"step h must be positive, got {h}")
+    w = np.array(w, dtype=np.float64)
+    grad = np.zeros_like(w)
+    for idx in np.ndindex(*w.shape):
+        wp = w.copy()
+        wp[idx] += h
+        wm = w.copy()
+        wm[idx] -= h
+        grad[idx] = (f(wp) - f(wm)) / (2.0 * h)
+    return grad
+
+
 def build_model(f1=8, f2=4, eps_sqrt=1e-8, seed=0, stride=16, whiten_dim=None):
     """Assemble an untrained model with random orthonormal filters.
 

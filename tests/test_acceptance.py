@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import mixed_motion_data, normalize_values, translation_data
+from conftest import (
+    finite_difference_gradient,
+    mixed_motion_data,
+    normalize_values,
+    translation_data,
+)
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.hierarchy import (
     PretrainConfig,
@@ -25,11 +30,7 @@ from slowtrack.hierarchy import (
     save_model,
 )
 from slowtrack.metrics import BoxTrace, center_error, overlap_rate
-from slowtrack.objectives import (
-    AdaptationObjective,
-    SlownessObjective,
-    finite_difference_gradient,
-)
+from slowtrack.objectives import AdaptationObjective, SlownessObjective
 from slowtrack.optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
 from slowtrack.patches import read_boxes_csv, sample_training_set
 from slowtrack.synth import (
@@ -69,8 +70,8 @@ def test_criterion_1_gradient_correctness():
             gamma = float(rng.choice([0.0, 100.0]))
             obj = AdaptationObjective(base, gamma, 0.5 * rng.standard_normal((f, d)))
         w = 0.5 * rng.standard_normal((f, d))
-        analytic = obj.evaluate(w).gradient
-        fd = finite_difference_gradient(obj.value, w, h=1e-5)
+        _, analytic = obj.evaluate(w)
+        fd = finite_difference_gradient(lambda v: obj.evaluate(v)[0], w, h=1e-5)
         worst = max(worst, float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))))
     elapsed = time.perf_counter() - t0
     report(
@@ -207,10 +208,10 @@ def test_criterion_5_adaptation_contract(trained_model):
     w = 0.5 * rng.standard_normal((4, 6))
     base = SlownessObjective(seqs, lam=5.0, eps_sqrt=1e-6, eps_abs=1e-6)
     adp = AdaptationObjective(base, 0.0, rng.standard_normal((4, 6)))
-    ev_base, ev_adp = base.evaluate(w), adp.evaluate(w)
+    (value_base, grad_base), (value_adp, grad_adp) = base.evaluate(w), adp.evaluate(w)
     gamma0_ok = (
-        abs(ev_base.value - ev_adp.value) <= 1e-12
-        and float(np.max(np.abs(ev_base.gradient - ev_adp.gradient))) <= 1e-12
+        abs(value_base - value_adp) <= 1e-12
+        and float(np.max(np.abs(grad_base - grad_adp))) <= 1e-12
     )
 
     # (b, c) pinning and monotone gamma on a fixed full-rank toy problem

@@ -14,7 +14,7 @@ def enc_from(rows, eps=0.0):
 
 def reconstruction_cost(w, x):
     """||x - W^T W x||^2 as the objective evaluates it (lambda = 0)."""
-    return SlownessObjective([np.atleast_2d(x)], lam=0.0).value(np.asarray(w, dtype=float))
+    return SlownessObjective([np.atleast_2d(x)], lam=0.0).evaluate(np.asarray(w, dtype=float))[0]
 
 
 class TestEncode:
@@ -178,6 +178,6 @@ def test_objective_and_encode_pool_alike(monkeypatch):
     rng = np.random.default_rng(8)
     w = rng.standard_normal((6, 5))
     x = rng.standard_normal((7, 5))
-    SlownessObjective([x[:3], x[3:]], lam=1.0, eps_sqrt=1e-6).value(w)
+    SlownessObjective([x[:3], x[3:]], lam=1.0, eps_sqrt=1e-6).evaluate(w)
     (pooled,) = seen
     assert pooled.tobytes() == encode(enc_from(w, eps=1e-6), x).tobytes()

@@ -102,7 +102,7 @@ class TestPretrain:
             seq = [np.tile(vec, (5, 1))]
             with_term = SlownessObjective(seq, lam=1.0, eps_sqrt=0.0, eps_abs=0.0)
             without = SlownessObjective(seq, lam=0.0, eps_sqrt=0.0, eps_abs=0.0)
-            slowness_only += with_term.value(w2) - without.value(w2)
+            slowness_only += with_term.evaluate(w2)[0] - without.evaluate(w2)[0]
         assert slowness_only == pytest.approx(0.0, abs=1e-12)
 
     def test_toy_run_improves_on_random_init(self, small_training_sets):
@@ -266,10 +266,10 @@ class TestAdapt:
         x = normalize_values(img16)
         with_slowness = SlownessObjective(
             [np.tile(x, (6, 1))], lam=5.0, eps_sqrt=0.0, eps_abs=0.0
-        ).value(w)
+        ).evaluate(w)[0]
         without = SlownessObjective(
             [np.tile(x, (6, 1))], lam=0.0, eps_sqrt=0.0, eps_abs=0.0
-        ).value(w)
+        ).evaluate(w)[0]
         assert with_slowness == pytest.approx(without, abs=1e-12)
 
     def test_each_layer_keeps_its_eps_sqrt(self, small_training_sets):
@@ -278,7 +278,7 @@ class TestAdapt:
         ts16, ts32 = small_training_sets
         model = build_model(eps_sqrt=1e-3)
         res = adapt(model, ts16, ts32, lam=2.0, gamma=10.0, optimizer_cfg=LbfgsConfig(max_iters=1))
-        want = SlownessObjective(ts16, 2.0, eps_sqrt=1e-3).value(model.layer1.weights)
+        want = SlownessObjective(ts16, 2.0, eps_sqrt=1e-3).evaluate(model.layer1.weights)[0]
         assert res.layers[0].value_before == pytest.approx(want, rel=1e-12)
         assert res.model.layer1.eps_sqrt == res.model.layer2.eps_sqrt == 1e-3
 
@@ -288,6 +288,15 @@ class TestAdapt:
         before = model.layer1.weights.copy()
         adapt(model, ts16, ts32, lam=2.0, gamma=10.0)
         np.testing.assert_array_equal(model.layer1.weights, before)
+
+    @pytest.mark.parametrize("weight", ["lam", "gamma"])
+    def test_nan_weight_rejected(self, small_training_sets, weight):
+        # NaN fails every comparison, so a bare `< 0` test would let it
+        # through and the term would silently drop out
+        ts16, ts32 = small_training_sets
+        weights = {"lam": 2.0, "gamma": 10.0, weight: float("nan")}
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            adapt(build_model(), ts16, ts32, **weights)
 
 
 class TestModelFile:

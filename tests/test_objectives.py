@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import finite_difference_gradient
 from slowtrack.errors import DataError
-from slowtrack.objectives import (
-    AdaptationObjective,
-    SlownessObjective,
-    finite_difference_gradient,
-)
+from slowtrack.objectives import AdaptationObjective, SlownessObjective
 
 
 def reference_terms(seqs, w, lam, eps_sqrt, eps_abs):
@@ -75,20 +72,25 @@ class TestEvalSlowness:
         w = rng.standard_normal((4, 4))
         obj = SlownessObjective([x], lam=3.0, eps_sqrt=0.0, eps_abs=0.0)
         r = x[0] - w.T @ (w @ x[0])
-        assert obj.value(w) == pytest.approx(float(r @ r), rel=1e-12)
+        assert obj.evaluate(w)[0] == pytest.approx(float(r @ r), rel=1e-12)
 
     def test_identical_patches_zero_slowness(self):
         x = np.tile(np.array([1.0, -2.0, 0.5]), (2, 1))
         w = np.random.default_rng(1).standard_normal((4, 3))
         with_pair = SlownessObjective([x], lam=7.0, eps_sqrt=0.0, eps_abs=0.0)
         no_pair = SlownessObjective([x], lam=0.0, eps_sqrt=0.0, eps_abs=0.0)
-        assert with_pair.value(w) == pytest.approx(no_pair.value(w), abs=1e-14)
+        assert with_pair.evaluate(w)[0] == pytest.approx(no_pair.evaluate(w)[0], abs=1e-14)
 
     def test_identity_filters_on_unit_patches(self):
         # z = 1 for both patches, reconstruction exact: value 0
         seq = np.array([[1.0, 0.0], [0.0, 1.0]])
         obj = SlownessObjective([seq], lam=1.0, eps_sqrt=0.0, eps_abs=0.0)
-        assert obj.value(np.eye(2)) == pytest.approx(0.0, abs=1e-14)
+        assert obj.evaluate(np.eye(2))[0] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            SlownessObjective([np.ones((2, 3))], lam)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
@@ -103,24 +105,30 @@ class TestEvalSlowness:
         rng = np.random.default_rng(7)
         for _ in range(10):
             obj, w = random_instance(rng, with_gamma=False)
-            assert obj.value(w) >= 0.0
+            assert obj.evaluate(w)[0] >= 0.0
 
 
 class TestEvalAdaptation:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        base = SlownessObjective([np.ones((2, 3))], 1.0)
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            AdaptationObjective(base, gamma, np.ones((2, 3)))
+
     def test_gamma_zero_equals_slowness(self):
         rng = np.random.default_rng(2)
         base, w = random_instance(rng, with_gamma=False)
         adp = AdaptationObjective(base, 0.0, rng.standard_normal(w.shape))
-        ev_b = base.evaluate(w)
-        ev_a = adp.evaluate(w)
-        assert abs(ev_a.value - ev_b.value) <= 1e-12
-        np.testing.assert_allclose(ev_a.gradient, ev_b.gradient, atol=1e-12)
+        value_b, grad_b = base.evaluate(w)
+        value_a, grad_a = adp.evaluate(w)
+        assert abs(value_a - value_b) <= 1e-12
+        np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
 
     def test_w_equals_w_old_zero_regularizer(self):
         rng = np.random.default_rng(3)
         base, w = random_instance(rng, with_gamma=False)
         adp = AdaptationObjective(base, 50.0, w)
-        assert adp.value(w) == pytest.approx(base.value(w), abs=1e-12)
+        assert adp.evaluate(w)[0] == pytest.approx(base.evaluate(w)[0], abs=1e-12)
 
     def test_regularizer_hand_computed(self):
         # single patch (1,0): ||W x - W_old x||^2 = ||(2,0)-(1,0)||^2 = 1
@@ -129,7 +137,7 @@ class TestEvalAdaptation:
         w_old = np.eye(2)
         w = np.array([[2.0, 0.0], [0.0, 1.0]])
         adp = AdaptationObjective(base, 1.0, w_old)
-        assert adp.value(w) - base.value(w) == pytest.approx(1.0, abs=1e-14)
+        assert adp.evaluate(w)[0] - base.evaluate(w)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_monotone_gamma(self):
         rng = np.random.default_rng(4)
@@ -138,7 +146,7 @@ class TestEvalAdaptation:
         w_old = rng.standard_normal((4, 4))
         w = w_old + 0.5
         values = [
-            AdaptationObjective(base, g, w_old).value(w) for g in (0.0, 1.0, 10.0, 100.0)
+            AdaptationObjective(base, g, w_old).evaluate(w)[0] for g in (0.0, 1.0, 10.0, 100.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -148,8 +156,8 @@ class TestGradients:
         rng = np.random.default_rng(42)
         for trial in range(20):
             obj, w = random_instance(rng, with_gamma=trial % 2 == 0)
-            analytic = obj.evaluate(w).gradient
-            fd = finite_difference_gradient(obj.value, w, h=1e-5)
+            _, analytic = obj.evaluate(w)
+            fd = finite_difference_gradient(lambda v: obj.evaluate(v)[0], w, h=1e-5)
             rel = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
             assert rel < 1e-4, f"trial {trial}: rel err {rel}"
 
@@ -179,7 +187,7 @@ class TestBoundaryRule:
         split = SlownessObjective(
             [seq[:3], seq[3:]], lam, eps_sqrt=eps_sqrt, eps_abs=eps_abs
         )
-        v_joined, v_split = joined.value(w), split.value(w)
+        v_joined, v_split = joined.evaluate(w)[0], split.evaluate(w)[0]
         assert v_split <= v_joined
         a = w @ seq[2]
         b = w @ seq[3]
@@ -227,23 +235,17 @@ class TestGramForm:
         base = SlownessObjective(seqs, lam, eps_sqrt=eps_sqrt, eps_abs=eps_abs)
         trace = float(sum((s * s).sum() for s in seqs))
         want = reference_terms(seqs, w, lam, eps_sqrt, eps_abs)
-        ev = base.evaluate(w)
-        assert_matches((ev.value, ev.gradient), want, trace)
-        assert base.value(w) == ev.value
+        assert_matches(base.evaluate(w), want, trace)
 
         pull_value, pull_grad = reference_pull(seqs, w, w_old, gamma)
         adp = AdaptationObjective(base, gamma, w_old)
-        ev = adp.evaluate(w)
-        assert_matches(
-            (ev.value, ev.gradient), (want[0] + pull_value, want[1] + pull_grad), trace
-        )
-        assert adp.value(w) == ev.value
+        assert_matches(adp.evaluate(w), (want[0] + pull_value, want[1] + pull_grad), trace)
 
 
 def assert_same(got, want):
-    """Bit-for-bit equality of two evaluations."""
-    assert got.value == want.value
-    assert np.array_equal(got.gradient, want.gradient)
+    """Bit-for-bit equality of two (value, gradient) evaluations."""
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
 
 
 class TestWorkBuffers:
@@ -270,9 +272,9 @@ class TestWorkBuffers:
         make = lambda: SlownessObjective(seqs, 2.0)
         w1, w2 = rng.standard_normal((2, 4, 5))
         obj = make()
-        assert obj.value(w1) == make().value(w1)
+        assert obj.evaluate(w1)[0] == make().evaluate(w1)[0]
         assert_same(obj.evaluate(w2), make().evaluate(w2))
-        assert obj.value(w1) == make().value(w1)
+        assert obj.evaluate(w1)[0] == make().evaluate(w1)[0]
 
     def test_zero_eps_abs_with_equal_neighbours(self):
         # rows 1 and 2 are equal, so their pair has s == 0 under every W;
@@ -313,7 +315,7 @@ class TestWorkBuffers:
             w1, w2 = rng.standard_normal((2, 4, 6))
             assert_same(adp.evaluate(w1), make_adp().evaluate(w1))
             assert_same(base.evaluate(w2), make_base().evaluate(w2))
-            assert adp.value(w2) == make_adp().value(w2)
+            assert adp.evaluate(w2)[0] == make_adp().evaluate(w2)[0]
 
     def test_gradient_survives_next_evaluation(self):
         rng = np.random.default_rng(16)
@@ -322,7 +324,7 @@ class TestWorkBuffers:
         adp = AdaptationObjective(base, 1.0, rng.standard_normal((4, 5)))
         w1, w2 = rng.standard_normal((2, 4, 5))
         for obj in (base, adp):
-            g1 = obj.evaluate(w1).gradient
+            g1 = obj.evaluate(w1)[1]
             kept = g1.copy()
             obj.evaluate(w2)
             assert np.array_equal(g1, kept)

@@ -6,7 +6,6 @@ from slowtrack.optimizer import (
     MAX_LINE_SEARCH_STEPS,
     WOLFE_C1,
     WOLFE_C2,
-    CurvaturePair,
     LbfgsConfig,
     LbfgsHistory,
     minimize,
@@ -86,12 +85,6 @@ class TestTwoLoop:
             p = two_loop_direction(g, hist, float(rng.uniform(0.1, 3.0)))
             assert p @ g < 0
 
-    def test_violating_pair_raises(self):
-        hist = LbfgsHistory()
-        hist._pairs.append(CurvaturePair(np.array([1.0]), np.array([-1.0])))
-        with pytest.raises(ValueError, match="s'y <= 0"):
-            two_loop_direction(np.array([1.0]), hist, 1.0)
-
 
 class TestHistory:
     def test_curvature_condition_filters(self):
@@ -106,11 +99,16 @@ class TestHistory:
             hist.push(np.array([1.0 + i]), np.array([1.0]))
         assert len(hist) == 3
         # oldest discarded: the remaining pairs are the last three
-        assert [float(p.s[0]) for p in hist] == [8.0, 9.0, 10.0]
+        assert [float(s[0]) for s, _, _ in hist] == [8.0, 9.0, 10.0]
 
-    def test_mismatched_pair_rejected(self):
-        with pytest.raises(ValueError):
-            CurvaturePair(np.ones(2), np.ones(3))
+    def test_pair_stored_with_its_rho(self):
+        hist = LbfgsHistory()
+        s, y = np.array([1.0, 2.0]), np.array([0.5, 3.0])
+        assert hist.push(s, y)
+        [(s_kept, y_kept, rho)] = hist
+        np.testing.assert_array_equal(s_kept, s)
+        np.testing.assert_array_equal(y_kept, y)
+        assert rho == 1.0 / 6.5
 
 
 class TestWolfe:
