@@ -6,6 +6,12 @@ three 100-frame test sequences (translation, in-plane rotation, shear
 deformation) with and without learned-feature re-ranking and prints an
 ACE/AOR table. Everything is seeded, so reruns reproduce the table
 exactly.
+
+With `--grid`, it tracks the fixed seed grid instead: tracker seeds 0-4
+on the three sequences plus a scaling one, each learned, raw-only and
+learned without adaptation (`adapt_optimizer.max_iters=0`), and prints
+how often learned features beat raw pixels and adaptation beats none on
+ACE, with the worst case of each.
 """
 
 import argparse
@@ -43,6 +49,46 @@ def pretraining_data(n_frames=40):
     return frame_seqs, box_seqs
 
 
+def track(frames, gt, model, cfg):
+    """ACE and AOR of one run."""
+    pred = BoxTrace(run_tracker(frames, tuple(gt.boxes[0]), model, cfg).boxes)
+    return center_error(pred, gt)[1], overlap_rate(pred, gt)[1]
+
+
+def summary(label, diffs):
+    """One summary line: the win count and the case where the first side fared worst."""
+    wins = sum(d < 0 for d in diffs.values())
+    (name, seed), d = max(diffs.items(), key=lambda item: item[1])
+    return f"{label}: {wins}/{len(diffs)}; worst {name} seed {seed} ({d:+.2f} px)"
+
+
+def run_grid(model, cases, args):
+    """Track every (case, seed) pair three ways; print the rows and the win counts."""
+    kinds = {
+        "learned": {},
+        "raw": {"raw_only": True},
+        "no-adapt": {"adapt_optimizer": LbfgsConfig(max_iters=0)},
+    }
+    header = "".join(f" {k + ' ACE':>12} {'AOR':>6}" for k in kinds)
+    print(f"\n{'sequence':<12} {'seed':>4}{header}")
+    beats_raw, beats_fixed = {}, {}
+    for name, (script, texture_seed) in cases.items():
+        frames, gt = generate_sequence(script, (320, 240), seed=texture_seed)
+        for seed in range(5):
+            ace = {}
+            row = f"{name:<12} {seed:>4}"
+            for kind, fields in kinds.items():
+                cfg = TrackerConfig(seed=seed, lam=args.lam, gamma=args.gamma, **fields)
+                ace[kind], aor = track(frames, gt, None if kind == "raw" else model, cfg)
+                row += f" {ace[kind]:>12.2f} {aor:>6.3f}"
+            print(row)
+            beats_raw[name, seed] = ace["learned"] - ace["raw"]
+            beats_fixed[name, seed] = ace["learned"] - ace["no-adapt"]
+    print()
+    print(summary("learned beats raw", beats_raw))
+    print(summary("adaptation beats no adaptation", beats_fixed))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--f1", type=int, default=32)
@@ -52,6 +98,8 @@ def main():
     parser.add_argument("--pretrain-iters", type=int, default=100)
     parser.add_argument("--frames", type=int, default=100)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--grid", action="store_true",
+                        help="track the fixed seed grid instead of the table")
     args = parser.parse_args()
 
     t0 = time.time()
@@ -79,6 +127,10 @@ def main():
         "rotation": (rotation_script(n, (160.0, 120.0), np.deg2rad(1.5)), 22),
         "shear": (deformation_script(n, (160.0, 120.0), 4.0, time_period=25.0), 23),
     }
+    if args.grid:
+        cases["scaling"] = (scaling_script(n, (160.0, 120.0), 1.006), 24)
+        run_grid(model, cases, args)
+        return
     print(f"\n{'sequence':<12} {'features':<8} {'ACE px':>8} {'AOR':>6} {'time':>6}")
     for name, (script, seed) in cases.items():
         frames, gt = generate_sequence(script, (320, 240), seed=seed)
@@ -87,10 +139,7 @@ def main():
             tcfg = TrackerConfig(
                 seed=args.seed, raw_only=raw, lam=args.lam, gamma=args.gamma
             )
-            res = run_tracker(frames, tuple(gt.boxes[0]), None if raw else model, tcfg)
-            pred = BoxTrace(res.boxes)
-            _, ace = center_error(pred, gt)
-            _, aor = overlap_rate(pred, gt)
+            ace, aor = track(frames, gt, None if raw else model, tcfg)
             label = "raw" if raw else "learned"
             print(
                 f"{name:<12} {label:<8} {ace:>8.2f} {aor:>6.3f} {time.time() - t1:>5.0f}s"

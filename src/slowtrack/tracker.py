@@ -6,19 +6,16 @@ A step is a short run of array stages over plain (N, 4) states, one
 
 - `propose`: systematically resample the previous particles and add
   Gaussian motion noise;
-- `candidate_patches`: sample every candidate's 32x32 grid and read it
-  from the frame, 16 candidates at a time through block-sized buffers;
+- `candidate_patches`: sample every candidate's 32x32 grid from the
+  frame, 16 candidates at a time, into the run's one (N, 1024) work
+  array, with each row's product with the template, sum and sum of
+  squares;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
-  previous predicted patch, in correlation form, with one product over
-  all of them;
-- `fine_distances`: re-rank the top few with hierarchical features
-  against an exemplar library;
+  previous predicted patch, in correlation form, from those moments;
+- `fine_distances`: re-rank the top few by hierarchical features, with
+  one product against the exemplar library's rows;
 - `weigh`: a Gaussian kernel over the distances; the maximum-weight
   candidate becomes the prediction.
-
-A run allocates one (2, N, 1024) work array for the raw and the centred
-candidate rows and passes it to every step, so a step allocates no
-candidate-sized array.
 
 The feature filters and the exemplar library are re-adapted on the
 tracked object's own patches every M frames, warm-started from the
@@ -33,7 +30,6 @@ features-in, weights-out contract.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,25 +67,28 @@ class MotionModel:
 
 
 class ExemplarLibrary:
-    """Bounded recency buffer of unit-normalized combined feature vectors."""
+    """The newest `capacity` unit-normalized combined features, as the rows of one array."""
 
-    def __init__(self, capacity: int = 10):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._exemplars: deque[np.ndarray] = deque(maxlen=capacity)
+    capacity = 10
+
+    def __init__(self):
+        self._rows = np.empty((0, 0))
 
     def add(self, combined) -> None:
-        self._exemplars.append(_unit(np.asarray(combined, dtype=np.float64).ravel()))
+        """Append each row of a (K, D) or (D,) array, dropping the oldest past capacity."""
+        self._rows = np.vstack([*self._rows, *_unit_rows(combined)])[-self.capacity :]
 
     def __len__(self) -> int:
-        return len(self._exemplars)
+        return len(self._rows)
 
-    def min_distance(self, combined) -> float:
-        if not self._exemplars:
+    def min_distance(self, combined) -> np.ndarray:
+        """(K,) distance of each (K, D) feature row, unit-normalized, to its nearest exemplar."""
+        if not len(self):
             raise DataError("exemplar library is empty")
-        f = _unit(np.asarray(combined, dtype=np.float64).ravel())
-        return min(float(np.linalg.norm(f - e)) for e in self._exemplars)
+        f, e = _unit_rows(combined), self._rows
+        # ‖f − e‖² = ‖f‖² + ‖e‖² − 2⟨f, e⟩, clipped at zero against round-off
+        d2 = np.einsum("ij,ij->i", f, f)[:, None] + np.einsum("ij,ij->i", e, e) - 2.0 * (f @ e.T)
+        return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,11 @@ class TrackResult:
     events: tuple[AdaptEvent, ...]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
-    return v / n if n > 1e-12 else v.copy()
+def _unit_rows(rows) -> np.ndarray:
+    """Rows scaled to unit length; rows of norm up to 1e-12 are kept as they are."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return np.divide(rows, norms, out=rows.copy(), where=norms > 1e-12)
 
 
 def boxes_of(states: np.ndarray, base_w: float, base_h: float) -> np.ndarray:
@@ -179,60 +180,74 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
 
 
 def candidate_patches(
-    frame: Frame, states: np.ndarray, base_w: float, base_h: float, out=None
-) -> tuple[np.ndarray, np.ndarray]:
+    frame: Frame, states: np.ndarray, base_w: float, base_h: float, template=None, out=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sample every rotated, scaled box into a raw 32x32 patch.
 
     `states` holds one (cx, cy, scale, rotation) row per candidate. Returns
-    `(raw, valid)`: (N, 1024) frame intensities, not normalized, written
-    into `out` when given, and an (N,) mask that is False where less than
-    half of a candidate's sample grid lies inside the frame. Samples
-    outside are clamped to the border. Candidates run in blocks of
-    `_BLOCK` rows through block-sized buffers, so a call allocates no
-    full (N, 32, 32) temporary.
+    `(raw, valid, moments)`: (N, 1024) frame intensities, not normalized,
+    written into `out` when given; an (N,) mask, False where less than half
+    of a candidate's samples lie inside the frame (samples outside are
+    clamped to the border); and, given a template, each row's product with
+    it, sum and sum of squares as an (N, 3) array, else None. Candidates run
+    in blocks of `_BLOCK` rows, each read once while it is in cache.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     n = CANDIDATE_SIDE
     raw = np.empty((len(states), n * n)) if out is None else out
     valid = np.empty(len(states), dtype=bool)
+    moments = None if template is None else np.empty((len(states), 3))
     shape = (min(_BLOCK, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
-    inside_buf, test_buf = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     index_buf = np.empty((shape[0], n * n), dtype=np.intp)
+    cos, sin = snapped_cos_sin(states[:, 3:4])
+    w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
     grid = np.arange(n) + 0.5
-    cos, sin = snapped_cos_sin(states[:, 3, None, None])
+
+    def terms(rows, at):
+        """Terms at grid positions `at`: sample (i, j) is at (xa[j] - xb[i], ya[j] + yb[i])."""
+        off_u = at * w[rows] / n - w[rows] / 2.0
+        off_v = at * h[rows] / n - h[rows] / 2.0
+        c, s = cos[rows], sin[rows]
+        return states[rows, 0:1] + off_u * c, off_v * s, states[rows, 1:2] + off_u * s, off_v * c
+
+    # every step of a term rounds a monotone function of the grid position,
+    # and so does the sum of two terms, so a coordinate's extremes over the
+    # grid are sums of the terms' values at the grid's ends: a candidate
+    # whose extreme samples are inside has every sample inside
+    xa, xb, ya, yb = terms(slice(None), grid[[0, -1]])
+    lo_x, hi_x = xa.min(axis=1) - xb.max(axis=1), xa.max(axis=1) - xb.min(axis=1)
+    lo_y, hi_y = ya.min(axis=1) + yb.min(axis=1), ya.max(axis=1) + yb.max(axis=1)
+    inside_all = (lo_x >= 0) & (hi_x < frame.width) & (lo_y >= 0) & (hi_y < frame.height)
     for lo in range(0, len(states), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         k = len(states[rows])
-        xs, ys, inside, test = xs_buf[:k], ys_buf[:k], inside_buf[:k], test_buf[:k]
-        c, s = cos[rows], sin[rows]
-        w = base_w * states[rows, 2:3]
-        h = base_h * states[rows, 2:3]
-        off_u = (grid * w / n - w / 2.0)[:, None, :]
-        off_v = (grid * h / n - h / 2.0)[:, :, None]
-        # u varies along the last axis and v along the middle one, so only
-        # the last operation on each line fills a (k, 32, 32) block
-        np.subtract(states[rows, 0, None, None] + off_u * c, off_v * s, out=xs)
-        np.add(states[rows, 1, None, None] + off_u * s, off_v * c, out=ys)
-        np.greater_equal(xs, 0, out=inside)
-        inside &= np.less(xs, frame.width, out=test)
-        inside &= np.greater_equal(ys, 0, out=test)
-        inside &= np.less(ys, frame.height, out=test)
-        valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
-        # clamp in float and build the flat index in place
-        np.clip(np.floor(xs, out=xs), 0, frame.width - 1, out=xs)
-        np.clip(np.floor(ys, out=ys), 0, frame.height - 1, out=ys)
+        xs, ys, index = xs_buf[:k], ys_buf[:k], index_buf[:k]
+        xa, xb, ya, yb = terms(rows, grid)
+        np.floor(np.subtract(xa[:, None, :], xb[:, :, None], out=xs), out=xs)
+        np.floor(np.add(ya[:, None, :], yb[:, :, None], out=ys), out=ys)
+        if inside_all[rows].all():
+            valid[rows] = True
+        else:  # a box in this block crosses the border: count and clamp
+            inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
+            valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
+            np.clip(xs, 0, frame.width - 1, out=xs)
+            np.clip(ys, 0, frame.height - 1, out=ys)
+        # the flat index, from whole pixel coordinates inside the frame
         ys *= frame.width
         ys += xs
-        index = index_buf[:k]
         index[...] = ys.reshape(k, n * n)
-        # every index is already clamped inside the frame; "clip" mode
-        # writes straight into `raw`, where "raise" would buffer the block
+        # "clip" mode writes straight into `raw`, where "raise" would buffer
         frame.pixels.take(index, out=raw[rows], mode="clip")
-    return raw, valid
+        if moments is not None:
+            block = raw[rows]
+            np.matmul(block, template, out=moments[rows, 0])
+            block.sum(axis=1, out=moments[rows, 1])
+            np.einsum("ij,ij->i", block, block, out=moments[rows, 2])
+    return raw, valid, moments
 
 
-def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, out=None) -> np.ndarray:
+def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, moments) -> np.ndarray:
     """Distance between each candidate's and the template's unit patches.
 
     With â the centred row over its norm and t̂ the unit template,
@@ -240,17 +255,28 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, out=None) -> 
     correlation). `live` is 0 for a constant row (std below the constant
     threshold), whose normalized patch is all zeros, and ‖t̂‖² is 1, or 0
     for a constant template. Round-off can push the square below zero, so
-    it is clipped there. Rejected rows are at inf. The centred rows are
-    written into `out` when given, an array of `raw`'s shape.
+    it is clipped there. Rejected rows are at inf.
+
+    ρ comes from the `candidate_patches` moments (product p with the
+    template, sum s1, sum of squares s2): the centred row has squared norm
+    v = s2 − s1²/n and product p − s1·Σt/n with t. Cancellation costs v
+    digits (a constant row of 0.7 has v = 3.6e-12, not 0), and the error
+    in d² is about 1e-16·s2/v, so rows with v < 1e-3·s2 are centred exactly.
     """
     t = np.asarray(template, dtype=np.float64).ravel()
     t_norm = np.linalg.norm(t)
     t_live = t_norm > 1e-12
-    t_hat = t / t_norm if t_live else np.zeros_like(t)
-    centred = np.subtract(raw, raw.mean(axis=1, keepdims=True), out=out)
-    norms = np.sqrt(np.einsum("ij,ij->i", centred, centred))
-    live = norms >= _CONST_STD * np.sqrt(raw.shape[1])  # std >= _CONST_STD
-    rho = np.divide(centred @ t_hat, norms, out=np.zeros(len(raw)), where=live)
+    n = raw.shape[1]
+    p, s1, s2 = moments.T
+    var = s2 - s1 * s1 / n
+    product = p - s1 * (t.sum() / n)
+    exact = var < 1e-3 * s2
+    centred = raw[exact] - raw[exact].mean(axis=1, keepdims=True)
+    var[exact] = np.einsum("ij,ij->i", centred, centred)
+    product[exact] = centred @ t
+    norms = np.sqrt(var)
+    live = norms >= _CONST_STD * np.sqrt(n)  # std >= _CONST_STD
+    rho = np.divide(product, norms * t_norm, out=np.zeros(len(raw)), where=live & t_live)
     d2 = live + float(t_live) - 2.0 * rho
     dist = np.sqrt(np.maximum(d2, 0.0))
     dist[~valid] = np.inf
@@ -259,7 +285,7 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, out=None) -> 
 
 def fine_distances(model: HierarchicalModel, lib: ExemplarLibrary, x32) -> np.ndarray:
     """Nearest-exemplar distance of each normalized patch's hierarchical feature."""
-    return np.array([lib.min_distance(f) for f in hier_features(model, x32)])
+    return lib.min_distance(hier_features(model, x32))
 
 
 def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
@@ -270,11 +296,6 @@ def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
     """
     d2 = dist * dist
     return np.exp(-(d2 - d2.min()) / (2.0 * sigma * sigma))
-
-
-def _new_work(cfg: TrackerConfig) -> np.ndarray:
-    """The (2, n_candidates, 1024) buffer of raw and centred candidate rows."""
-    return np.empty((2, cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
 
 
 def step(
@@ -296,16 +317,14 @@ def step(
     their (N,) weights, the index of the prediction and its normalized
     (1024,) patch. Learned re-ranking is active once the library is
     seeded (after the bootstrap frames) unless the config is raw-only.
-    `work` is a (2, n_candidates, 1024) array that receives the raw and
-    the centred candidate rows; a run passes the same one to every step.
+    `work` is an (n_candidates, 1024) array that receives the raw
+    candidate rows; a run passes the same one to every step.
     """
-    if work is None:
-        work = _new_work(cfg)
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    raw, valid = candidate_patches(frame, states, *base, out=work[0])
+    raw, valid, moments = candidate_patches(frame, states, *base, template, out=work)
     if not valid.any():
         raise TrackingLostError(frame_index)
-    dist = coarse_distances(raw, valid, template, out=work[1])
+    dist = coarse_distances(raw, valid, template, moments)
 
     use_features = (
         not cfg.raw_only
@@ -401,11 +420,10 @@ def run_tracker(
                 layers=result.layers,
             )
         )
-        for f in hier_features(current, x32 if is_init else collected[-1]):
-            lib.add(f)
+        lib.add(hier_features(current, x32 if is_init else collected[-1]))
 
     maybe_adapt(1)
-    work = _new_work(cfg)
+    work = np.empty((cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
     for t, frame in enumerate(frames, start=1):
         try:
             states, weights, best, template = step(

@@ -46,3 +46,18 @@ def test_synthetic_benchmark_prints_six_rows():
     )
     assert len(rows) == 6, res.stdout
     assert {r[1] for r in rows} == {"learned", "raw"}
+
+
+def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
+    res = run_script("run_synthetic_benchmark.py", "--grid", "--frames", 22, "--pretrain-iters", 2)
+    assert res.returncode == 0, res.stderr
+    rows = re.findall(
+        r"^(translation|rotation|shear|scaling) +([0-4])(?: +\d+\.\d\d +\d\.\d{3}){3}$",
+        res.stdout,
+        re.MULTILINE,
+    )
+    names = ("translation", "rotation", "shear", "scaling")
+    assert rows == [(name, str(seed)) for name in names for seed in range(5)], res.stdout
+    for label in ("learned beats raw", "adaptation beats no adaptation"):
+        pattern = rf"^{label}: \d+/20; worst [a-z]+ seed [0-4] \([+-]\d+\.\d\d px\)$"
+        assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import normalize_values
 from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
-from slowtrack.hierarchy import encode_hier
+from slowtrack.hierarchy import encode_hier, hier_features
 from slowtrack.patches import Frame, Patch, normalize_rows
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
@@ -20,6 +20,7 @@ from slowtrack.tracker import (
     boxes_of,
     candidate_patches,
     coarse_distances,
+    fine_distances,
     format_event,
     propose,
     run_tracker,
@@ -33,7 +34,7 @@ def likelihood(lib, feature, sigma):
     The kernel `step` weights the top-k candidates by, before it rescales
     them by their maximum.
     """
-    d = lib.min_distance(feature)
+    d = lib.min_distance(feature)[0]
     return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
@@ -67,6 +68,26 @@ def reference_coarse_distances(raw, valid, template):
     return dist
 
 
+def reference_moments(raw, template):
+    """Each row's product with the template, sum and sum of squares, row by row.
+
+    The moments `candidate_patches` takes block by block for
+    `coarse_distances`.
+    """
+    t = np.asarray(template, dtype=np.float64)
+    return np.array([[row @ t, row.sum(), row @ row] for row in raw]).reshape(-1, 3)
+
+
+def reference_min_distances(features, exemplars):
+    """One feature row at a time: the oracle for `ExemplarLibrary.min_distance`.
+
+    Each row is scaled to unit length and compared with each unit
+    exemplar; rows of norm up to 1e-12 are kept as they are.
+    """
+    units = [unit(np.asarray(e, dtype=np.float64)) for e in exemplars]
+    return np.array([min(np.linalg.norm(unit(f) - e) for e in units) for f in features])
+
+
 def random_frame(w=96, h=96, seed=0):
     rng = np.random.default_rng(seed)
     return Frame(w, h, rng.random((h, w)))
@@ -97,7 +118,7 @@ def reference_candidate_patch(frame, row, base_w, base_h):
 
 def sample_one(frame, row, base=(32.0, 32.0)):
     """candidate_patches on a single state row: (normalized values, accepted)."""
-    raw, valid = candidate_patches(frame, np.array([row], dtype=float), *base)
+    raw, valid, _ = candidate_patches(frame, np.array([row], dtype=float), *base)
     return normalize_rows(raw)[0], bool(valid[0])
 
 
@@ -187,8 +208,44 @@ angles = st.one_of(
 )
 
 
+QUARTER_TURNS = [0.0, math.pi / 2, math.pi, -math.pi / 2]
+
+
+def block_rows(draw, w, h, base, outside):
+    """16, 17 or 601 rows whose sample grids lie inside a w x h frame.
+
+    With `outside`, one row's box is moved across a random edge of the
+    frame, so its block mixes inside rows with one that is not.
+    """
+    count = draw(st.sampled_from([16, 17, 601]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = np.where(rng.random(count) < 0.3, rng.choice(QUARTER_TURNS, count),
+                     rng.uniform(-math.pi, math.pi, count))
+    scale = rng.uniform(0.05, 1.3, count)
+    c, s = np.abs(np.cos(theta)), np.abs(np.sin(theta))
+    # half the rotated box's extent, plus a pixel
+    ext_x = 0.5 * scale * (base[0] * c + base[1] * s) + 1.0
+    ext_y = 0.5 * scale * (base[0] * s + base[1] * c) + 1.0
+    rows = np.column_stack(
+        [rng.uniform(ext_x, w - ext_x), rng.uniform(ext_y, h - ext_y), scale, theta]
+    )
+    if outside:
+        i, axis = rng.integers(count), rng.integers(2)
+        extent = (ext_x, ext_y)[axis][i]
+        rows[i, axis] = rng.choice([0, (w, h)[axis]]) + rng.uniform(-extent, extent)
+    return rows
+
+
 @st.composite
 def candidate_case(draw):
+    layout = draw(st.sampled_from(["any", "inside", "mixed"]))
+    if layout != "any":
+        # every block inside a frame of at least 96 px, or one mixed block
+        w = draw(st.integers(96, 160))
+        h = draw(st.integers(96, 160))
+        frame = random_frame(w, h, seed=draw(st.integers(0, 3)))
+        base = (draw(st.floats(2.0, 48.0)), draw(st.floats(2.0, 48.0)))
+        return frame, block_rows(draw, w, h, base, layout == "mixed"), base
     w = draw(st.integers(20, 80))
     h = draw(st.integers(20, 80))
     if draw(st.booleans()):
@@ -211,7 +268,7 @@ def candidate_case(draw):
         ]
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        quarter_turns = rng.choice([0.0, math.pi / 2, math.pi, -math.pi / 2], count)
+        quarter_turns = rng.choice(QUARTER_TURNS, count)
         rows = np.column_stack([
             rng.uniform(-40.0, w + 40.0, count),
             rng.uniform(-40.0, h + 40.0, count),
@@ -258,8 +315,9 @@ class TestCandidatePatch:
     @given(candidate_case())
     def test_matches_scalar_reference_bit_for_bit(self, case):
         frame, rows, base = case
-        raw, valid = candidate_patches(frame, rows, *base)
+        raw, valid, moments = candidate_patches(frame, rows, *base)
         assert raw.shape == (len(rows), 1024) and valid.shape == (len(rows),)
+        assert moments is None
         for got, ok, row in zip(raw, valid, rows):
             want, want_ok = reference_candidate_patch(frame, row, *base)
             assert ok == want_ok
@@ -267,33 +325,50 @@ class TestCandidatePatch:
         # a reused buffer holds the last call's rows: every one is overwritten
         stale = np.full_like(raw, np.nan)
         stale[::2] = -1.0
-        out, out_valid = candidate_patches(frame, rows, *base, out=stale)
+        template = normalize_rows(raw[-1:])[0]
+        out, out_valid, moments = candidate_patches(frame, rows, *base, template, out=stale)
         assert out is stale
         assert out.tobytes() == raw.tobytes() and np.array_equal(out_valid, valid)
+        # the moments, taken block by block, match the row-by-row reference
+        want = reference_moments(raw, template)
+        np.testing.assert_allclose(moments, want, rtol=1e-12, atol=1e-9)
 
 
 class TestExemplarLibrary:
     def test_stored_exemplar_has_likelihood_one(self):
-        lib = ExemplarLibrary(capacity=4)
+        lib = ExemplarLibrary()
         v = np.array([1.0, 2.0, 2.0])
         lib.add(v)
         assert likelihood(lib, v, 0.2) == pytest.approx(1.0)
 
     def test_flat_limit_large_sigma(self):
-        lib = ExemplarLibrary(capacity=4)
+        lib = ExemplarLibrary()
         lib.add(np.array([1.0, 0.0]))
         assert likelihood(lib, np.array([0.0, 1.0]), 1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_unit_features(self):
-        lib = ExemplarLibrary(capacity=4)
+        lib = ExemplarLibrary()
         lib.add(np.array([1.0, 0.0]))
         assert likelihood(lib, np.array([0.0, 1.0]), 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_capacity_bound(self):
-        lib = ExemplarLibrary(capacity=3)
-        for i in range(10):
+        lib = ExemplarLibrary()
+        for i in range(15):
             lib.add(np.eye(4)[i % 4])
-        assert len(lib) == 3
+        assert len(lib) == lib.capacity == 10
+        lib.add(np.tile(np.eye(4), (3, 1)))  # more rows at once than the capacity
+        assert len(lib) == 10
+
+    @pytest.mark.parametrize("one_at_a_time", [True, False])
+    def test_recency_order(self, one_at_a_time):
+        # the newest ten of e0..e11 stay, whether added one by one or at once
+        lib = ExemplarLibrary()
+        if one_at_a_time:
+            for row in np.eye(12):
+                lib.add(row)
+        else:
+            lib.add(np.eye(12))
+        assert lib.min_distance(np.eye(12)).tolist() == [math.sqrt(2)] * 2 + [0.0] * 10
 
     def test_empty_library_rejected(self):
         lib = ExemplarLibrary()
@@ -301,10 +376,41 @@ class TestExemplarLibrary:
             likelihood(lib, np.ones(3), 0.2)
 
     def test_nearest_exemplar_wins(self):
-        lib = ExemplarLibrary(capacity=4)
+        lib = ExemplarLibrary()
         lib.add(np.array([1.0, 0.0]))
         lib.add(np.array([0.0, 1.0]))
-        assert lib.min_distance(np.array([0.0, 2.0])) == pytest.approx(0.0)
+        assert lib.min_distance(np.array([[0.0, 2.0]]))[0] == pytest.approx(0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_row_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dim = data.draw(st.integers(1, 40))
+        exemplars = rng.standard_normal((data.draw(st.integers(1, 14)), dim))
+        features = rng.standard_normal((data.draw(st.integers(1, 20)), dim))
+        # zero rows are kept as they are; copies of an exemplar sit at 0
+        for i in data.draw(st.lists(st.integers(0, len(features) - 1), max_size=2)):
+            features[i] = 0.0 if data.draw(st.booleans()) else 3.0 * exemplars[-1]
+        lib = ExemplarLibrary()
+        for e in exemplars:
+            lib.add(e)
+        got = lib.min_distance(features)
+        want = reference_min_distances(features, exemplars[-10:])
+        np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12)
+        assert np.argmin(got) == np.argmin(want)
+
+    def test_fine_distances_match_per_row_reference(self, trained_model):
+        frame = random_frame(seed=4)
+        rows = np.array([[48.0, 48.0, 1.0, 0.0], [40.0, 50.0, 0.9, 0.3], [52.0, 44.0, 1.1, -0.2]])
+        x32 = normalize_rows(candidate_patches(frame, rows, 32.0, 32.0)[0])
+        features = hier_features(trained_model, x32)
+        lib = ExemplarLibrary()
+        lib.add(features[:1])
+        lib.add(features[1:2] + 0.1)
+        got = fine_distances(trained_model, lib, x32)
+        want = reference_min_distances(features, [features[0], features[1] + 0.1])
+        np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12)
+        assert np.argmin(got) == np.argmin(want) == 0
 
 
 class TestParticleSet:
@@ -330,7 +436,7 @@ class TestStep:
         frames, gt = generate_sequence(script, (96, 96), seed=5)
         row = np.array([row_of_box(gt.boxes[0])])
         template = sample_one(frames[0], row[0])[0]
-        lib = ExemplarLibrary(capacity=4)
+        lib = ExemplarLibrary()
         if use_lib:
             lib.add(encode_hier(model, Patch(32, template)).combined)
         return frames, row, template, lib
@@ -359,8 +465,8 @@ class TestStep:
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(n_candidates=60, top_k=7, init_frames=1)
         states, _, best, patch = self.run_step(frames, row, template, trained_model, lib, cfg, 1)
-        raw, valid = candidate_patches(frames[1], states, *self.base)
-        dist = coarse_distances(raw, valid, template)
+        raw, valid, moments = candidate_patches(frames[1], states, *self.base, template)
+        dist = coarse_distances(raw, valid, template, moments)
         assert np.count_nonzero(dist < dist[best]) < cfg.top_k
         assert patch.tobytes() == normalize_rows(raw)[best].tobytes()
 
@@ -381,7 +487,7 @@ class TestStep:
         # run's work array the sampler runs in 16-row blocks
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(init_frames=1)
-        work = np.empty((2, cfg.n_candidates, 1024))
+        work = np.empty((cfg.n_candidates, 1024))
         args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg, 1)
         step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
         tracemalloc.start()
@@ -419,12 +525,19 @@ def coarse_case(draw):
         )
         for _ in range(n)
     ])
-    raw, valid = candidate_patches(frame, rows, 24.0, 24.0)
+    raw, valid, _ = candidate_patches(frame, rows, 24.0, 24.0)
+    # constant candidates; the sums of a 1/3 or a 0.7 row leave a moment
+    # variance of 1.3e-12 or 3.6e-12, not 0
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
-        raw[i] = draw(st.sampled_from([0.0, 0.25, 1.0]))  # constant candidates
-    kind = draw(st.sampled_from(["candidate", "other", "constant"]))
+        raw[i] = draw(st.sampled_from([0.0, 0.25, 1.0, 1 / 3, 0.7]))
+    # faint copies on a bright base, whose moments cancel to a few digits
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        raw[i] = 0.5 + draw(st.sampled_from([1e-2, 1e-4, 1e-6])) * raw[i]
+    kind = draw(st.sampled_from(["candidate", "uncentred", "other", "constant"]))
     if kind == "candidate":
         template = normalize_rows(raw)[draw(st.integers(0, n - 1))]
+    elif kind == "uncentred":  # a row of raw values, whose mean is not 0
+        template = raw[draw(st.integers(0, n - 1))].copy()
     elif kind == "other":
         other = random_frame(seed=draw(st.integers(4, 6)))
         template = sample_one(other, (48.0, 48.0, 1.0, 0.0))[0]
@@ -434,18 +547,21 @@ def coarse_case(draw):
 
 
 class TestCoarseDistances:
-    def centred_and_constant(self):
+    def centred_and_constant(self, value):
         """Raw rows of a centred box on a random frame and of a constant patch."""
         rows = np.array([[48.0, 48.0, 1.0, 0.0]] * 2)
-        raw, valid = candidate_patches(random_frame(seed=1), rows, 32.0, 32.0)
-        raw[1] = 0.5
+        raw, valid, _ = candidate_patches(random_frame(seed=1), rows, 32.0, 32.0)
+        raw[1] = value
         return raw, valid
+
+    def distances(self, raw, valid, template):
+        return coarse_distances(raw, valid, template, reference_moments(raw, template))
 
     @settings(max_examples=200, deadline=None)
     @given(coarse_case())
     def test_matches_per_row_reference(self, case):
         raw, valid, template = case
-        got = coarse_distances(raw, valid, template)
+        got = self.distances(raw, valid, template)
         want = reference_coarse_distances(raw, valid, template)
         assert np.array_equal(np.isinf(got), ~valid) and np.array_equal(np.isinf(want), ~valid)
         got, want = got[valid] ** 2, want[valid] ** 2
@@ -461,34 +577,36 @@ class TestCoarseDistances:
         assert np.array_equal(order[apart], np.sign(gap[apart]))
 
     @settings(max_examples=50, deadline=None)
-    @given(coarse_case(), coarse_case())
-    def test_reused_buffer_matches_fresh_call(self, case, earlier):
-        raw, valid, template = case
-        buffer = np.full((len(raw), 1024), np.nan)
+    @given(candidate_case(), coarse_case())
+    def test_reused_buffer_matches_fresh_call(self, sampled, case):
+        frame, rows, base = sampled
+        template = case[2]
+        buffer = np.full((len(rows), 1024), np.nan)
         # the buffer first serves another call, as it does from step to step
-        other = earlier[0][: len(raw)]
-        coarse_distances(other, earlier[1][: len(raw)], earlier[2], out=buffer[: len(other)])
-        got = coarse_distances(raw, valid, template, out=buffer)
-        want = coarse_distances(raw, valid, template)
+        candidate_patches(frame, rows[::-1], *base, np.ones(1024), out=buffer)
+        reused = candidate_patches(frame, rows, *base, template, out=buffer)
+        fresh = candidate_patches(frame, rows, *base, template)
+        got = coarse_distances(reused[0], reused[1], template, reused[2])
+        want = coarse_distances(fresh[0], fresh[1], template, fresh[2])
         assert got.tobytes() == want.tobytes()
 
     def test_constant_candidate_at_distance_one(self):
-        raw, valid = self.centred_and_constant()
-        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
+        raw, valid = self.centred_and_constant(1 / 3)
+        dist = self.distances(raw, valid, normalize_rows(raw)[0])
         assert dist[1] == 1.0
         assert dist[0] < 1e-7
 
     def test_constant_template_gives_zero_unit_template(self):
-        raw, valid = self.centred_and_constant()
-        dist = coarse_distances(raw, valid, np.zeros(1024))
+        raw, valid = self.centred_and_constant(0.7)
+        dist = self.distances(raw, valid, np.zeros(1024))
         # t-hat = 0: a live row is a unit vector away, a constant row none
         assert dist.tolist() == [1.0, 0.0]
 
     def test_rejected_rows_at_inf(self):
         rows = np.array([[48.0, 48.0, 1.0, 0.0], [-30.0, 48.0, 1.0, 0.0]])
-        raw, valid = candidate_patches(random_frame(seed=2), rows, 32.0, 32.0)
+        raw, valid, _ = candidate_patches(random_frame(seed=2), rows, 32.0, 32.0)
         assert valid.tolist() == [True, False]
-        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
+        dist = self.distances(raw, valid, normalize_rows(raw)[0])
         assert np.isfinite(dist[0]) and dist[1] == np.inf
 
 
