@@ -65,9 +65,9 @@ def summary(label, diffs):
 def run_grid(model, cases, args):
     """Track every (case, seed) pair three ways; print the rows and the win counts."""
     kinds = {
-        "learned": {},
-        "raw": {"raw_only": True},
-        "no-adapt": {"adapt_optimizer": LbfgsConfig(max_iters=0)},
+        "learned": (model, {}),
+        "raw": (None, {}),
+        "no-adapt": (model, {"adapt_optimizer": LbfgsConfig(max_iters=0)}),
     }
     header = "".join(f" {k + ' ACE':>12} {'AOR':>6}" for k in kinds)
     print(f"\n{'sequence':<12} {'seed':>4}{header}")
@@ -77,9 +77,9 @@ def run_grid(model, cases, args):
         for seed in range(5):
             ace = {}
             row = f"{name:<12} {seed:>4}"
-            for kind, fields in kinds.items():
+            for kind, (kind_model, fields) in kinds.items():
                 cfg = TrackerConfig(seed=seed, lam=args.lam, gamma=args.gamma, **fields)
-                ace[kind], aor = track(frames, gt, None if kind == "raw" else model, cfg)
+                ace[kind], aor = track(frames, gt, kind_model, cfg)
                 row += f" {ace[kind]:>12.2f} {aor:>6.3f}"
             print(row)
             beats_raw[name, seed] = ace["learned"] - ace["raw"]
@@ -136,9 +136,7 @@ def main():
         frames, gt = generate_sequence(script, (320, 240), seed=seed)
         for raw in (False, True):
             t1 = time.time()
-            tcfg = TrackerConfig(
-                seed=args.seed, raw_only=raw, lam=args.lam, gamma=args.gamma
-            )
+            tcfg = TrackerConfig(seed=args.seed, lam=args.lam, gamma=args.gamma)
             ace, aor = track(frames, gt, None if raw else model, tcfg)
             label = "raw" if raw else "learned"
             print(

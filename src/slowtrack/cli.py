@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", dest="top_k", metavar="TOPK", type=int)
     p.add_argument("--update-every", dest="update_period", metavar="UPDATE_EVERY", type=int)
     p.add_argument("--init-frames", type=int)
-    p.add_argument("--raw-only", action="store_true")
+    p.add_argument("--raw-only", action="store_true", default=False)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--sigma", type=float)
@@ -261,7 +261,9 @@ def cmd_synth(args) -> int:
         raise UsageError("--frames must be >= 1")
     if min(args.size) < 1:
         raise UsageError(f"--size must be at least 1x1, got {args.size[0]}x{args.size[1]}")
-    script = _config(_synth_script, args=args)
+    # an infinite flag can overflow the schedule, which MotionScript rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        script = _config(_synth_script, args=args)
     frames, boxes = generate_sequence(script, args.size, seed=args.seed)
     write_sequence(frames, boxes, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
@@ -342,23 +344,19 @@ def cmd_adapt(args) -> int:
 def cmd_track(args) -> int:
     cfg = _configure(TrackerConfig(), args)
     _check_tradeoffs(cfg.lam, cfg.gamma)
-    model = None
-    if args.model is not None:
-        model = _load_model_arg(args.model)
-    elif not cfg.raw_only:
+    # a model given with --raw-only is still read and checked, then not used
+    model = None if args.model is None else _load_model_arg(args.model)
+    if model is None and not args.raw_only:
         raise UsageError("--model is required unless --raw-only is set")
     frames = stream_frame_dir(args.frames)
     log_path = args.log if args.log is not None else args.out + ".log"
     try:
-        result = run_tracker(frames, args.init_box, model, cfg)
+        result = run_tracker(frames, args.init_box, None if args.raw_only else model, cfg)
     except TrackingLostError as err:
         if err.boxes is not None and len(err.boxes):
             write_boxes_csv(args.out, err.boxes)
-        Path(log_path).write_text(
-            f"tracking lost at frame {err.frame_index}\n", encoding="utf-8"
-        )
-        print(f"error: tracking lost at frame {err.frame_index}", file=sys.stderr)
-        return EXIT_TRACKING_LOST
+        Path(log_path).write_text(f"{err}\n", encoding="utf-8")
+        raise
     write_boxes_csv(args.out, result.boxes)
     lines = [format_event(e) for e in result.events]
     Path(log_path).write_text(
@@ -381,6 +379,15 @@ class UsageError(Exception):
     pass
 
 
+# the exit code of each error a command may end in, subclasses included
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
+    DataError: EXIT_DATA,
+    OptimizationError: EXIT_OPTIMIZATION,
+    TrackingLostError: EXIT_TRACKING_LOST,
+}
+
 _COMMANDS = {
     "synth": cmd_synth,
     "pretrain": cmd_pretrain,
@@ -399,18 +406,9 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except UsageError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OptimizationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_OPTIMIZATION
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(err, kind))
 
 
 if __name__ == "__main__":

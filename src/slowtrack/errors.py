@@ -32,9 +32,10 @@ class LineSearchError(OptimizationError):
 
 
 class TrackingLostError(Exception):
-    """Every candidate was rejected; carries the frame index and earlier boxes."""
+    """Every candidate was rejected; a run adds the frame index and earlier boxes."""
 
-    def __init__(self, frame_index, boxes=None):
-        super().__init__(f"tracking lost at frame {frame_index}")
+    def __init__(self, frame_index=None, boxes=None):
+        where = "" if frame_index is None else f" at frame {frame_index}"
+        super().__init__(f"tracking lost{where}")
         self.frame_index = frame_index
         self.boxes = boxes

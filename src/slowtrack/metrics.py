@@ -33,7 +33,10 @@ class BoxTrace:
 
     @classmethod
     def from_csv(cls, path) -> "BoxTrace":
-        return cls(read_boxes_csv(path))
+        try:
+            return cls(read_boxes_csv(path))
+        except ValueError as err:
+            raise DataError(f"{path}: {err}") from None
 
 
 def _check_lengths(pred: BoxTrace, gt: BoxTrace) -> None:

@@ -205,6 +205,12 @@ def sample_training_set(
             skipped += 1
             continue
         frame0 = frames[0]
+        for t, f in enumerate(frames):
+            if (f.width, f.height) != (frame0.width, frame0.height):
+                raise DataError(
+                    f"sequence {si}: frame {t} is {f.width}x{f.height}, "
+                    f"frame 0 is {frame0.width}x{frame0.height}"
+                )
         xs = [
             x
             for x in range(bx, bx + bw - side + 1, stride)

@@ -24,17 +24,17 @@ from .geometry import snapped_cos_sin
 from .metrics import BoxTrace
 from .patches import Frame, save_frame, write_boxes_csv
 
-SCRIPT_KINDS = ("translation", "rotation", "scaling", "deformation")
-
 # required clearance between the target and the frame border, in pixels
 BORDER_MARGIN = 8
 
 
 @dataclass(frozen=True)
 class MotionScript:
-    """Per-frame target pose schedule; one entry per frame."""
+    """Per-frame target pose schedule; one entry per frame.
 
-    kind: str
+    A scalar rotation, scale or shear amplitude holds for every frame.
+    """
+
     centers: np.ndarray  # (n, 2) target center per frame
     rotations: np.ndarray  # (n,) radians
     scales: np.ndarray  # (n,)
@@ -43,78 +43,58 @@ class MotionScript:
     target_side: int = 32
 
     def __post_init__(self):
-        if self.kind not in SCRIPT_KINDS:
-            raise ValueError(f"unknown script kind {self.kind!r}")
         centers = np.asarray(self.centers, dtype=np.float64).reshape(-1, 2)
         n = centers.shape[0]
-        rot = np.asarray(self.rotations, dtype=np.float64).ravel()
-        sc = np.asarray(self.scales, dtype=np.float64).ravel()
-        sh = np.asarray(self.shear_amps, dtype=np.float64).ravel()
         if n == 0:
             raise ValueError("schedule must cover at least one frame")
-        if not (rot.size == sc.size == sh.size == n):
-            raise ValueError("schedule arrays must all have the frame count length")
-        if np.any(sc <= 0):
-            raise ValueError("scales must be positive")
-        if self.shear_period <= 0 or self.target_side < 4:
-            raise ValueError("invalid shear period or target side")
-        for name, arr in (
-            ("centers", centers),
-            ("rotations", rot),
-            ("scales", sc),
-            ("shear_amps", sh),
-        ):
+        schedule = {"centers": centers}
+        for name in ("rotations", "scales", "shear_amps"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            schedule[name] = np.full(n, arr) if arr.ndim == 0 else arr.ravel()
+            if schedule[name].size != n:
+                raise ValueError("schedule arrays must all have the frame count length")
+        for name, arr in schedule.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"schedule {name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.any(self.scales <= 0):
+            raise ValueError("scales must be positive")
+        if not self.shear_period > 0 or self.target_side < 4:
+            raise ValueError("invalid shear period or target side")
 
     @property
     def n_frames(self) -> int:
         return self.centers.shape[0]
 
 
-def _schedule(kind, centers, rotations, scales, shear_amps, **kw) -> MotionScript:
-    n = len(centers)
-    return MotionScript(
-        kind,
-        np.asarray(centers, dtype=np.float64),
-        np.asarray(rotations, dtype=np.float64).ravel() if np.ndim(rotations) else np.full(n, float(rotations)),
-        np.asarray(scales, dtype=np.float64).ravel() if np.ndim(scales) else np.full(n, float(scales)),
-        np.asarray(shear_amps, dtype=np.float64).ravel() if np.ndim(shear_amps) else np.full(n, float(shear_amps)),
-        **kw,
-    )
-
-
 def translation_script(n_frames, start, velocity, target_side=32) -> MotionScript:
     t = np.arange(n_frames)[:, None]
     centers = np.asarray(start, dtype=np.float64) + t * np.asarray(velocity, dtype=np.float64)
-    return _schedule("translation", centers, 0.0, 1.0, 0.0, target_side=target_side)
+    return MotionScript(centers, 0.0, 1.0, 0.0, target_side=target_side)
 
 
 def rotation_script(n_frames, center, rate, target_side=32) -> MotionScript:
     centers = np.tile(np.asarray(center, dtype=np.float64), (n_frames, 1))
     rotations = rate * np.arange(n_frames, dtype=np.float64)
-    return _schedule("rotation", centers, rotations, 1.0, 0.0, target_side=target_side)
+    return MotionScript(centers, rotations, 1.0, 0.0, target_side=target_side)
 
 
 def scaling_script(n_frames, center, rate, target_side=32) -> MotionScript:
     centers = np.tile(np.asarray(center, dtype=np.float64), (n_frames, 1))
     scales = float(rate) ** np.arange(n_frames, dtype=np.float64)
-    return _schedule("scaling", centers, 0.0, scales, 0.0, target_side=target_side)
+    return MotionScript(centers, 0.0, scales, 0.0, target_side=target_side)
 
 
 def deformation_script(
     n_frames, center, amplitude, time_period=25.0, shear_period=16.0, target_side=32
 ) -> MotionScript:
+    if not time_period > 0:
+        raise ValueError(f"time period must be positive, got {time_period}")
     centers = np.tile(np.asarray(center, dtype=np.float64), (n_frames, 1))
     amps = amplitude * np.sin(2.0 * math.pi * np.arange(n_frames) / time_period)
-    return _schedule(
-        "deformation",
-        centers,
-        0.0,
-        1.0,
-        amps,
-        shear_period=shear_period,
-        target_side=target_side,
+    return MotionScript(
+        centers, 0.0, 1.0, amps, shear_period=shear_period, target_side=target_side
     )
 
 

@@ -102,7 +102,6 @@ class TrackerConfig:
     gamma: float = 100.0
     sigma: float = 0.2
     seed: int = 0
-    raw_only: bool = False
     adapt_optimizer: LbfgsConfig = ADAPT_OPTIMIZER
 
     def __post_init__(self):
@@ -307,7 +306,6 @@ def step(
     model: HierarchicalModel | None,
     lib: ExemplarLibrary,
     cfg: TrackerConfig,
-    frame_index: int,
     rng: np.random.Generator,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
@@ -315,25 +313,20 @@ def step(
 
     Returns `(states, weights, best, patch)`: the new (N, 4) particles,
     their (N,) weights, the index of the prediction and its normalized
-    (1024,) patch. Learned re-ranking is active once the library is
-    seeded (after the bootstrap frames) unless the config is raw-only.
+    (1024,) patch. The top-k are re-ranked by hierarchical features
+    exactly when the library holds exemplars, which only a successful
+    adaptation adds.
     `work` is an (n_candidates, 1024) array that receives the raw
     candidate rows; a run passes the same one to every step.
     """
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
     raw, valid, moments = candidate_patches(frame, states, *base, template, out=work)
     if not valid.any():
-        raise TrackingLostError(frame_index)
+        raise TrackingLostError()
     dist = coarse_distances(raw, valid, template, moments)
 
-    use_features = (
-        not cfg.raw_only
-        and model is not None
-        and len(lib) > 0
-        and frame_index >= cfg.init_frames
-    )
     weights = np.zeros(len(states))
-    if use_features:
+    if len(lib):
         top = np.argsort(dist, kind="stable")[: cfg.top_k]
         top = top[np.isfinite(dist[top])]
         weights[top] = weigh(fine_distances(model, lib, normalize_rows(raw[top])), cfg.sigma)
@@ -351,12 +344,12 @@ def run_tracker(
     """Track through an iterable of frames from a first-frame box.
 
     Frames are read once, in order, so a lazy iterable keeps one frame in
-    memory at a time.
+    memory at a time. With no model, this is the raw-pixel tracker.
 
     The first init_frames frames run on raw-pixel ranking while object
-    patches are collected; adaptation then runs on the collected patches
-    and seeds the exemplar library, and re-runs every update_period
-    frames on the most recent window, warm-started from the current
+    patches are collected; adaptation then runs on those patches and
+    seeds the exemplar library, and re-runs every update_period frames
+    on the patches tracked since, warm-started from the current
     filters. A failed adaptation is logged and tracking continues with
     the previous filters.
     """
@@ -364,8 +357,6 @@ def run_tracker(
     f0 = next(frames, None)
     if f0 is None:
         raise DataError("no frames to track")
-    if model is None and not cfg.raw_only:
-        raise ValueError("a model is required unless raw_only is set")
     x, y, w, h = (float(v) for v in init_box)
     if (
         not np.all(np.isfinite([x, y, w, h]))
@@ -381,21 +372,22 @@ def run_tracker(
     chosen = [states[0]]  # the predicted state of each frame
     # a box inside the frame has every sample inside, so it is never rejected
     template = normalize_rows(candidate_patches(f0, states, w, h)[0])[0]
-    collected = [template]  # (1024,) patch values of each tracked frame
+    window = [template]  # (1024,) patches tracked since the last scheduled adaptation
     lib = ExemplarLibrary()
     events: list[AdaptEvent] = []
     current = model
 
     def maybe_adapt(frames_processed: int):
         nonlocal current
-        if cfg.raw_only or current is None:
-            return
         if frames_processed < cfg.init_frames:
             return
         is_init = frames_processed == cfg.init_frames
         if not is_init and (frames_processed - cfg.init_frames) % cfg.update_period:
             return
-        x32 = np.stack(collected if is_init else collected[-cfg.update_period :])
+        x32 = np.stack(window)
+        window.clear()
+        if current is None:
+            return
         # one 16x16 sequence per sub-window cell, one 32x32 object sequence
         subs = subpatches(x32, current.sub_patch_stride)
         try:
@@ -420,19 +412,19 @@ def run_tracker(
                 layers=result.layers,
             )
         )
-        lib.add(hier_features(current, x32 if is_init else collected[-1]))
+        lib.add(hier_features(current, x32 if is_init else x32[-1]))
 
     maybe_adapt(1)
     work = np.empty((cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
     for t, frame in enumerate(frames, start=1):
         try:
             states, weights, best, template = step(
-                frame, states, weights, (w, h), template, current, lib, cfg, t, rng, work
+                frame, states, weights, (w, h), template, current, lib, cfg, rng, work
             )
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h)) from None
         chosen.append(states[best])
-        collected.append(template)
+        window.append(template)
         maybe_adapt(t + 1)
     return TrackResult(boxes_of(np.array(chosen), w, h), current, tuple(events))
 

@@ -324,7 +324,7 @@ def tracking_runs():
     for name, (script, seed) in scripts.items():
         frames, gt = generate_sequence(script, (320, 240), seed=seed)
         for raw in (False, True):
-            cfg = TrackerConfig(seed=7, raw_only=raw)
+            cfg = TrackerConfig(seed=7)
             res = run_tracker(frames, tuple(gt.boxes[0]), None if raw else model, cfg)
             pred = BoxTrace(res.boxes)
             _, ace = center_error(pred, gt)

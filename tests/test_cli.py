@@ -65,6 +65,15 @@ def init_box_of(seq_dir):
     return ",".join(str(v) for v in row)
 
 
+def copy_with_tiny_frame(src, dst, index):
+    """A copy of a sequence directory whose frame `index` is a 2x2 PGM."""
+    dst.mkdir()
+    for path in src.iterdir():
+        (dst / path.name).write_bytes(path.read_bytes())
+    (dst / f"{index:06d}.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes([128] * 4))
+    return dst
+
+
 def test_cli_import_leaves_scipy_ndimage_out():
     # only synthesis smooths noise; every other command skips the import
     res = subprocess.run(
@@ -334,6 +343,17 @@ class TestErrorPaths:
         np.testing.assert_allclose(boxes, gt[:1])
         assert "tracking lost" in (tmp_path / "b.csv.log").read_text()
 
+    def test_adapt_tracking_lost_in_bootstrap_exits_5(self, tmp_path, model_path, track_dir):
+        # frame 1 is 2x2, so no candidate has half its samples inside it
+        seq = copy_with_tiny_frame(track_dir, tmp_path / "seq", 1)
+        for command, out in (("adapt", "o.hftm"), ("track", "b.csv")):
+            res = run_cli(command, "--model", model_path, "--frames", seq,
+                          "--init-box", init_box_of(seq), "--out", tmp_path / out,
+                          "--init-frames", 4)
+            assert res.returncode == 5, (command, res.stderr)
+            assert res.stderr == "error: tracking lost at frame 1\n"
+        assert not (tmp_path / "o.hftm").exists()
+
     def test_empty_init_box_exits_3(self, tmp_path, track_dir):
         res = run_cli("track", "--frames", track_dir, "--init-box", "10,10,0,32",
                       "--out", tmp_path / "b.csv", "--raw-only")
@@ -382,6 +402,20 @@ class TestTypedDataErrors:
         assert_data_error(res)
         assert "non-finite value at line 1" in res.stderr
 
+    def test_eval_zero_size_box(self, tmp_path):
+        (tmp_path / "flat.csv").write_text("0,1,1,0,5\n")
+        (tmp_path / "b.csv").write_text("0,0,0,2,2\n")
+        res = run_cli("eval", "--pred", tmp_path / "flat.csv", "--gt", tmp_path / "b.csv")
+        assert_data_error(res)
+        assert "flat.csv" in res.stderr and "positive" in res.stderr
+
+    def test_pretrain_mixed_frame_sizes(self, tmp_path, data_dir):
+        seq = copy_with_tiny_frame(data_dir / "a", tmp_path / "seq", 3)
+        res = run_cli("pretrain", "--data", seq, "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 2)
+        assert_data_error(res)
+        assert "sequence 0: frame 3 is 2x2" in res.stderr
+
     def test_track_nan_init_box(self, tmp_path, track_dir):
         res = run_cli("track", "--frames", track_dir, "--init-box", "nan,1,30,30",
                       "--out", tmp_path / "b.csv", "--raw-only")
@@ -429,6 +463,14 @@ class TestBadFlags:
             ("synth", "--size", "0x0"),
             ("synth", "--target-side", 0),
             ("synth", "--config"),
+            ("synth", "--pattern", "translation", "--velocity", "nan,0"),
+            ("synth", "--pattern", "scaling", "--rate", "inf"),
+            ("synth", "--pattern", "scaling", "--rate", "nan"),
+            ("synth", "--pattern", "deformation", "--amp", "nan"),
+            ("synth", "--pattern", "deformation", "--time-period", 0),
+            ("synth", "--rate", "nan"),
+            ("synth", "--pattern", "deformation", "--amp", "inf"),
+            ("synth", "--pattern", "scaling", "--rate", "1e300"),
         ],
         ids=lambda flags: " ".join(str(f) for f in flags),
     )
@@ -447,7 +489,7 @@ class TestBadFlags:
             args = ["pretrain", "--data", data_dir / "a", "--out", tmp_path / "m.hftm"]
         res = run_cli(*args, *bad)
         assert res.returncode == 2, res.stderr
-        assert "Traceback" not in res.stderr
+        assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
         assert any(line.startswith("error: ") for line in res.stderr.splitlines())
 
     def test_track_corrupt_last_frame_exits_3_without_boxes(self, tmp_path, track_dir):
@@ -513,12 +555,13 @@ def test_config_census():
     assert track_values == [
         "n_candidates", "top_k", "update_period", "init_frames",
         "std_xy", "std_scale", "std_rotation", "lam", "gamma", "sigma", "seed",
-        "raw_only", "max_iters", "grad_tol",
+        "max_iters", "grad_tol",
     ]
-    assert len(pretrain_values) + len(track_values) == 22
+    assert len(pretrain_values) + len(track_values) == 21
 
-    # every flag but the paths sets a config value and has no default of its own
-    paths = {"help", "data", "out", "model", "frames", "init_box", "log"}
+    # every flag but those choosing inputs and outputs sets a config value
+    # and has no default of its own
+    paths = {"help", "data", "out", "model", "raw_only", "frames", "init_box", "log"}
     commands = next(a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     for command, values in (("pretrain", pretrain_values), ("adapt", track_values),

@@ -18,22 +18,46 @@ class TestScripts:
     def test_schedule_lengths_validated(self):
         with pytest.raises(ValueError, match="frame count"):
             MotionScript(
-                "translation",
                 np.zeros((3, 2)),
                 np.zeros(2),
                 np.ones(3),
                 np.zeros(3),
             )
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            MotionScript("warp", np.zeros((1, 2)), [0.0], [1.0], [0.0])
-
     def test_factories_cover_patterns(self):
-        assert translation_script(5, (0, 0), (1, 0)).kind == "translation"
-        assert rotation_script(5, (0, 0), 0.1).kind == "rotation"
-        assert scaling_script(5, (0, 0), 1.01).kind == "scaling"
-        assert deformation_script(5, (0, 0), 2.0).kind == "deformation"
+        # each factory moves exactly its own part of the pose
+        scripts = {
+            "centers": translation_script(5, (0, 0), (1, 0)),
+            "rotations": rotation_script(5, (0, 0), 0.1),
+            "scales": scaling_script(5, (0, 0), 1.01),
+            "shear_amps": deformation_script(5, (0, 0), 2.0),
+        }
+        for moving, script in scripts.items():
+            assert script.n_frames == 5
+            for name in scripts:
+                values = getattr(script, name)
+                assert values.shape == ((5, 2) if name == "centers" else (5,))
+                assert (np.ptp(values, axis=0).max() > 0) == (name == moving), (moving, name)
+
+    def test_scalar_schedule_values_hold_for_every_frame(self):
+        script = MotionScript(np.zeros((3, 2)), 0.5, 2.0, [0.0, 1.0, 2.0])
+        assert script.rotations.tolist() == [0.5] * 3
+        assert script.scales.tolist() == [2.0] * 3
+        assert not script.scales.flags.writeable
+
+    @pytest.mark.parametrize("field", ["centers", "rotations", "scales", "shear_amps"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_schedule_rejected(self, field, bad):
+        values = {"centers": np.zeros((3, 2)), "rotations": np.zeros(3),
+                  "scales": np.ones(3), "shear_amps": np.zeros(3)}
+        values[field][-1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MotionScript(**values)
+
+    @pytest.mark.parametrize("period", [0.0, -25.0, np.nan])
+    def test_deformation_time_period_must_be_positive(self, period):
+        with pytest.raises(ValueError, match="time period"):
+            deformation_script(5, (0, 0), 2.0, time_period=period)
 
 
 class TestGenerate:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import encode_hier, hier_features
 from slowtrack.patches import Frame, Patch, normalize_rows
+from slowtrack import tracker
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
     ExemplarLibrary,
@@ -442,7 +444,7 @@ class TestStep:
         return frames, row, template, lib
 
     def run_step(self, frames, row, template, model, lib, cfg, seed):
-        return step(frames[1], row, np.ones(1), self.base, template, model, lib, cfg, 1,
+        return step(frames[1], row, np.ones(1), self.base, template, model, lib, cfg,
                     np.random.default_rng(seed))
 
     def test_static_zero_noise_keeps_state(self, trained_model):
@@ -488,7 +490,7 @@ class TestStep:
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(init_frames=1)
         work = np.empty((cfg.n_candidates, 1024))
-        args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg, 1)
+        args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg)
         step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
         tracemalloc.start()
         try:
@@ -670,12 +672,51 @@ class TestRunTracker:
         script = translation_script(6, (48.0, 48.0), (0.5, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=9)
         cfg = TrackerConfig(
-            n_candidates=30, top_k=5, init_frames=2, update_period=2, raw_only=True
+            n_candidates=30, top_k=5, init_frames=2, update_period=2
         )
         res = run_tracker(frames, tuple(gt.boxes[0]), None, cfg)
         assert res.events == ()
         assert res.model is None
         assert len(res.boxes) == 6
+
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "raw"])
+    def test_adaptation_window(self, trained_model, learned, monkeypatch):
+        # adapt gets the first init_frames patches, then exactly the last
+        # update_period; the run keeps no tracked patch beyond its window
+        script = translation_script(14, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        from slowtrack.optimizer import LbfgsConfig
+
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2,
+                            adapt_optimizer=LbfgsConfig(max_iters=1))
+        patches, refs, alive, received = [], [], [], []
+        real_step, real_adapt = tracker.step, tracker.adapt
+
+        def recording_step(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            out = real_step(*args)
+            patches.append(out[3].copy())
+            refs.append(weakref.ref(out[3]))
+            return out
+
+        def recording_adapt(model, seqs16, seqs32, *args):
+            received.append(seqs32[0].copy())
+            return real_adapt(model, seqs16, seqs32, *args)
+
+        monkeypatch.setattr(tracker, "step", recording_step)
+        monkeypatch.setattr(tracker, "adapt", recording_adapt)
+        res = run_tracker(frames, tuple(gt.boxes[0]), trained_model if learned else None, cfg)
+        assert len(patches) == 13
+        assert max(alive) <= max(cfg.init_frames, cfg.update_period)
+        if not learned:
+            assert received == [] and res.events == ()
+            return
+        # patches[k] is the patch of frame k + 1
+        first = sample_one(frames[0], row_of_box(gt.boxes[0]), tuple(gt.boxes[0][2:]))[0]
+        assert [e.frames_processed for e in res.events] == [3, 5, 7, 9, 11, 13]
+        np.testing.assert_array_equal(received[0], np.stack([first, *patches[:2]]))
+        for done, x32 in zip([5, 7, 9, 11, 13], received[1:], strict=True):
+            np.testing.assert_array_equal(x32, np.stack(patches[done - 3 : done - 1]))
 
     def test_rerun_determinism(self, trained_model):
         script = translation_script(8, (46.0, 48.0), (1.0, 0.0))
