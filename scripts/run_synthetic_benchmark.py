@@ -11,10 +11,12 @@ With `--grid`, it tracks the fixed seed grid instead: tracker seeds 0-4
 on the three sequences plus a scaling one, each learned, raw-only and
 learned without adaptation (`adapt_optimizer.max_iters=0`), and prints
 how often learned features beat raw pixels and adaptation beats none on
-ACE, with the worst case of each.
+ACE, with the worst case of each, under the `OPENBLAS_NUM_THREADS` value
+it ran with.
 """
 
 import argparse
+import os
 import time
 
 import numpy as np
@@ -84,7 +86,8 @@ def run_grid(model, cases, args):
             print(row)
             beats_raw[name, seed] = ace["learned"] - ace["raw"]
             beats_fixed[name, seed] = ace["learned"] - ace["no-adapt"]
-    print()
+    # the BLAS thread count can move a win count (one thread and two differ)
+    print(f"\nOPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print(summary("learned beats raw", beats_raw))
     print(summary("adaptation beats no adaptation", beats_fixed))
 

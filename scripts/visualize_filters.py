@@ -13,7 +13,7 @@ import numpy as np
 
 from slowtrack.encoder import filters_as_patches
 from slowtrack.hierarchy import load_model
-from slowtrack.patches import Frame, save_frame
+from slowtrack.patches import save_frame
 
 
 def tile(images, pad=2):
@@ -38,7 +38,7 @@ def main():
     model = load_model(args.model)
     images = filters_as_patches(model.layer1.weights, 16)
     sheet = tile(images)
-    save_frame(Frame(sheet.shape[1], sheet.shape[0], sheet), args.out)
+    save_frame(sheet, args.out)
     print(f"wrote {len(images)} layer-1 filters to {args.out}")
 
 

@@ -31,13 +31,7 @@ from .hierarchy import (
 from .metrics import BoxTrace, center_error, overlap_rate
 from .objectives import AdaptationObjective, SlownessObjective
 from .optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
-from .patches import (
-    Frame,
-    Patch,
-    load_frame,
-    sample_training_set,
-    save_frame,
-)
+from .patches import Patch, load_frame, sample_training_set, save_frame
 from .synth import MotionScript, generate_sequence
 from .tracker import (
     ExemplarLibrary,

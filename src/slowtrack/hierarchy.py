@@ -79,10 +79,8 @@ class HierarchicalModel:
             )
         if self.sub_patch_stride < 1:
             raise ValueError("sub-patch stride must be >= 1")
-        per_axis = (LAYER2_SIDE - LAYER1_SIDE) // self.sub_patch_stride + 1
-        n_sub = per_axis * per_axis
-        expected = n_sub * self.layer1.output_dim
-        if self.whitening.input_dim != expected:
+        n_sub = self.n_sub_patches
+        if self.whitening.input_dim != n_sub * self.layer1.output_dim:
             raise ValueError(
                 f"whitening input dim {self.whitening.input_dim} != "
                 f"{n_sub} sub-patches x {self.layer1.output_dim} pooled dims"
@@ -383,10 +381,11 @@ def save_model(model: HierarchicalModel, path) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path):
+    def __init__(self, buf: bytes, path, base: int = 0):
         self.buf = buf
         self.pos = 0
         self.path = path
+        self.base = base  # file offset of buf[0]
 
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
@@ -411,18 +410,38 @@ class _Reader:
                 f"found {tag!r} at byte offset {self.pos - 4}"
             )
         length = self.u32("section length")
-        payload = self.take(length, f"section {expected.decode()!r}")
-        return _Reader(payload, self.path)
+        base = self.base + self.pos
+        return _Reader(self.take(length, f"section {expected.decode()!r}"), self.path, base)
+
+    def end(self, what: str) -> None:
+        """ModelFormatError if bytes are left after `what`, the last field read."""
+        unread = len(self.buf) - self.pos
+        if unread:
+            raise ModelFormatError(
+                f"{self.path}: {unread} unread bytes after {what} "
+                f"at byte offset {self.base + self.pos}"
+            )
 
 
-def _read_weights(r: _Reader, field_name: str) -> np.ndarray:
-    f = r.u32(f"{field_name} rows")
-    d = r.u32(f"{field_name} cols")
-    raw = r.take(8 * f * d, f"{field_name} values")
-    w = np.frombuffer(raw, dtype="<f8").reshape(f, d).astype(np.float64)
+def _read_layer(r: _Reader, prefix: bytes, tag: str) -> tuple[np.ndarray, float]:
+    """Weights and eps of one layer, from the sections `_layer_sections` writes."""
+    s = r.section(prefix + b"W ")
+    f, d = s.u32(f"{tag} weights rows"), s.u32(f"{tag} weights cols")
+    w = np.frombuffer(s.take(8 * f * d, f"{tag} weights values"), dtype="<f8").reshape(f, d)
+    s.end(f"{tag} weights values")
     if not np.all(np.isfinite(w)):
-        raise ModelFormatError(f"non-finite values in field {field_name}")
-    return w
+        raise ModelFormatError(f"non-finite values in field {tag} weights")
+    s = r.section(prefix + b"P ")
+    p_in, p_out = s.u32(f"{tag} pooling input"), s.u32(f"{tag} pooling output")
+    s.end(f"{tag} pooling output")
+    if p_in != f or p_out != p_in // 2:
+        raise ModelFormatError(f"inconsistent field {tag} pooling dims")
+    s = r.section(prefix + b"E ")
+    eps = s.f64(f"{tag} eps_sqrt")
+    s.end(f"{tag} eps_sqrt")
+    if not np.isfinite(eps):
+        raise ModelFormatError(f"non-finite values in field {tag} eps_sqrt")
+    return w, eps
 
 
 def load_model(path) -> HierarchicalModel:
@@ -439,12 +458,7 @@ def load_model(path) -> HierarchicalModel:
             f"{path}: unsupported version {version} (expected {_VERSION})"
         )
 
-    w1 = _read_weights(r.section(b"L1W "), "layer1 weights")
-    p1 = r.section(b"L1P ")
-    p1_in, p1_out = p1.u32("layer1 pooling input"), p1.u32("layer1 pooling output")
-    if p1_in != w1.shape[0] or p1_out != p1_in // 2:
-        raise ModelFormatError("inconsistent field layer1 pooling dims")
-    eps1 = r.section(b"L1E ").f64("layer1 eps_sqrt")
+    w1, eps1 = _read_layer(r, b"L1", "layer1")
 
     wh = r.section(b"WHIT")
     dim = wh.u32("whitening input dim")
@@ -458,18 +472,14 @@ def load_model(path) -> HierarchicalModel:
         .reshape(d, dim)
         .astype(np.float64)
     )
+    wh.end("whitening projection")
     for name, arr in (("whitening mean", mean), ("whitening projection", proj)):
         if not np.all(np.isfinite(arr)):
             raise ModelFormatError(f"non-finite values in field {name}")
     if not np.isfinite(eps_reg):
         raise ModelFormatError("non-finite values in field whitening eps_reg")
 
-    w2 = _read_weights(r.section(b"L2W "), "layer2 weights")
-    p2 = r.section(b"L2P ")
-    p2_in, p2_out = p2.u32("layer2 pooling input"), p2.u32("layer2 pooling output")
-    if p2_in != w2.shape[0] or p2_out != p2_in // 2:
-        raise ModelFormatError("inconsistent field layer2 pooling dims")
-    eps2 = r.section(b"L2E ").f64("layer2 eps_sqrt")
+    w2, eps2 = _read_layer(r, b"L2", "layer2")
 
     meta = r.section(b"META")
     count = meta.u32("metadata count")
@@ -480,6 +490,8 @@ def load_model(path) -> HierarchicalModel:
             lines.append(meta.take(n, f"metadata line {i}").decode("utf-8"))
         except UnicodeDecodeError:
             raise ModelFormatError(f"invalid UTF-8 in field metadata line {i}") from None
+    meta.end("metadata")
+    r.end("section 'META'")
     stride = 16
     pairs = []
     for i, line in enumerate(lines):
@@ -492,9 +504,6 @@ def load_model(path) -> HierarchicalModel:
             stride = int(val)
         else:
             pairs.append((key, val))
-    for name, eps in (("layer1 eps_sqrt", eps1), ("layer2 eps_sqrt", eps2)):
-        if not np.isfinite(eps):
-            raise ModelFormatError(f"non-finite values in field {name}")
 
     try:
         return HierarchicalModel(

@@ -1,6 +1,8 @@
 """Grayscale frames, normalized patches, and training-set assembly.
 
-Frames come from binary 8-bit PGM (P5) files. Patches are square windows
+A frame is a read-only (height, width) float64 array of intensities in
+[0, 1], read from and written to binary 8-bit PGM (P5) files; the range
+is checked where a frame is written. Patches are square windows
 normalized to zero mean and unit variance so downstream objectives see
 inputs on a common scale; constant windows normalize to the all-zero
 patch. Training data is a list of (L, side**2) arrays, one per sequence,
@@ -22,37 +24,6 @@ PATCH_SIDES = (16, 32)
 
 # below this standard deviation a window counts as constant
 _CONST_STD = 1e-12
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A grayscale image with row-major intensities in [0, 1]."""
-
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width) float64
-
-    def __post_init__(self):
-        # the frame must stay immutable without freezing the caller's
-        # array: a read-only float64 array that owns its data is adopted,
-        # any other is copied
-        px = self.pixels
-        if not (
-            isinstance(px, np.ndarray)
-            and px.dtype == np.float64
-            and px.flags.owndata
-            and not px.flags.writeable
-        ):
-            px = np.array(px, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel block of shape {px.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
-            raise ValueError("frame intensities must lie in [0, 1]")
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
 
 
 @dataclass(frozen=True)
@@ -106,7 +77,7 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int, int]:
     return buf[start:pos], start, pos
 
 
-def load_frame(path) -> Frame:
+def load_frame(path) -> np.ndarray:
     """Load a binary 8-bit PGM (P5) file; intensities are divided by 255."""
     buf = Path(path).read_bytes()
     if buf[:2] != b"P5":
@@ -147,19 +118,28 @@ def load_frame(path) -> Frame:
         )
     raw = np.frombuffer(buf, dtype=np.uint8, count=need, offset=pos)
     pixels = raw.reshape(height, width).astype(np.float64)
-    pixels /= 255.0  # in place: one float64 block per frame, which Frame adopts
+    pixels /= 255.0  # in place: one float64 block per frame
     pixels.setflags(write=False)
-    return Frame(width, height, pixels)
+    return pixels
 
 
-def save_frame(frame: Frame, path) -> None:
-    """Write a frame as binary 8-bit PGM; intensities are scaled by 255."""
-    data = np.rint(frame.pixels * 255.0).astype(np.uint8)
-    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
+def save_frame(frame: np.ndarray, path) -> None:
+    """Write a 2-D frame as binary 8-bit PGM; intensities are scaled by 255.
+
+    ValueError, and no file, unless every intensity lies in [0, 1] (NaN
+    does not).
+    """
+    if not (frame.ndim == 2 and frame.min() >= 0.0 and frame.max() <= 1.0):
+        raise ValueError(
+            f"a frame must be a 2-D array of intensities in [0, 1], got shape {frame.shape}"
+        )
+    data = np.rint(frame * 255.0).astype(np.uint8)
+    height, width = frame.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + data.tobytes())
 
 
-def stream_frame_dir(directory) -> Iterator[Frame]:
+def stream_frame_dir(directory) -> Iterator[np.ndarray]:
     """Lazily load a directory's *.pgm files by filename; DataError if none."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.pgm"))
@@ -204,26 +184,18 @@ def sample_training_set(
         if bw < side or bh < side:
             skipped += 1
             continue
-        frame0 = frames[0]
+        height, width = frames[0].shape
         for t, f in enumerate(frames):
-            if (f.width, f.height) != (frame0.width, frame0.height):
+            if f.shape != (height, width):
                 raise DataError(
-                    f"sequence {si}: frame {t} is {f.width}x{f.height}, "
-                    f"frame 0 is {frame0.width}x{frame0.height}"
+                    f"sequence {si}: frame {t} is {f.shape[1]}x{f.shape[0]}, "
+                    f"frame 0 is {width}x{height}"
                 )
-        xs = [
-            x
-            for x in range(bx, bx + bw - side + 1, stride)
-            if 0 <= x <= frame0.width - side
-        ]
-        ys = [
-            y
-            for y in range(by, by + bh - side + 1, stride)
-            if 0 <= y <= frame0.height - side
-        ]
+        xs = [x for x in range(bx, bx + bw - side + 1, stride) if 0 <= x <= width - side]
+        ys = [y for y in range(by, by + bh - side + 1, stride) if 0 <= y <= height - side]
         for gy in ys:
             for gx in xs:
-                windows = [f.pixels[gy : gy + side, gx : gx + side].ravel() for f in frames]
+                windows = [f[gy : gy + side, gx : gx + side].ravel() for f in frames]
                 sequences.append(normalize_rows(np.stack(windows)))
     return sequences, skipped
 

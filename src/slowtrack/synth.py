@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError
 from .geometry import snapped_cos_sin
 from .metrics import BoxTrace
-from .patches import Frame, save_frame, write_boxes_csv
+from .patches import save_frame, write_boxes_csv
 
 # required clearance between the target and the frame border, in pixels
 BORDER_MARGIN = 8
@@ -144,8 +144,8 @@ def _render_target(texture, cx, cy, c, s, scale, amp, period, width, height):
 
 def generate_sequence(
     script: MotionScript, frame_size=(320, 240), seed: int = 0
-) -> tuple[list[Frame], BoxTrace]:
-    """Render the script; returns frames and the exact ground-truth trace."""
+) -> tuple[list[np.ndarray], BoxTrace]:
+    """Render the script; returns read-only frames and the exact ground-truth trace."""
     width, height = int(frame_size[0]), int(frame_size[1])
     rng = np.random.default_rng(seed)
     texture = _bandlimited(rng, (script.target_side, script.target_side), 1.2, 0.02, 0.98)
@@ -183,7 +183,8 @@ def generate_sequence(
                 f"at frame {t}"
             )
         img = np.rint(img * 255.0) / 255.0
-        frames.append(Frame(width, height, img))
+        img.setflags(write=False)
+        frames.append(img)
         boxes.append((float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1)))
     return frames, BoxTrace(np.asarray(boxes))
 

@@ -30,6 +30,7 @@ features-in, weights-out contract.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import DataError, OptimizationError, TrackingLostError
 from .geometry import snapped_cos_sin, wrap_angle
 from .hierarchy import ADAPT_OPTIMIZER, HierarchicalModel, adapt, hier_features, subpatches
 from .optimizer import LbfgsConfig
-from .patches import _CONST_STD, Frame, normalize_rows
+from .patches import _CONST_STD, normalize_rows
 
 CANDIDATE_SIDE = 32
 
@@ -179,7 +180,7 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
 
 
 def candidate_patches(
-    frame: Frame, states: np.ndarray, base_w: float, base_h: float, template=None, out=None
+    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, template=None, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sample every rotated, scaled box into a raw 32x32 patch.
 
@@ -192,6 +193,7 @@ def candidate_patches(
     in blocks of `_BLOCK` rows, each read once while it is in cache.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
+    height, width = frame.shape
     n = CANDIDATE_SIDE
     raw = np.empty((len(states), n * n)) if out is None else out
     valid = np.empty(len(states), dtype=bool)
@@ -217,7 +219,7 @@ def candidate_patches(
     xa, xb, ya, yb = terms(slice(None), grid[[0, -1]])
     lo_x, hi_x = xa.min(axis=1) - xb.max(axis=1), xa.max(axis=1) - xb.min(axis=1)
     lo_y, hi_y = ya.min(axis=1) + yb.min(axis=1), ya.max(axis=1) + yb.max(axis=1)
-    inside_all = (lo_x >= 0) & (hi_x < frame.width) & (lo_y >= 0) & (hi_y < frame.height)
+    inside_all = (lo_x >= 0) & (hi_x < width) & (lo_y >= 0) & (hi_y < height)
     for lo in range(0, len(states), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         k = len(states[rows])
@@ -228,16 +230,16 @@ def candidate_patches(
         if inside_all[rows].all():
             valid[rows] = True
         else:  # a box in this block crosses the border: count and clamp
-            inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
+            inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
             valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
-            np.clip(xs, 0, frame.width - 1, out=xs)
-            np.clip(ys, 0, frame.height - 1, out=ys)
+            np.clip(xs, 0, width - 1, out=xs)
+            np.clip(ys, 0, height - 1, out=ys)
         # the flat index, from whole pixel coordinates inside the frame
-        ys *= frame.width
+        ys *= width
         ys += xs
         index[...] = ys.reshape(k, n * n)
         # "clip" mode writes straight into `raw`, where "raise" would buffer
-        frame.pixels.take(index, out=raw[rows], mode="clip")
+        frame.take(index, out=raw[rows], mode="clip")
         if moments is not None:
             block = raw[rows]
             np.matmul(block, template, out=moments[rows, 0])
@@ -298,7 +300,7 @@ def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def step(
-    frame: Frame,
+    frame: np.ndarray,
     states: np.ndarray,
     weights: np.ndarray,
     base: tuple[float, float],
@@ -339,7 +341,7 @@ def step(
 
 
 def run_tracker(
-    frames, init_box, model: HierarchicalModel | None, cfg: TrackerConfig
+    frames: Iterable[np.ndarray], init_box, model: HierarchicalModel | None, cfg: TrackerConfig
 ) -> TrackResult:
     """Track through an iterable of frames from a first-frame box.
 
@@ -358,13 +360,14 @@ def run_tracker(
     if f0 is None:
         raise DataError("no frames to track")
     x, y, w, h = (float(v) for v in init_box)
+    height, width = f0.shape
     if (
         not np.all(np.isfinite([x, y, w, h]))
-        or w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > f0.width or y + h > f0.height
+        or w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > width or y + h > height
     ):
         raise DataError(
             f"initial box {init_box} is empty, not finite or not inside frame 0 "
-            f"({f0.width}x{f0.height})"
+            f"({width}x{height})"
         )
     rng = np.random.default_rng(cfg.seed)
     states = np.array([[x + w / 2.0, y + h / 2.0, 1.0, 0.0]])

@@ -1,4 +1,5 @@
 import functools
+import struct
 import tempfile
 from pathlib import Path
 
@@ -381,6 +382,29 @@ class TestModelFile:
         # same length, so the line-length prefix stays valid
         path.write_bytes(data.replace(b"sub_patch_stride=16", b"sub_patch_stride=xx"))
         with pytest.raises(ModelFormatError, match="sub_patch_stride='xx'"):
+            load_model(path)
+
+    def test_appended_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.hftm"
+        save_model(build_model(), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(ModelFormatError, match=f"7 unread bytes .* offset {size}$"):
+            load_model(path)
+
+    def test_overlong_section_rejected(self, tmp_path):
+        path = tmp_path / "m.hftm"
+        save_model(build_model(), path)
+        data = path.read_bytes()
+        at = data.index(b"L1E ")
+        assert data[at + 4 : at + 8] == struct.pack("<I", 8)
+        # a 16-byte eps section whose length field says so
+        end = at + 16
+        grown = struct.pack("<I", 16) + data[at + 8 : end] + bytes(8)
+        path.write_bytes(data[: at + 4] + grown + data[end:])
+        with pytest.raises(
+            ModelFormatError, match=f"8 unread bytes after layer1 eps_sqrt at byte offset {end}$"
+        ):
             load_model(path)
 
 

@@ -9,7 +9,6 @@ from conftest import corruptions, normalize_values
 from slowtrack.errors import DataError, PgmFormatError
 from slowtrack.hierarchy import PretrainConfig, pretrain
 from slowtrack.patches import (
-    Frame,
     Patch,
     load_frame,
     read_boxes_csv,
@@ -37,7 +36,7 @@ class TestLoadFrame:
         write_pgm(p, 2, 2, bytes([0, 255, 128, 64]))
         frame = load_frame(p)
         expected = np.array([[0.0, 1.0], [128 / 255, 64 / 255]])
-        np.testing.assert_array_equal(frame.pixels, expected)
+        np.testing.assert_array_equal(frame, expected)
 
     def test_ascii_pgm_rejected(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -49,8 +48,8 @@ class TestLoadFrame:
         p = tmp_path / "a.pgm"
         write_pgm(p, 16, 16, bytes(256))
         frame = load_frame(p)
-        assert frame.pixels.shape == (16, 16)
-        assert not frame.pixels.any()
+        assert frame.shape == (16, 16)
+        assert not frame.any()
 
     def test_truncated_payload_names_offset(self, tmp_path):
         p = tmp_path / "a.pgm"
@@ -74,7 +73,7 @@ class TestLoadFrame:
         p = tmp_path / "a.pgm"
         p.write_bytes(b"P5\n# comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
         frame = load_frame(p)
-        assert frame.width == 2 and frame.height == 2
+        assert frame.shape == (2, 2)
 
     def test_frame_pixels_allocated_once(self, tmp_path):
         # a 320x240 frame keeps 0.61 MB of float64; building it twice peaked
@@ -89,40 +88,48 @@ class TestLoadFrame:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert frame.pixels.nbytes == 320 * 240 * 8
+        assert frame.nbytes == 320 * 240 * 8
         assert peak <= 0.75e6
-        assert not frame.pixels.flags.writeable
-
-    def test_caller_array_is_copied(self):
-        px = np.full((3, 4), 0.25)
-        frame = Frame(4, 3, px)
-        px[0, 0] = 0.75
-        assert frame.pixels[0, 0] == 0.25
-        assert px.flags.writeable and not frame.pixels.flags.writeable
+        assert not frame.flags.writeable
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
-        frame = Frame(7, 5, rng.integers(0, 256, (5, 7)) / 255.0)
+        frame = rng.integers(0, 256, (5, 7)) / 255.0
         save_frame(frame, tmp_path / "f.pgm")
         back = load_frame(tmp_path / "f.pgm")
-        np.testing.assert_array_equal(back.pixels, frame.pixels)
+        np.testing.assert_array_equal(back, frame)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            np.array([[np.nan, 0.5], [0.5, 0.5]]),
+            np.array([[-0.01, 0.5], [0.5, 0.5]]),
+            np.array([[1.01, 0.5], [0.5, 0.5]]),
+            np.full((2, 2, 1), 0.5),
+        ],
+        ids=["nan", "below-0", "above-1", "3-d"],
+    )
+    def test_save_rejects_bad_frame_and_writes_nothing(self, tmp_path, frame):
+        with pytest.raises(ValueError, match="2-D array of intensities in"):
+            save_frame(frame, tmp_path / "f.pgm")
+        assert not (tmp_path / "f.pgm").exists()
 
 
 class TestNormalization:
     def test_constant_window_is_all_zero(self):
-        frame = Frame(32, 32, np.full((32, 32), 0.7))
+        frame = np.full((32, 32), 0.7)
         assert not cut(frame, 8, 8, 16).any()
 
     def test_affine_ramp_invariance(self):
         ramp = np.tile(np.arange(32) / 64.0, (32, 1))
-        f1 = Frame(32, 32, 0.1 + 0.5 * ramp)
-        f2 = Frame(32, 32, 0.3 + 1.2 * ramp)
+        f1 = 0.1 + 0.5 * ramp
+        f2 = 0.3 + 1.2 * ramp
         np.testing.assert_allclose(cut(f1, 8, 8, 16), cut(f2, 8, 8, 16), atol=1e-12)
 
     def test_checkerboard_normalizes_to_plus_minus_one(self):
         # mean 0.5, population variance 0.25 -> values (v - 0.5) / 0.5
         board = np.indices((16, 16)).sum(axis=0) % 2
-        frame = Frame(16, 16, board.astype(float))
+        frame = board.astype(float)
         np.testing.assert_allclose(np.sort(np.unique(cut(frame, 0, 0, 16))), [-1.0, 1.0])
 
     @settings(max_examples=50, deadline=None)
@@ -143,22 +150,22 @@ class TestExtractPatch:
     """Windows cut from a frame: the training sampler and the tracker's gather."""
 
     def test_unsupported_side(self):
-        frame = Frame(64, 64, np.zeros((64, 64)))
+        frame = np.zeros((64, 64))
         with pytest.raises(ValueError, match="unsupported patch side"):
             sample_training_set([[frame]], [[(0, 0, 32, 32)]], 24, 8)
 
     def test_window_exceeding_frame(self):
         # no grid cell of a 16x16 window fits an 8x8 frame: nothing is cut
-        frame = Frame(8, 8, np.zeros((8, 8)))
+        frame = np.zeros((8, 8))
         assert sample_training_set([[frame]], [[(0, 0, 16, 16)]], 16, 16) == ([], 0)
 
     def test_window_resampled_nearest(self):
         # a 64x64 box sampled on the 32x32 candidate grid reads every other pixel
         rng = np.random.default_rng(2)
-        frame = Frame(64, 64, rng.random((64, 64)))
+        frame = rng.random((64, 64))
         values, valid, _ = candidate_patches(frame, np.array([[32.0, 32.0, 1.0, 0.0]]), 64.0, 64.0)
         idx = (2 * np.arange(32) + 1) * 64 // 64
-        block = frame.pixels[np.ix_(idx, idx)]
+        block = frame[np.ix_(idx, idx)]
         assert valid[0]
         np.testing.assert_array_equal(values[0], block.ravel())
 
@@ -166,7 +173,7 @@ class TestExtractPatch:
 class TestSampleTrainingSet:
     def frames(self, n, w=64, h=64, seed=0):
         rng = np.random.default_rng(seed)
-        return [Frame(w, h, rng.random((h, w))) for _ in range(n)]
+        return [rng.random((h, w)) for _ in range(n)]
 
     def test_single_cell(self):
         frames = self.frames(2)
@@ -203,7 +210,7 @@ class TestSampleTrainingSet:
         assert len(seqs) == len(cells)
         for seq, (gx, gy) in zip(seqs, cells):
             for t, values in enumerate(seq):
-                window = frames[t].pixels[gy : gy + 16, gx : gx + 16]
+                window = frames[t][gy : gy + 16, gx : gx + 16]
                 np.testing.assert_array_equal(values, normalize_values(window))
 
     def test_n_bookkeeping(self):
@@ -267,7 +274,7 @@ class TestLoadFrameDir:
     def test_sorted_by_filename(self, tmp_path):
         rng = __import__("numpy").random.default_rng(0)
         for i in (2, 0, 1):
-            frame = Frame(4, 4, rng.random((4, 4)))
+            frame = rng.random((4, 4))
             save_frame(frame, tmp_path / f"{i:06d}.pgm")
         frames = list(stream_frame_dir(tmp_path))
         assert len(frames) == 3

@@ -33,7 +33,7 @@ def test_visualize_filters_writes_a_tile_sheet(tmp_path):
     assert "wrote 8 layer-1 filters" in res.stdout
     # 3x3 tiles of 16 pixels with 2-pixel gutters
     frame = load_frame(tmp_path / "f.pgm")
-    assert (frame.width, frame.height) == (56, 56)
+    assert frame.shape == (56, 56)
 
 
 def test_synthetic_benchmark_prints_six_rows():
@@ -58,6 +58,8 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
     )
     names = ("translation", "rotation", "shear", "scaling")
     assert rows == [(name, str(seed)) for name in names for seed in range(5)], res.stdout
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    assert f"\nOPENBLAS_NUM_THREADS={threads}\nlearned beats raw: " in res.stdout, res.stdout
     for label in ("learned beats raw", "adaptation beats no adaptation"):
         pattern = rf"^{label}: \d+/20; worst [a-z]+ seed [0-4] \([+-]\d+\.\d\d px\)$"
         assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout

@@ -65,7 +65,7 @@ class TestGenerate:
         script = translation_script(4, (60.0, 50.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (120, 100), seed=1)
         for f in frames[1:]:
-            np.testing.assert_array_equal(f.pixels, frames[0].pixels)
+            np.testing.assert_array_equal(f, frames[0])
         assert np.ptp(gt.boxes, axis=0).max() == 0.0
 
     def test_translation_box_progression(self):
@@ -80,8 +80,8 @@ class TestGenerate:
         frames, gt = generate_sequence(script, (160, 120), seed=3)
         b0 = gt.boxes[0].astype(int)
         bn = gt.boxes[-1].astype(int)
-        crop0 = frames[0].pixels[b0[1] : b0[1] + b0[3], b0[0] : b0[0] + b0[2]]
-        cropn = frames[-1].pixels[bn[1] : bn[1] + bn[3], bn[0] : bn[0] + bn[2]]
+        crop0 = frames[0][b0[1] : b0[1] + b0[3], b0[0] : b0[0] + b0[2]]
+        cropn = frames[-1][bn[1] : bn[1] + bn[3], bn[0] : bn[0] + bn[2]]
         np.testing.assert_array_equal(cropn, np.rot90(crop0, -1))
 
     def test_deterministic_given_seed(self):
@@ -89,7 +89,7 @@ class TestGenerate:
         a, gt_a = generate_sequence(script, (120, 100), seed=9)
         b, gt_b = generate_sequence(script, (120, 100), seed=9)
         for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.pixels, fb.pixels)
+            np.testing.assert_array_equal(fa, fb)
         np.testing.assert_array_equal(gt_a.boxes, gt_b.boxes)
 
     def test_off_frame_schedule_names_frame(self):
@@ -121,4 +121,4 @@ class TestWriteSequence:
         np.testing.assert_array_equal(read_boxes_csv(out / "gt.csv"), gt.boxes)
         # in-memory frames are already 8-bit quantized: round trip exact
         back = load_frame(out / "000001.pgm")
-        np.testing.assert_array_equal(back.pixels, frames[1].pixels)
+        np.testing.assert_array_equal(back, frames[1])

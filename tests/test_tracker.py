@@ -11,7 +11,7 @@ from conftest import normalize_values
 from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import encode_hier, hier_features
-from slowtrack.patches import Frame, Patch, normalize_rows
+from slowtrack.patches import Patch, normalize_rows
 from slowtrack import tracker
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
@@ -92,7 +92,7 @@ def reference_min_distances(features, exemplars):
 
 def random_frame(w=96, h=96, seed=0):
     rng = np.random.default_rng(seed)
-    return Frame(w, h, rng.random((h, w)))
+    return rng.random((h, w))
 
 
 def reference_candidate_patch(frame, row, base_w, base_h):
@@ -112,10 +112,11 @@ def reference_candidate_patch(frame, row, base_w, base_h):
     c, s = reference_snapped_cos_sin(rotation)
     xs = cx + u * c - v * s
     ys = cy + u * s + v * c
-    inside = (xs >= 0) & (xs < frame.width) & (ys >= 0) & (ys < frame.height)
-    ix = np.clip(np.floor(xs).astype(np.int64), 0, frame.width - 1)
-    iy = np.clip(np.floor(ys).astype(np.int64), 0, frame.height - 1)
-    return frame.pixels[iy, ix].ravel(), inside.mean() >= 0.5
+    height, width = frame.shape
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    ix = np.clip(np.floor(xs).astype(np.int64), 0, width - 1)
+    iy = np.clip(np.floor(ys).astype(np.int64), 0, height - 1)
+    return frame[iy, ix].ravel(), inside.mean() >= 0.5
 
 
 def sample_one(frame, row, base=(32.0, 32.0)):
@@ -253,7 +254,7 @@ def candidate_case(draw):
     if draw(st.booleans()):
         frame = random_frame(w, h, seed=draw(st.integers(0, 3)))
     else:
-        frame = Frame(w, h, np.full((h, w), 0.25))
+        frame = np.full((h, w), 0.25)
     base = (draw(st.floats(2.0, 48.0)), draw(st.floats(2.0, 48.0)))
     # a few rows, or counts around the sampler's 16-row block edge and one
     # (601) that ends in a partial block
@@ -285,12 +286,12 @@ class TestCandidatePatch:
         frame = random_frame(seed=3)
         box = (20.0, 24.0, 32.0, 32.0)
         values, accepted = sample_one(frame, row_of_box(box))
-        window = frame.pixels[24:56, 20:52]
+        window = frame[24:56, 20:52]
         assert accepted
         np.testing.assert_array_equal(values, normalize_values(window))
 
     def test_uniform_frame_gives_zero_patch(self):
-        frame = Frame(96, 96, np.full((96, 96), 0.5))
+        frame = np.full((96, 96), 0.5)
         values, accepted = sample_one(frame, (48.0, 48.0, 2.0, 0.0))
         assert accepted and not values.any()
 
@@ -298,7 +299,7 @@ class TestCandidatePatch:
         # 2x2-cell blocks aligned with the window: symmetric under a half turn
         ii, jj = np.indices((96, 96))
         board = ((ii // 2) + (jj // 2)) % 2
-        frame = Frame(96, 96, board.astype(float))
+        frame = board.astype(float)
         a, _ = sample_one(frame, (48.0, 48.0, 1.0, 0.0))
         b, _ = sample_one(frame, (48.0, 48.0, 1.0, math.pi))
         np.testing.assert_array_equal(a, b)
