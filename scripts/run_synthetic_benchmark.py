@@ -12,7 +12,7 @@ on the three sequences plus a scaling one, each learned, raw-only and
 learned without adaptation (`adapt_optimizer.max_iters=0`), and prints
 how often learned features beat raw pixels and adaptation beats none on
 ACE, with the worst case of each, under the `OPENBLAS_NUM_THREADS` value
-it ran with.
+it ran with, and the summed wall seconds of each kind's tracks.
 """
 
 import argparse
@@ -74,6 +74,7 @@ def run_grid(model, cases, args):
     header = "".join(f" {k + ' ACE':>12} {'AOR':>6}" for k in kinds)
     print(f"\n{'sequence':<12} {'seed':>4}{header}")
     beats_raw, beats_fixed = {}, {}
+    seconds = dict.fromkeys(kinds, 0.0)
     for name, (script, texture_seed) in cases.items():
         frames, gt = generate_sequence(script, (320, 240), seed=texture_seed)
         for seed in range(5):
@@ -81,7 +82,9 @@ def run_grid(model, cases, args):
             row = f"{name:<12} {seed:>4}"
             for kind, (kind_model, fields) in kinds.items():
                 cfg = TrackerConfig(seed=seed, lam=args.lam, gamma=args.gamma, **fields)
+                t0 = time.perf_counter()
                 ace[kind], aor = track(frames, gt, kind_model, cfg)
+                seconds[kind] += time.perf_counter() - t0
                 row += f" {ace[kind]:>12.2f} {aor:>6.3f}"
             print(row)
             beats_raw[name, seed] = ace["learned"] - ace["raw"]
@@ -90,6 +93,9 @@ def run_grid(model, cases, args):
     print(f"\nOPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print(summary("learned beats raw", beats_raw))
     print(summary("adaptation beats no adaptation", beats_fixed))
+    # learned minus no-adapt is what adaptation costs
+    spent = ", ".join(f"{kind} {s:.1f}" for kind, s in seconds.items())
+    print(f"wall seconds of the {len(beats_raw)} tracks of each kind: {spent}")
 
 
 def main():

@@ -11,6 +11,7 @@ keeps the square root differentiable at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ class LayerEncoder:
             raise ValueError(f"filter count must be even and >= 2, got {w.shape[0]}")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights contain non-finite entries")
+        # `nan < 0` is False, so the sign test alone would let NaN through
+        if not math.isfinite(self.eps_sqrt):
+            raise ValueError(f"eps_sqrt must be finite, got {self.eps_sqrt}")
         if self.eps_sqrt < 0:
             raise ValueError(f"eps_sqrt must be >= 0, got {self.eps_sqrt}")
         w.setflags(write=False)

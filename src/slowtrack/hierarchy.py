@@ -390,7 +390,8 @@ class _Reader:
     def take(self, n: int, what: str) -> bytes:
         if self.pos + n > len(self.buf):
             raise ModelFormatError(
-                f"{self.path}: truncated while reading {what} at byte offset {self.pos}"
+                f"{self.path}: truncated while reading {what} "
+                f"at byte offset {self.base + self.pos}"
             )
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n

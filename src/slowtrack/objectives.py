@@ -16,18 +16,27 @@ own patches.
 
 Gradients are hand-derived closed forms (no autodiff), so a central
 finite difference is a genuinely independent oracle.
-The reconstruction term and the adaptation pull are evaluated from the
-Gram matrix C = X^T X, computed once per objective, so an evaluation
-touches the N data rows only in the slowness term. A rerun repeats every
-bit; a different BLAS thread count can move the last digits, because the
-matrix products split their work by thread count.
 
-An objective owns the work arrays of its slowness term: they are
-allocated on its first evaluation (again when the filter count changes)
-and every later evaluation writes into them, so an objective is not
-re-entrant. `evaluate(w)` returns the pair (value, gradient), the
-gradient a fresh (F, D) array; either may be non-finite, and
-`optimizer.minimize` checks every point it accepts.
+Each objective picks the form of its reconstruction term once, from the
+shape of its data X (N rows of D dims):
+
+- N >= D, as in pre-training: from the Gram matrix C = X^T X, computed
+  once, so an evaluation touches the N rows only in the slowness term.
+- N < D, as in the tracker's adaptations: from the residual R = X - A W, where
+  A = X W^T are the responses the slowness term needs anyway; no D x D
+  product is formed.
+
+The adaptation pull is gamma ||A - A_old||^2 in both forms, with the old
+responses A_old = X W_old^T computed once per objective. A rerun repeats
+every bit; a different BLAS thread count can move the last digits,
+because the matrix products split their work by thread count.
+
+An objective owns the work arrays of its row terms: they are allocated
+on its first evaluation (again when the filter count changes) and every
+later evaluation writes into them, so an objective is not re-entrant.
+`evaluate(w)` returns the pair (value, gradient), the gradient a fresh
+(F, D) array; either may be non-finite, and `optimizer.minimize` checks
+every point it accepts.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .errors import DataError
 DEFAULT_EPS_ABS = 1e-6
 
 
-def _check_weight(name: str, value: float) -> float:
+def _check_nonnegative(name: str, value: float) -> float:
     # `nan < 0` is False, so a plain sign test would let NaN through
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -76,16 +85,15 @@ class SlownessObjective:
         eps_sqrt: float = DEFAULT_EPS_SQRT,
         eps_abs: float = DEFAULT_EPS_ABS,
     ):
-        self.lam = _check_weight("lambda", lam)
-        if eps_sqrt < 0 or eps_abs < 0:
-            raise ValueError("eps values must be >= 0")
+        self.lam = _check_nonnegative("lambda", lam)
+        self.eps_sqrt = _check_nonnegative("eps_sqrt", eps_sqrt)
+        self.eps_abs = _check_nonnegative("eps_abs", eps_abs)
         seqs = _as_sequences(sequences)
-        self.eps_sqrt = float(eps_sqrt)
-        self.eps_abs = float(eps_abs)
         self._all = np.vstack(seqs)
-        # the data never changes during a minimization, so the
-        # reconstruction term is evaluated from its Gram matrix
-        self._gram = self._all.T @ self._all
+        # the data never changes during a minimization; with at least as
+        # many rows as dims, the reconstruction term is cheaper from its
+        # Gram matrix, and with fewer, from the rows themselves
+        self._gram = self._all.T @ self._all if self.n >= self.dim else None
         # 1 for each consecutive row pair inside a sequence, 0 across a break
         starts = np.cumsum([s.shape[0] for s in seqs])[:-1]
         self._pair_mask = np.ones(self.n - 1)
@@ -114,32 +122,43 @@ class SlownessObjective:
         return self._terms(self._check_w(w))
 
     def _buffers(self, f):
-        """Work arrays a, z, scratch, s, c, u, u^T X for F filters, made per F."""
+        """Work arrays a, z, scratch, s, c, u, (N, F)^T X for F filters, made per F.
+
+        The row form adds the residual R and its (N, F) coefficients.
+        """
         if self._work is None or self._work[0].shape[1] != f:
             n, h, d = self.n, f // 2, self.dim
             shapes = [(n, f), (n, h), (n, h), (n - 1, h), (n + 1, h), (n, f), (f, d)]
+            if self._gram is None:
+                shapes += [(n, d), (n, f)]
             self._work = [np.empty(shape) for shape in shapes]
         return self._work
 
-    def _terms(self, w):
-        # reconstruction from C = X^T X, with G = W C, K = G W^T, M = W W^T:
-        #   ||X - X W^T W||^2 = tr C - 2 tr K + <K, M>
-        #   gradient          = -4 G + 2 K W + 2 M G
-        g = w @ self._gram
-        k = g @ w.T
-        m = w @ w.T
-        value = float(np.trace(self._gram) - 2.0 * np.trace(k) + (k * m).sum())
-        grad = -4.0 * g + 2.0 * (k @ w) + 2.0 * (m @ g)
+    def _terms(self, w, pull=None):
+        """Value and gradient at `w`; `pull` is None or (gamma, A_old)."""
+        x, lam, gram = self._all, self.lam, self._gram
+        if gram is not None:
+            # reconstruction from C = X^T X, with G = W C, K = G W^T, M = W W^T:
+            #   ||X - X W^T W||^2 = tr C - 2 tr K + <K, M>
+            #   gradient          = -4 G + 2 K W + 2 M G
+            g = w @ gram
+            k = g @ w.T
+            m = w @ w.T
+            value = float(np.trace(gram) - 2.0 * np.trace(k) + (k * m).sum())
+            grad = -4.0 * g + 2.0 * (k @ w) + 2.0 * (m @ g)
+            if lam == 0 and pull is None:
+                return value, grad
+        else:
+            value = 0.0
+        a, z, t, s, c, u, ux, *rows = self._buffers(w.shape[0])
 
-        if self.lam > 0:
-            x = self._all
-            a, z, t, s, c, u, ux = self._buffers(w.shape[0])
+        if lam > 0:
             forward(w, self.eps_sqrt, x, out=(a, z, t))  # (N, F) a, (N, F/2) z
             d = np.subtract(z[:-1], z[1:], out=t[:-1])
             np.multiply(d, d, out=s)
             s += self.eps_abs
             np.sqrt(s, out=s)
-            value += self.lam * float((self._pair_mask @ s).sum())
+            value += lam * float((self._pair_mask @ s).sum())
             # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0.
             # c holds it per pair, zero-padded at both ends, so the
             # gradient with respect to z_i is c_i - c_{i-1}; the divide
@@ -153,8 +172,40 @@ class SlownessObjective:
             np.divide(ratio, z, out=ratio, where=z > 0)
             np.multiply(a[:, ::2], ratio, out=u[:, ::2])
             np.multiply(a[:, 1::2], ratio, out=u[:, 1::2])
-            np.matmul(u.T, x, out=ux)
-            ux *= self.lam
+            if gram is not None:  # pre-training's order, which model bytes pin
+                np.matmul(u.T, x, out=ux)
+                ux *= lam
+                grad += ux
+        else:
+            np.matmul(x, w.T, out=a)
+
+        # every remaining gradient term is coef^T X for an (N, F) coef,
+        # and the row form sums them into one product
+        coef = None
+        if gram is None:
+            # from the residual R = X - A W: the value is ||R||^2 and the
+            # gradient -2 A^T R - 2 (R W^T)^T X
+            r, coef = rows
+            np.subtract(x, np.matmul(a, w, out=r), out=r)
+            value += float(np.vdot(r, r))
+            grad = a.T @ r
+            grad *= -2.0
+            np.matmul(r, w.T, out=coef)
+            coef *= -2.0
+            if lam > 0:
+                u *= lam
+                coef += u
+        if pull is not None:
+            gamma, a_old = pull
+            diff = np.subtract(a, a_old, out=u)
+            value += gamma * float(np.vdot(diff, diff))
+            diff *= 2.0 * gamma
+            if coef is None:
+                coef = diff
+            else:
+                coef += diff
+        if coef is not None:
+            np.matmul(coef.T, x, out=ux)
             grad += ux
         return value, grad
 
@@ -163,7 +214,7 @@ class AdaptationObjective:
     """Slowness objective plus a quadratic pull toward frozen filters W_old."""
 
     def __init__(self, base: SlownessObjective, gamma: float, w_old):
-        self.gamma = _check_weight("gamma", gamma)
+        self.gamma = _check_nonnegative("gamma", gamma)
         w_old = np.asarray(w_old, dtype=np.float64)
         if w_old.ndim != 2 or w_old.shape[1] != base.dim:
             raise ValueError(
@@ -171,6 +222,8 @@ class AdaptationObjective:
             )
         self.base = base
         self.w_old = w_old
+        # gamma ||X W^T - X W_old^T||^2 needs the old responses only once
+        self._pull = (self.gamma, base._all @ w_old.T) if self.gamma > 0 else None
 
     def evaluate(self, w) -> tuple[float, np.ndarray]:
         w = self.base._check_w(w)
@@ -180,12 +233,4 @@ class AdaptationObjective:
             )
         # the base's `_terms`, not its `evaluate`: a count of slowness
         # evaluations stays a count of pre-training work
-        value, grad = self.base._terms(w)
-        if self.gamma > 0:
-            # ||X D^T||^2 = <D C, D> and its gradient is 2 D C, D = W - W_old
-            delta = w - self.w_old
-            dc = delta @ self.base._gram
-            value += self.gamma * float((dc * delta).sum())
-            grad = grad + 2.0 * self.gamma * dc
-        return value, grad
-
+        return self.base._terms(w, self._pull)

@@ -45,16 +45,16 @@ class LbfgsHistory:
             raise ValueError(f"memory size must be >= 1, got {m}")
         self._pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=m)
 
-    def push(self, s, y) -> bool:
-        """Store (s, y) if it passes the curvature condition; report whether stored."""
+    def push(self, s, y) -> float | None:
+        """Store (s, y) if it passes the curvature condition; its s'y, or None if not."""
         s = np.asarray(s, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
         sy = float(s @ y)
         bound = _CURVATURE_RTOL * float(np.linalg.norm(s) * np.linalg.norm(y))
         if sy <= bound:
-            return False
+            return None
         self._pairs.append((s, y, 1.0 / sy))
-        return True
+        return sy
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -268,8 +268,9 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
             x, value = ls.x, ls.value
             grad = np.asarray(ls.gradient, dtype=np.float64).ravel()
             _check_finite(value, grad, f"iteration {iterations + 1}")
-            if hist.push(s, y):
-                b0 = float(s @ y) / float(y @ y)
+            sy = hist.push(s, y)
+            if sy is not None:
+                b0 = sy / float(y @ y)
             ginf = float(np.max(np.abs(grad)))
             trace.append((value, ginf))
             iterations += 1

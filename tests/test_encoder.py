@@ -142,6 +142,11 @@ class TestTypes:
         with pytest.raises(ValueError, match="eps_sqrt"):
             LayerEncoder(np.ones((2, 2)), eps_sqrt=-1e-9)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"eps_sqrt must be .*, got {eps}$"):
+            LayerEncoder(np.eye(2, 4), eps)
+
     def test_weights_owned_read_only_copy(self):
         w = np.asfortranarray(np.ones((2, 3)))
         enc = LayerEncoder(w)

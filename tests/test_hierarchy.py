@@ -408,6 +408,22 @@ class TestModelFile:
             load_model(path)
 
 
+    def test_truncated_field_names_file_offset(self, tmp_path):
+        path = tmp_path / "m.hftm"
+        save_model(build_model(), path)
+        data = path.read_bytes()
+        at = data.index(b"L1E ")
+        # a 4-byte eps section whose length field says so: the 8-byte
+        # value is cut short at the section's first payload byte
+        cut = data[: at + 4] + struct.pack("<I", 4) + data[at + 8 : at + 12] + data[at + 16 :]
+        path.write_bytes(cut)
+        with pytest.raises(
+            ModelFormatError,
+            match=f"truncated while reading layer1 eps_sqrt at byte offset {at + 8}$",
+        ):
+            load_model(path)
+
+
 class TestModelFileFuzz:
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference_gradient
+from slowtrack.encoder import forward
 from slowtrack.errors import DataError
 from slowtrack.objectives import AdaptationObjective, SlownessObjective
 
@@ -92,6 +93,12 @@ class TestEvalSlowness:
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             SlownessObjective([np.ones((2, 3))], lam)
 
+    @pytest.mark.parametrize("name", ["eps_sqrt", "eps_abs"])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+    def test_bad_eps_rejected(self, name, eps):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+            SlownessObjective([np.ones((2, 3))], 1.0, **{name: eps})
+
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
             SlownessObjective([], lam=1.0)
@@ -156,6 +163,22 @@ class TestGradients:
         rng = np.random.default_rng(42)
         for trial in range(20):
             obj, w = random_instance(rng, with_gamma=trial % 2 == 0)
+            _, analytic = obj.evaluate(w)
+            fd = finite_difference_gradient(lambda v: obj.evaluate(v)[0], w, h=1e-5)
+            rel = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
+            assert rel < 1e-4, f"trial {trial}: rel err {rel}"
+
+    @pytest.mark.parametrize("lam, gamma", [(0.0, 100.0), (5.0, 0.0)])
+    def test_row_form_gradient_matches_finite_differences(self, lam, gamma):
+        rng = np.random.default_rng(43)
+        for trial in range(10):
+            d = int(rng.integers(4, 17))
+            f = 2 * int(rng.integers(1, 5))
+            seqs = [rng.standard_normal((n, d)) for n in (1, int(rng.integers(1, d - 1)))]
+            base = SlownessObjective(seqs, lam, eps_sqrt=1e-6, eps_abs=1e-6)
+            assert base._gram is None  # fewer rows than dims
+            w = 0.5 * rng.standard_normal((f, d))
+            obj = AdaptationObjective(base, gamma, w + 0.3 * rng.standard_normal((f, d)))
             _, analytic = obj.evaluate(w)
             fd = finite_difference_gradient(lambda v: obj.evaluate(v)[0], w, h=1e-5)
             rel = np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd)))
@@ -240,6 +263,79 @@ class TestGramForm:
         pull_value, pull_grad = reference_pull(seqs, w, w_old, gamma)
         adp = AdaptationObjective(base, gamma, w_old)
         assert_matches(adp.evaluate(w), (want[0] + pull_value, want[1] + pull_grad), trace)
+
+
+class TestRowForm:
+    """Fewer rows than dims selects the residual form, other shapes the Gram form."""
+
+    @pytest.mark.parametrize("rows", ["fewer", "equal", "more"])
+    def test_matches_explicit_residual(self, rows):
+        rng = np.random.default_rng(["fewer", "equal", "more"].index(rows))
+        for _ in range(20):
+            d = int(rng.integers(2, 17))
+            n = {
+                "fewer": int(rng.integers(1, d)),
+                "equal": d,
+                "more": d + int(rng.integers(1, 9)),
+            }[rows]
+            cut = int(rng.integers(0, n))
+            x = rng.standard_normal((n, d))
+            seqs = [x[:cut], x[cut:]] if cut else [x]
+            f = 2 * int(rng.integers(1, 9))  # f > d is covered, as in layer 2
+            w = rng.standard_normal((f, d))
+            w_old = w + 0.1 * rng.standard_normal((f, d))
+            lam = float(rng.choice([0.0, 5.0]))
+            gamma = float(rng.choice([0.0, 100.0]))
+            base = SlownessObjective(seqs, lam, eps_sqrt=1e-8, eps_abs=1e-8)
+            assert (base._gram is None) == (rows == "fewer")
+            want = reference_terms(seqs, w, lam, 1e-8, 1e-8)
+            trace = float((x * x).sum())
+            assert_matches(base.evaluate(w), want, trace)
+            pull_value, pull_grad = reference_pull(seqs, w, w_old, gamma)
+            adp = AdaptationObjective(base, gamma, w_old)
+            assert_matches(adp.evaluate(w), (want[0] + pull_value, want[1] + pull_grad), trace)
+
+
+def pretraining_terms(seqs, w, lam, eps_sqrt, eps_abs):
+    """The Gram-form evaluation, operation for operation as model files pin it."""
+    x = np.vstack(seqs)
+    gram = x.T @ x
+    g = w @ gram
+    k = g @ w.T
+    m = w @ w.T
+    value = float(np.trace(gram) - 2.0 * np.trace(k) + (k * m).sum())
+    grad = -4.0 * g + 2.0 * (k @ w) + 2.0 * (m @ g)
+    if lam > 0:
+        mask = np.ones(len(x) - 1)
+        mask[np.cumsum([len(s) for s in seqs])[:-1] - 1] = 0.0
+        a, z = forward(w, eps_sqrt, x)
+        d = z[:-1] - z[1:]
+        s = np.sqrt(d * d + eps_abs)
+        value += lam * float((mask @ s).sum())
+        c = np.zeros((len(x) + 1, z.shape[1]))
+        np.divide(d, s, out=c[1:-1], where=s > 0)
+        c[1:-1] *= mask[:, None]
+        ratio = c[1:] - c[:-1]
+        np.divide(ratio, z, out=ratio, where=z > 0)
+        u = np.empty_like(a)
+        u[:, ::2] = a[:, ::2] * ratio
+        u[:, 1::2] = a[:, 1::2] * ratio
+        ux = u.T @ x
+        ux *= lam
+        grad += ux
+    return value, grad
+
+
+class TestGramFormPinned:
+    @pytest.mark.parametrize("n, d, f", [(300, 40, 16), (130, 111, 128), (12, 12, 4)])
+    @pytest.mark.parametrize("lam, eps_abs", [(0.0, 1e-6), (5.0, 1e-6), (2.0, 0.0)])
+    def test_pretraining_bits_unchanged(self, n, d, f, lam, eps_abs):
+        rng = np.random.default_rng(n + f)
+        seqs = np.split(rng.standard_normal((n, d)), [n // 3, n // 2])
+        w = 0.1 * rng.standard_normal((f, d))
+        obj = SlownessObjective(seqs, lam, eps_abs=eps_abs)
+        for _ in range(2):  # a fresh objective and one with its work arrays
+            assert_same(obj.evaluate(w), pretraining_terms(seqs, w, lam, 1e-8, eps_abs))
 
 
 def assert_same(got, want):

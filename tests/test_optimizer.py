@@ -104,7 +104,7 @@ class TestHistory:
     def test_pair_stored_with_its_rho(self):
         hist = LbfgsHistory()
         s, y = np.array([1.0, 2.0]), np.array([0.5, 3.0])
-        assert hist.push(s, y)
+        assert hist.push(s, y) == 6.5  # s'y, which minimize reuses
         [(s_kept, y_kept, rho)] = hist
         np.testing.assert_array_equal(s_kept, s)
         np.testing.assert_array_equal(y_kept, y)

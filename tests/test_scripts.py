@@ -63,3 +63,6 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
     for label in ("learned beats raw", "adaptation beats no adaptation"):
         pattern = rf"^{label}: \d+/20; worst [a-z]+ seed [0-4] \([+-]\d+\.\d\d px\)$"
         assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
+    kinds = ", ".join(rf"{kind} \d+\.\d" for kind in ("learned", "raw", "no-adapt"))
+    seconds = rf"^wall seconds of the 20 tracks of each kind: {kinds}$"
+    assert re.search(seconds, res.stdout, re.MULTILINE), res.stdout
