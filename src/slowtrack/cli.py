@@ -1,7 +1,7 @@
 """Command-line entry point: synth, pretrain, adapt, track, eval.
 
-Exit codes are a stable scripting contract: 0 success, 2 usage or IO,
-3 data, 4 optimization, 5 tracking lost.
+Exit codes are a stable scripting contract: 0 success, 2 usage, IO or a
+size too large to allocate, 3 data, 4 optimization, 5 tracking lost.
 """
 
 from __future__ import annotations
@@ -264,7 +264,8 @@ def cmd_synth(args) -> int:
     # an infinite flag can overflow the schedule, which MotionScript rejects
     with np.errstate(over="ignore", invalid="ignore"):
         script = _config(_synth_script, args=args)
-    frames, boxes = generate_sequence(script, args.size, seed=args.seed)
+    # numpy refuses a size above its maximum array size with a ValueError
+    frames, boxes = _config(generate_sequence, script, args.size, seed=args.seed)
     write_sequence(frames, boxes, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
@@ -383,6 +384,7 @@ class UsageError(Exception):
 _EXIT_CODES = {
     UsageError: EXIT_USAGE,
     OSError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,
     DataError: EXIT_DATA,
     OptimizationError: EXIT_OPTIMIZATION,
     TrackingLostError: EXIT_TRACKING_LOST,

@@ -18,17 +18,7 @@ class OptimizationError(Exception):
 
 
 class LineSearchError(OptimizationError):
-    """No step satisfying the strong Wolfe conditions was found.
-
-    Carries the best point seen so callers can still make use of it.
-    """
-
-    def __init__(self, message, alpha, x, value, gradient):
-        super().__init__(message)
-        self.alpha = alpha
-        self.x = x
-        self.value = value
-        self.gradient = gradient
+    """No step satisfying the strong Wolfe conditions was found."""
 
 
 class TrackingLostError(Exception):

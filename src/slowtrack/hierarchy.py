@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__ as _pkg_version
 from .encoder import LayerEncoder, encode
-from .errors import DataError, ModelFormatError, OptimizationError
+from .errors import DataError, LineSearchError, ModelFormatError, OptimizationError
 from .objectives import AdaptationObjective, SlownessObjective
 from .optimizer import LbfgsConfig, OptimizeResult, minimize
 from .patches import Patch, normalize_rows
@@ -193,16 +193,19 @@ def _random_orthonormal_rows(f: int, d: int, rng: np.random.Generator) -> np.nda
 
 
 def _fit_layer(obj, w0, cfg: LbfgsConfig, failure_message: str) -> OptimizeResult:
-    """L-BFGS on `obj` from the filters `w0`, which the optimizer sees flat."""
+    """L-BFGS on `obj` from the filters `w0`, which the optimizer sees flat.
+
+    A failed line search raises OptimizationError(failure_message).
+    """
 
     def f(x):
         value, grad = obj.evaluate(x.reshape(w0.shape))
         return value, grad.ravel()
 
-    result = minimize(f, w0.ravel(), cfg)
-    if result.status == "line_search_failed":
-        raise OptimizationError(failure_message)
-    return result
+    try:
+        return minimize(f, w0.ravel(), cfg)
+    except LineSearchError:
+        raise OptimizationError(failure_message) from None
 
 
 def _check_sequences(seqs, side: int, tag: str) -> list[np.ndarray]:

@@ -9,6 +9,8 @@ never stored, which keeps the implicit matrix positive definite and every
 direction a descent direction.
 
 Objective closures take a flat float vector and return (value, gradient).
+A line search that finds no strong Wolfe step raises LineSearchError, which
+ends the run; pre-training and adaptation report it under their layer tag.
 """
 
 from __future__ import annotations
@@ -82,8 +84,7 @@ class OptimizeResult:
     grad_norm: float  # max-norm at w_final
     iterations: int
     evals: int  # objective evaluations, the start and every line-search probe
-    converged: bool
-    status: str  # converged | max_iters | line_search_failed
+    status: str  # converged | max_iters
     trace: list  # (value, grad max-norm) per iterate, including the start
 
 
@@ -139,9 +140,8 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
     """Find alpha satisfying the strong Wolfe conditions along x + alpha p.
 
     Bracketing starts at alpha = 1 and doubles; zoom interpolates inside
-    the bracket. Raises LineSearchError (carrying the best point found)
-    when no acceptable step exists within MAX_LINE_SEARCH_STEPS
-    evaluations.
+    the bracket. Raises LineSearchError when no acceptable step exists
+    within MAX_LINE_SEARCH_STEPS evaluations.
     """
     x = np.asarray(x, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
@@ -151,17 +151,12 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
         raise ValueError(f"p is not a descent direction (p'g = {d0})")
     c1, c2, budget = WOLFE_C1, WOLFE_C2, MAX_LINE_SEARCH_STEPS
 
-    best = LineSearchResult(0.0, x, f0, g0, 0)
     evals = 0
 
     def probe(alpha):
-        nonlocal evals, best
-        xa = x + alpha * p
-        fa, ga = f(xa)
+        nonlocal evals
         evals += 1
-        if fa < best.value:
-            best = LineSearchResult(alpha, xa, fa, ga, evals)
-        return fa, ga
+        return f(x + alpha * p)
 
     # bracketing phase
     alpha_prev, f_prev, d_prev = 0.0, f0, d0
@@ -182,13 +177,7 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
         alpha *= 2.0
 
     if bracket is None:
-        raise LineSearchError(
-            f"no Wolfe step within {budget} evaluations (bracketing)",
-            best.alpha,
-            best.x,
-            best.value,
-            best.gradient,
-        )
+        raise LineSearchError(f"no Wolfe step within {budget} evaluations (bracketing)")
 
     # zoom phase: invariant is that lo satisfies sufficient decrease and the
     # minimizer lies between lo and hi
@@ -205,13 +194,7 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
             if da * (hi - lo) >= 0:
                 hi, f_hi = lo, f_lo
             lo, f_lo, d_lo = alpha, fa, da
-    raise LineSearchError(
-        f"no Wolfe step within {budget} evaluations (zoom)",
-        best.alpha,
-        best.x,
-        best.value,
-        best.gradient,
-    )
+    raise LineSearchError(f"no Wolfe step within {budget} evaluations (zoom)")
 
 
 def _check_finite(value, grad, where):
@@ -226,10 +209,9 @@ def _check_finite(value, grad, where):
 def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     """Run L-BFGS from x0 until the gradient max-norm drops below grad_tol.
 
-    Stops on convergence, the iteration cap, or a line-search failure; the
-    converged flag is set only in the first case. On line-search failure
-    the best point the search saw is kept if it improves on the current
-    iterate.
+    Stops on convergence or the iteration cap, the result's status saying
+    which. A line search that fails raises LineSearchError, and a
+    non-finite accepted point raises OptimizationError.
     """
     cfg = cfg or LbfgsConfig()
     evals = 0
@@ -254,15 +236,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     else:
         for _ in range(cfg.max_iters):
             p = two_loop_direction(grad, hist, b0)
-            try:
-                ls = wolfe_line_search(counted, x, p, value, grad)
-            except LineSearchError as err:
-                status = "line_search_failed"
-                if err.value < value:
-                    x, value, grad = err.x, err.value, np.asarray(err.gradient)
-                    ginf = float(np.max(np.abs(grad)))
-                    trace.append((value, ginf))
-                break
+            ls = wolfe_line_search(counted, x, p, value, grad)
             s = ls.x - x
             y = ls.gradient - grad
             x, value = ls.x, ls.value
@@ -283,7 +257,6 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
         grad_norm=ginf,
         iterations=iterations,
         evals=evals,
-        converged=status == "converged",
         status=status,
         trace=trace,
     )

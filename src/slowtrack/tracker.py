@@ -158,11 +158,17 @@ def boxes_of(states: np.ndarray, base_w: float, base_h: float) -> np.ndarray:
 
 
 def _perturb(states: np.ndarray, motion: MotionModel, rng: np.random.Generator):
-    """Independent Gaussian noise on every (cx, cy, scale, rotation) row."""
+    """Independent Gaussian noise on every (cx, cy, scale, rotation) row.
+
+    A huge finite std can take a row to inf or NaN, which
+    `candidate_patches` rejects like a box outside the frame.
+    """
     stds = np.array([motion.std_xy, motion.std_xy, motion.std_scale, motion.std_rotation])
-    out = states + rng.standard_normal(states.shape) * stds
-    np.maximum(out[:, 2], 1e-3, out=out[:, 2])
-    out[:, 3] = wrap_angle(out[:, 3])
+    noise = rng.standard_normal(states.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = states + noise * stds
+        np.maximum(out[:, 2], 1e-3, out=out[:, 2])
+        out[:, 3] = wrap_angle(out[:, 3])
     return out
 
 
@@ -179,6 +185,10 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
     return _perturb(states[_systematic_resample(weights, n, rng)], motion, rng)
 
 
+# a state that is not finite, or a box too large for float64, has no
+# finite sample coordinate inside the frame: the inside count rejects it,
+# and the arithmetic's floating-point warnings on the way are noise
+@np.errstate(over="ignore", invalid="ignore")
 def candidate_patches(
     frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, template=None, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -232,8 +242,9 @@ def candidate_patches(
         else:  # a box in this block crosses the border: count and clamp
             inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
             valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
-            np.clip(xs, 0, width - 1, out=xs)
-            np.clip(ys, 0, height - 1, out=ys)
+            # fmax maps NaN to the border, so no NaN reaches the integer cast
+            np.fmin(np.fmax(xs, 0, out=xs), width - 1, out=xs)
+            np.fmin(np.fmax(ys, 0, out=ys), height - 1, out=ys)
         # the flat index, from whole pixel coordinates inside the frame
         ys *= width
         ys += xs

@@ -135,7 +135,7 @@ def test_criterion_3_optimizer_sanity():
 
     res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=100, grad_tol=1e-6))
     rosen_ok = (
-        res.converged
+        res.status == "converged"
         and res.iterations <= 100
         and res.grad_norm < 1e-6
         and float(np.max(np.abs(res.w_final - 1.0))) < 1e-5
@@ -145,7 +145,7 @@ def test_criterion_3_optimizer_sanity():
         np.array([4.0, -4.0]),
         LbfgsConfig(grad_tol=1e-8),
     )
-    quad_ok = quad.converged and quad.iterations <= 3
+    quad_ok = quad.status == "converged" and quad.iterations <= 3
     report(
         3,
         rosen_ok and quad_ok,

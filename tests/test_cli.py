@@ -471,6 +471,10 @@ class TestBadFlags:
             ("synth", "--rate", "nan"),
             ("synth", "--pattern", "deformation", "--amp", "inf"),
             ("synth", "--pattern", "scaling", "--rate", "1e300"),
+            # sizes numpy refuses outright: a 6.94 EiB texture, above any
+            # address space, and 1.6e19 pixels, above its largest array
+            ("synth", "--target-side", 1_000_000_000),
+            ("synth", "--size", "4000000000x4000000000"),
         ],
         ids=lambda flags: " ".join(str(f) for f in flags),
     )
@@ -490,7 +494,7 @@ class TestBadFlags:
         res = run_cli(*args, *bad)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
-        assert any(line.startswith("error: ") for line in res.stderr.splitlines())
+        assert sum(line.startswith("error: ") for line in res.stderr.splitlines()) == 1
 
     def test_track_corrupt_last_frame_exits_3_without_boxes(self, tmp_path, track_dir):
         seq = tmp_path / "seq"
@@ -534,6 +538,29 @@ class TestOverflow:
         for line in lines:
             assert line.startswith("adapt kind=failed")
             assert "line search failed during adaptation" in line
+
+
+@pytest.fixture(scope="module")
+def rotation_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_rotation") / "seq"
+    res = run_cli("synth", "--pattern", "rotation", "--frames", 25, "--seed", 22, "--out", out)
+    assert res.returncode == 0, res.stderr
+    return out
+
+
+class TestHugeMotionStd:
+    """A candidate whose perturbed state is not finite is rejected like one outside the frame."""
+
+    @pytest.mark.parametrize(
+        "flag, code", [("--std-scale", 0), ("--std-rotation", 0), ("--std-xy", 5)]
+    )
+    def test_no_runtime_warning(self, tmp_path, rotation_dir, flag, code):
+        res = run_cli("track", "--raw-only", "--particles", 50, "--topk", 5,
+                      "--frames", rotation_dir, "--init-box", init_box_of(rotation_dir),
+                      "--out", tmp_path / "b.csv", flag, 1e308)
+        assert res.returncode == code, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "RuntimeWarning" not in res.stderr
 
 
 def settable(cfg) -> list[str]:

@@ -1,6 +1,7 @@
 import functools
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import build_model, corruptions, normalize_values
 from slowtrack.encoder import LayerEncoder, encode
-from slowtrack.errors import DataError, ModelFormatError
+from slowtrack.errors import DataError, LineSearchError, ModelFormatError, OptimizationError
 from slowtrack.hierarchy import (
     HierarchicalModel,
     HierFeature,
@@ -73,6 +74,18 @@ FAST = PretrainConfig(
 )
 
 
+def fit_failure(run):
+    """The OptimizationError `run()` raises, checked to leave no RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OptimizationError) as exc:
+            run()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the layer's message replaces the optimizer's own LineSearchError
+    assert not isinstance(exc.value, LineSearchError)
+    return str(exc.value)
+
+
 class TestPretrain:
     def test_deterministic_bit_identical(self, small_training_sets, tmp_path):
         ts16, ts32 = small_training_sets
@@ -111,6 +124,12 @@ class TestPretrain:
         res = pretrain(ts16, ts32, FAST)
         assert res.layer1_opt.value < res.layer1_opt.trace[0][0]
         assert res.layer2_opt.value < res.layer2_opt.trace[0][0]
+
+    def test_failed_line_search_named_by_layer(self, small_training_sets):
+        ts16, ts32 = small_training_sets
+        cfg = PretrainConfig(lam=1e300, f1=8, f2=4, optimizer=LbfgsConfig(max_iters=3))
+        message = fit_failure(lambda: pretrain(ts16, ts32, cfg))
+        assert message == "layer1: line search failed during training"
 
     def test_empty_training_set_rejected(self, small_training_sets):
         _, ts32 = small_training_sets
@@ -289,6 +308,12 @@ class TestAdapt:
         before = model.layer1.weights.copy()
         adapt(model, ts16, ts32, lam=2.0, gamma=10.0)
         np.testing.assert_array_equal(model.layer1.weights, before)
+
+    def test_failed_line_search_named_by_layer(self, small_training_sets):
+        ts16, ts32 = small_training_sets
+        model = build_model()
+        message = fit_failure(lambda: adapt(model, ts16, ts32, lam=1e300, gamma=100.0))
+        assert message == "layer1: line search failed during adaptation"
 
     @pytest.mark.parametrize("weight", ["lam", "gamma"])
     def test_nan_weight_rejected(self, small_training_sets, weight):

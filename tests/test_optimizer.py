@@ -122,11 +122,10 @@ class TestWolfe:
 
     def test_linear_descent_has_no_wolfe_point(self):
         f = lambda x: (float(-x[0]), np.array([-1.0]))
-        with pytest.raises(LineSearchError) as exc:
+        with pytest.raises(LineSearchError):
             wolfe_line_search(
                 f, np.array([0.0]), np.array([1.0]), 0.0, np.array([-1.0])
             )
-        assert exc.value.value < 0.0  # best point still carried
 
     def test_unit_step_accepted_when_minimizer_at_one(self):
         f = quadratic
@@ -166,20 +165,20 @@ class TestWolfe:
 class TestMinimize:
     def test_quadratic_in_few_iterations(self):
         res = minimize(quadratic, np.array([4.0, -4.0]), LbfgsConfig(grad_tol=1e-8))
-        assert res.converged
+        assert res.status == "converged"
         assert res.iterations <= 3
         assert np.linalg.norm(res.w_final) < 1e-8
 
     def test_zero_iterations_when_already_converged(self):
         res = minimize(quadratic, np.zeros(3), LbfgsConfig(grad_tol=1e-8))
-        assert res.converged
+        assert res.status == "converged"
         assert res.iterations == 0
 
     def test_rosenbrock(self):
         res = minimize(
             rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=100, grad_tol=1e-6)
         )
-        assert res.converged
+        assert res.status == "converged"
         assert res.iterations <= 100
         assert res.grad_norm < 1e-6
         np.testing.assert_allclose(res.w_final, [1.0, 1.0], atol=1e-5)
@@ -193,15 +192,8 @@ class TestMinimize:
 
     def test_max_iters_status(self):
         res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=2))
-        assert not res.converged
         assert res.status == "max_iters"
         assert res.iterations == 2
-
-    def test_line_search_failure_status(self):
-        f = lambda x: (float(-x[0]), np.array([-1.0]))
-        res = minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
-        assert res.status == "line_search_failed"
-        assert not res.converged
 
     def test_evals_count_every_objective_call(self):
         calls = []
@@ -214,16 +206,16 @@ class TestMinimize:
         assert res.evals == len(calls)
         assert res.evals > res.iterations
 
-    def test_evals_include_a_failed_line_search(self):
+    def test_line_search_failure_raises_after_its_budget(self):
         calls = []
 
         def f(x):
             calls.append(1)
             return float(-x[0]), np.array([-1.0])
 
-        res = minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
-        assert res.status == "line_search_failed"
-        assert res.evals == len(calls) == 1 + MAX_LINE_SEARCH_STEPS
+        with pytest.raises(LineSearchError, match="no Wolfe step"):
+            minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
+        assert len(calls) == 1 + MAX_LINE_SEARCH_STEPS
 
     def test_non_finite_start_aborts(self):
         f = lambda x: (float("nan"), np.zeros(1))

@@ -66,3 +66,13 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
     kinds = ", ".join(rf"{kind} \d+\.\d" for kind in ("learned", "raw", "no-adapt"))
     seconds = rf"^wall seconds of the 20 tracks of each kind: {kinds}$"
     assert re.search(seconds, res.stdout, re.MULTILINE), res.stdout
+
+
+def test_round_trip_writes_one_file_per_command(tmp_path):
+    res = run_script("round_trip.py", tmp_path / "out", "--frames", 22, "--aux-frames", 10)
+    assert res.returncode == 0, res.stdout
+    names = ["synth", "synth", "pretrain", "synth", "track", "eval", "track", "eval", "adapt"]
+    files = [f"{i:02d}-{name}.txt" for i, name in enumerate(names, start=1)]
+    assert sorted(p.name for p in (tmp_path / "out").glob("*.txt")) == files
+    for name in files:
+        assert "\nexit 0\n" in (tmp_path / "out" / name).read_text(), name
