@@ -206,14 +206,20 @@ class TestMinimize:
         assert res.evals == len(calls)
         assert res.evals > res.iterations
 
-    def test_line_search_failure_raises_after_its_budget(self):
+    def test_line_search_failure_status(self):
+        # A failed line search has no status of its own: minimize raises it.
+        f = lambda x: (float(-x[0]), np.array([-1.0]))
+        with pytest.raises(LineSearchError, match="no Wolfe step"):
+            minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
+
+    def test_evals_include_a_failed_line_search(self):
         calls = []
 
         def f(x):
             calls.append(1)
             return float(-x[0]), np.array([-1.0])
 
-        with pytest.raises(LineSearchError, match="no Wolfe step"):
+        with pytest.raises(LineSearchError):
             minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
         assert len(calls) == 1 + MAX_LINE_SEARCH_STEPS
 
