@@ -25,6 +25,7 @@ from .patches import (
 )
 from .synth import (
     deformation_script,
+    frame_name,
     generate_sequence,
     rotation_script,
     scaling_script,
@@ -261,6 +262,14 @@ def cmd_synth(args) -> int:
         raise UsageError("--frames must be >= 1")
     if min(args.size) < 1:
         raise UsageError(f"--size must be at least 1x1, got {args.size[0]}x{args.size[1]}")
+    # a frame this run does not overwrite would join the sequence it writes
+    stale = [
+        p for p in Path(args.out).glob("*.pgm")
+        if not (p.stem.isdecimal() and int(p.stem) < args.frames
+                and p.name == frame_name(int(p.stem)))
+    ]
+    if stale:
+        raise UsageError(f"--out {args.out} holds {len(stale)} .pgm frame(s) this run would not write")
     # an infinite flag can overflow the schedule, which MotionScript rejects
     with np.errstate(over="ignore", invalid="ignore"):
         script = _config(_synth_script, args=args)

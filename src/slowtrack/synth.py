@@ -98,13 +98,29 @@ def deformation_script(
     )
 
 
-def _bandlimited(rng: np.random.Generator, shape, sigma, lo, hi) -> np.ndarray:
-    # imported here: scipy.ndimage costs every command that imports
-    # slowtrack about 0.4 s, and only synthesis uses it
-    from scipy.ndimage import gaussian_filter
+def _wrap_blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur of a 2-D array with wrap-around edges.
 
+    Bit for bit scipy's `gaussian_filter(a, sigma, mode="wrap")`: the same
+    normalized kernel and radius, axis 0 first, and each output summed
+    from the centre tap, then the symmetric tap pairs from the outermost in.
+    """
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for _ in range(2):  # axis 1 is axis 0 of the transpose
+        n = a.shape[0]
+        p = np.pad(a, ((r, r), (0, 0)), mode="wrap")
+        out = p[r : r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[r - j : r - j + n] + p[r + j : r + j + n]) * w[r + j]
+        a = np.ascontiguousarray(out.T)
+    return a
+
+
+def _bandlimited(rng: np.random.Generator, shape, sigma, lo, hi) -> np.ndarray:
     noise = rng.random(shape)
-    smooth = gaussian_filter(noise, sigma=sigma, mode="wrap")
+    smooth = _wrap_blur(noise, sigma)
     lo_v, hi_v = smooth.min(), smooth.max()
     if hi_v - lo_v < 1e-12:
         return np.full(shape, (lo + hi) / 2.0)
@@ -189,10 +205,15 @@ def generate_sequence(
     return frames, BoxTrace(np.asarray(boxes))
 
 
+def frame_name(index: int) -> str:
+    """The file name of frame `index` of a written sequence."""
+    return f"{index:06d}.pgm"
+
+
 def write_sequence(frames, boxes: BoxTrace, directory) -> None:
     """Write numbered PGM frames plus gt.csv into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):
-        save_frame(frame, directory / f"{i:06d}.pgm")
+        save_frame(frame, directory / frame_name(i))
     write_boxes_csv(directory / "gt.csv", boxes.boxes)

@@ -74,18 +74,6 @@ def copy_with_tiny_frame(src, dst, index):
     return dst
 
 
-def test_cli_import_leaves_scipy_ndimage_out():
-    # only synthesis smooths noise; every other command skips the import
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, slowtrack.cli; print('scipy.ndimage' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
-
-
 class TestSynth:
     def test_writes_frames_and_gt(self, tmp_path):
         res = synth(tmp_path / "s", frames=10)
@@ -97,6 +85,34 @@ class TestSynth:
         res = run_cli("synth", "--pattern", "rotation", "--frames", 0,
                       "--out", tmp_path / "x", "--seed", 1)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "frames_before, stray, stale",
+        [(30, None, 18), (12, "000012.pgm", 1), (12, "notes.pgm", 1), (12, "0000001.pgm", 1)],
+    )
+    def test_frames_it_would_not_write_refused(self, tmp_path, frames_before, stray, stale):
+        # the frames of a longer earlier sequence, or a stray .pgm, in --out
+        out = tmp_path / "s"
+        synth(out, frames=frames_before)
+        if stray:
+            (out / stray).write_bytes(b"P5\n1 1\n255\n\0")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("synth", "--pattern", "rotation", "--frames", 12, "--out", out)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{stale} .pgm frame(s)" in lines[0]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_same_length_rewrite_replaces_every_file(self, tmp_path):
+        synth(tmp_path / "s", frames=6, seed=3)
+        synth(tmp_path / "s", frames=6, seed=4, pattern="rotation")
+        synth(tmp_path / "fresh", frames=6, seed=4, pattern="rotation")
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         synth(tmp_path / "one", frames=6, seed=3)

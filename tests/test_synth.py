@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from slowtrack.errors import DataError
 from slowtrack.patches import load_frame, read_boxes_csv
 from slowtrack.synth import (
     MotionScript,
+    _bandlimited,
+    _wrap_blur,
     deformation_script,
     generate_sequence,
     rotation_script,
@@ -122,3 +126,67 @@ class TestWriteSequence:
         # in-memory frames are already 8-bit quantized: round trip exact
         back = load_frame(out / "000001.pgm")
         np.testing.assert_array_equal(back, frames[1])
+
+
+class TestWrapBlur:
+    @pytest.mark.parametrize("sigma", [1.2, 3.0])
+    def test_matches_scipy_gaussian_filter_bit_for_bit(self, sigma):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(round(sigma * 10))
+        # sides below the radius (5 at 1.2, 12 at 3.0) wrap more than once
+        shapes = [(1, 17), (17, 1), (1, 1), (4, 4), (10, 9), (32, 32), (240, 320)]
+        shapes += [tuple(rng.integers(1, 200, 2)) for _ in range(30)]
+        for shape in shapes:
+            a = rng.random(shape)
+            got = _wrap_blur(a, sigma)
+            want = ndimage.gaussian_filter(a, sigma, mode="wrap")
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), shape
+
+
+# SHA-256 of the float64 bytes of `_bandlimited` (seed 7) at the texture's
+# and the background's sigma and range, as made when scipy's
+# gaussian_filter still did the blur; unlike the 8-bit frames they change
+# with the last bit of the blur
+BANDLIMITED_SHA256 = {
+    ((4, 4), 1.2, 0.02, 0.98): "d3366fdaffea8a0181cdd3b9ef5e637a52390f2b3ea10521d593c4d4b2317372",
+    ((32, 32), 1.2, 0.02, 0.98): "68f7e70275e409a3e04599d4b1beda85eaacc8a39430e833361ffb2b05101a85",
+    ((90, 120), 3.0, 0.35, 0.65): "e145e2536ea375d1ba7fc04a49202f6125d9356e16c6f274fe32af508f72212c",
+}
+
+
+@pytest.mark.parametrize(
+    "args", list(BANDLIMITED_SHA256), ids=["texture-4x4", "texture-32x32", "background-120x90"]
+)
+def test_bandlimited_bytes_pinned(args):
+    out = _bandlimited(np.random.default_rng(7), *args)
+    assert out.flags.c_contiguous
+    assert hashlib.sha256(out.tobytes()).hexdigest() == BANDLIMITED_SHA256[args]
+
+
+# SHA-256 over the file names and bytes (frames and gt.csv, in name order)
+# that write_sequence writes for each script, as made when scipy's
+# gaussian_filter still smoothed the texture and the background
+PINNED_SCRIPTS = {
+    "translation": lambda: translation_script(4, (56.0, 45.0), (2.0, 1.0)),
+    "rotation": lambda: rotation_script(4, (60.0, 45.0), 0.3),
+    # a 4x4 texture is narrower than the texture blur's radius
+    "scaling": lambda: scaling_script(4, (60.0, 45.0), 1.05, target_side=4),
+    "deformation": lambda: deformation_script(4, (60.0, 45.0), 3.0, time_period=8.0),
+}
+SEQUENCE_SHA256 = {
+    "deformation": "aa558f4a31431498d5ce99932067dffce8f34747be4d52e1040ebcbd1047a606",
+    "rotation": "073853fccfcf4f854b72b591e95f866c4c5d08e76a3d32fd0460be0b03fc69cb",
+    "scaling": "870caaec557ddec504f3028b2501b82810efe21225cd0464087d12b37723e074",
+    "translation": "34ff22df59e6f300252f2c9d952ae2dd88ca0c0a945ea27cf84509d2a490a0a0",
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PINNED_SCRIPTS))
+def test_sequence_bytes_pinned(pattern, tmp_path):
+    frames, gt = generate_sequence(PINNED_SCRIPTS[pattern](), (120, 90), seed=7)
+    write_sequence(frames, gt, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == SEQUENCE_SHA256[pattern]
