@@ -36,6 +36,7 @@ from slowtrack.tracker import TrackerConfig, run_tracker
 
 
 def pretraining_data(n_frames=40):
+    """The 16 and 32 px training sequences of five tracked videos."""
     scripts = [
         translation_script(n_frames, (60.0, 60.0), (1.0, 0.0), target_side=48),
         translation_script(n_frames, (70.0, 52.0), (-0.8, 0.6), target_side=48),
@@ -43,12 +44,13 @@ def pretraining_data(n_frames=40):
         scaling_script(n_frames, (64.0, 60.0), 1.004, target_side=48),
         deformation_script(n_frames, (64.0, 60.0), 3.0, target_side=48),
     ]
-    frame_seqs, box_seqs = [], []
+    # every 48 px box holds both patch sides, so no video is skipped
+    seqs16, seqs32 = [], []
     for i, script in enumerate(scripts):
         frames, gt = generate_sequence(script, (140, 120), seed=11 + i)
-        frame_seqs.append(frames)
-        box_seqs.append(gt.boxes)
-    return frame_seqs, box_seqs
+        seqs16 += sample_training_set(frames, gt.boxes, 16, 16)
+        seqs32 += sample_training_set(frames, gt.boxes, 32, 16)
+    return seqs16, seqs32
 
 
 def track(frames, gt, model, cfg):
@@ -112,9 +114,7 @@ def main():
     args = parser.parse_args()
 
     t0 = time.time()
-    frame_seqs, box_seqs = pretraining_data()
-    seqs16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
-    seqs32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
+    seqs16, seqs32 = pretraining_data()
     cfg = PretrainConfig(
         lam=args.lam,
         f1=args.f1,

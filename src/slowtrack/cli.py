@@ -280,26 +280,32 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _sample_directory(directory: Path, stride: int) -> dict:
+    """Each side's training sequences of one data directory, None where its box is too small.
+
+    Its frames are freed on return, before the next directory is read.
+    """
+    gt = directory / "gt.csv"
+    if not gt.is_file():
+        raise DataError(f"missing gt.csv in data directory {directory}")
+    frames = list(stream_frame_dir(directory))
+    boxes = read_boxes_csv(gt)
+    try:
+        return {side: sample_training_set(frames, boxes, side, stride) for side in (16, 32)}
+    except DataError as err:
+        raise DataError(f"{directory}: {err}") from None
+
+
 def cmd_pretrain(args) -> int:
     cfg = _configure(PretrainConfig(), args)
     _check_tradeoffs(cfg.lam)
-    frame_seqs, box_seqs = [], []
-    for directory in args.data:
-        directory = Path(directory)
-        gt = directory / "gt.csv"
-        if not gt.is_file():
-            raise DataError(f"missing gt.csv in data directory {directory}")
-        frames = list(stream_frame_dir(directory))
-        boxes = read_boxes_csv(gt)
-        frame_seqs.append(frames)
-        box_seqs.append(boxes)
+    sampled = [_sample_directory(Path(d), cfg.sub_patch_stride) for d in args.data]
     seqs = {}
     for side in (16, 32):
-        seqs[side], skipped = sample_training_set(
-            frame_seqs, box_seqs, side, cfg.sub_patch_stride
-        )
+        skipped = sum(cells[side] is None for cells in sampled)
         if skipped:
             _warn(f"{skipped} sequence(s) skipped for side {side} (box smaller than the patch)")
+        seqs[side] = [seq for cells in sampled for seq in cells[side] or ()]
         if not seqs[side]:
             raise DataError(f"no {side}x{side} training patches sampled")
     result = pretrain(seqs[16], seqs[32], cfg)
@@ -335,13 +341,11 @@ def cmd_adapt(args) -> int:
             f"need at least {cfg.init_frames} frames, found {len(frames)}"
         )
     result = run_tracker(frames, args.init_box, model, cfg)
-    adapt_events = [e for e in result.events if e.kind != "failed"]
-    if not adapt_events:
-        raise OptimizationError(
-            "adaptation failed: "
-            + "; ".join(e.error for e in result.events if e.kind == "failed")
-        )
-    for st in adapt_events[-1].layers:
+    # init_frames frames hold exactly one scheduled adaptation
+    (event,) = result.events
+    if event.kind == "failed":
+        raise OptimizationError(f"adaptation failed: {event.error}")
+    for st in event.layers:
         print(
             f"{st.layer}: |W - W_old|_F = {st.frobenius_change:.6e} "
             f"(relative {st.relative_change:.6e})"
@@ -365,13 +369,12 @@ def cmd_track(args) -> int:
     except TrackingLostError as err:
         if err.boxes is not None and len(err.boxes):
             write_boxes_csv(args.out, err.boxes)
-        Path(log_path).write_text(f"{err}\n", encoding="utf-8")
+        lines = [format_event(e) for e in err.events] + [str(err)]
+        Path(log_path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         raise
     write_boxes_csv(args.out, result.boxes)
     lines = [format_event(e) for e in result.events]
-    Path(log_path).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    Path(log_path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"wrote {len(result.boxes)} boxes to {args.out}")
     return EXIT_OK
 

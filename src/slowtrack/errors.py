@@ -22,10 +22,11 @@ class LineSearchError(OptimizationError):
 
 
 class TrackingLostError(Exception):
-    """Every candidate was rejected; a run adds the frame index and earlier boxes."""
+    """Every candidate was rejected; a run adds the frame index, earlier boxes and events."""
 
-    def __init__(self, frame_index=None, boxes=None):
+    def __init__(self, frame_index=None, boxes=None, events=()):
         where = "" if frame_index is None else f" at frame {frame_index}"
         super().__init__(f"tracking lost{where}")
         self.frame_index = frame_index
         self.boxes = boxes
+        self.events = events

@@ -148,56 +148,41 @@ def stream_frame_dir(directory) -> Iterator[np.ndarray]:
     return map(load_frame, paths)
 
 
-def sample_training_set(
-    frame_sequences, box_sequences, side: int, stride: int
-) -> tuple[list[np.ndarray], int]:
-    """Cut a fixed stride grid of patch sequences from tracked videos.
+def sample_training_set(frames, boxes, side: int, stride: int) -> list[np.ndarray] | None:
+    """Cut a fixed stride grid of patch sequences from one tracked video.
 
-    The grid is anchored at each sequence's first box and kept at identical
-    pixel coordinates across all frames of that sequence, so grid cell k in
-    frame t corresponds spatially to cell k in frame t+1. Returns
-    `(sequences, skipped)`: one (L, side**2) array of normalized patches
-    per grid cell, cells in row-major order, and the number of videos
-    skipped because their box is smaller than `side`.
+    The grid is anchored at the first box and kept at identical pixel
+    coordinates across all frames, so grid cell k in frame t corresponds
+    spatially to cell k in frame t+1. Returns one (L, side**2) array of
+    normalized patches per grid cell, cells in row-major order, or None
+    when the first box is smaller than `side`.
     """
     if side not in PATCH_SIDES:
         raise ValueError(f"unsupported patch side {side}; expected one of {PATCH_SIDES}")
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    if len(frame_sequences) != len(box_sequences):
-        raise DataError(
-            f"{len(frame_sequences)} frame sequences but "
-            f"{len(box_sequences)} box sequences"
-        )
-    sequences = []
-    skipped = 0
-    for si, (frames, boxes) in enumerate(zip(frame_sequences, box_sequences)):
-        frames = list(frames)
-        boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        if not frames:
-            continue
-        if len(boxes) != len(frames):
+    frames = list(frames)
+    if not frames:
+        return []
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if len(boxes) != len(frames):
+        raise DataError(f"{len(frames)} frames but {len(boxes)} boxes")
+    bx, by, bw, bh = (int(round(v)) for v in boxes[0])
+    if bw < side or bh < side:
+        return None
+    height, width = frames[0].shape
+    for t, f in enumerate(frames):
+        if f.shape != (height, width):
             raise DataError(
-                f"sequence {si}: {len(frames)} frames but {len(boxes)} boxes"
+                f"frame {t} is {f.shape[1]}x{f.shape[0]}, frame 0 is {width}x{height}"
             )
-        bx, by, bw, bh = (int(round(v)) for v in boxes[0])
-        if bw < side or bh < side:
-            skipped += 1
-            continue
-        height, width = frames[0].shape
-        for t, f in enumerate(frames):
-            if f.shape != (height, width):
-                raise DataError(
-                    f"sequence {si}: frame {t} is {f.shape[1]}x{f.shape[0]}, "
-                    f"frame 0 is {width}x{height}"
-                )
-        xs = [x for x in range(bx, bx + bw - side + 1, stride) if 0 <= x <= width - side]
-        ys = [y for y in range(by, by + bh - side + 1, stride) if 0 <= y <= height - side]
-        for gy in ys:
-            for gx in xs:
-                windows = [f[gy : gy + side, gx : gx + side].ravel() for f in frames]
-                sequences.append(normalize_rows(np.stack(windows)))
-    return sequences, skipped
+    xs = [x for x in range(bx, bx + bw - side + 1, stride) if 0 <= x <= width - side]
+    ys = [y for y in range(by, by + bh - side + 1, stride) if 0 <= y <= height - side]
+    return [
+        normalize_rows(np.stack([f[gy : gy + side, gx : gx + side].ravel() for f in frames]))
+        for gy in ys
+        for gx in xs
+    ]
 
 
 def read_boxes_csv(path) -> np.ndarray:

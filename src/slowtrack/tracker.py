@@ -436,7 +436,7 @@ def run_tracker(
                 frame, states, weights, (w, h), template, current, lib, cfg, rng, work
             )
         except TrackingLostError:
-            raise TrackingLostError(t, boxes_of(np.array(chosen), w, h)) from None
+            raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None
         chosen.append(states[best])
         window.append(template)
         maybe_adapt(t + 1)

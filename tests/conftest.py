@@ -91,6 +91,15 @@ def mixed_motion_data(n_frames=40, frame_size=(140, 120), seed0=11, target_side=
     return frame_seqs, box_seqs
 
 
+def training_set(frame_seqs, box_seqs, side, stride=16):
+    """Every sequence's grid cells of one side, concatenated; a too-small box adds none."""
+    return [
+        cell
+        for frames, boxes in zip(frame_seqs, box_seqs)
+        for cell in sample_training_set(frames, boxes, side, stride) or ()
+    ]
+
+
 def translation_data(n_seqs, n_frames, seed0, velocity=1.0, target_side=48):
     """Translating-texture sequences in evenly spread directions."""
     rng = np.random.default_rng(seed0)
@@ -113,8 +122,8 @@ def translation_data(n_seqs, n_frames, seed0, velocity=1.0, target_side=48):
 def trained_model():
     """A small model pre-trained on mixed-motion sequences (shared, ~5 s)."""
     frame_seqs, box_seqs = mixed_motion_data()
-    seqs16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
-    seqs32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
+    seqs16 = training_set(frame_seqs, box_seqs, 16)
+    seqs32 = training_set(frame_seqs, box_seqs, 32)
     cfg = PretrainConfig(
         lam=5.0,
         f1=32,
@@ -129,8 +138,8 @@ def trained_model():
 def small_training_sets():
     """Tiny 16/32 training sets (lists of arrays) for fast adaptation tests."""
     frame_seqs, box_seqs = mixed_motion_data(n_frames=8, seed0=31)
-    seqs16, _ = sample_training_set(frame_seqs[:2], box_seqs[:2], 16, 16)
-    seqs32, _ = sample_training_set(frame_seqs[:2], box_seqs[:2], 32, 16)
+    seqs16 = training_set(frame_seqs[:2], box_seqs[:2], 16)
+    seqs32 = training_set(frame_seqs[:2], box_seqs[:2], 32)
     return seqs16, seqs32
 
 

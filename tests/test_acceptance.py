@@ -18,6 +18,7 @@ from conftest import (
     finite_difference_gradient,
     mixed_motion_data,
     normalize_values,
+    training_set,
     translation_data,
 )
 from slowtrack.encoder import LayerEncoder, encode
@@ -32,7 +33,7 @@ from slowtrack.hierarchy import (
 from slowtrack.metrics import BoxTrace, center_error, overlap_rate
 from slowtrack.objectives import AdaptationObjective, SlownessObjective
 from slowtrack.optimizer import LbfgsConfig, LbfgsHistory, minimize, two_loop_direction
-from slowtrack.patches import read_boxes_csv, sample_training_set
+from slowtrack.patches import read_boxes_csv
 from slowtrack.synth import (
     deformation_script,
     generate_sequence,
@@ -170,15 +171,15 @@ def unit_feature_distance(enc, sequences):
 def test_criterion_4_slowness_improvement():
     t0 = time.perf_counter()
     frame_seqs, box_seqs = translation_data(8, 50, seed0=42)
-    ts16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
-    ts32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
+    ts16 = training_set(frame_seqs, box_seqs, 16)
+    ts32 = training_set(frame_seqs, box_seqs, 32)
     cfg = PretrainConfig(
         lam=10.0, f1=32, f2=4, optimizer=LbfgsConfig(max_iters=200, grad_tol=1e-4), seed=0
     )
     model = pretrain(ts16, ts32, cfg).model
 
     held_frames, held_boxes = translation_data(3, 50, seed0=777)
-    held16, _ = sample_training_set(held_frames, held_boxes, 16, 16)
+    held16 = training_set(held_frames, held_boxes, 16)
     trained = unit_feature_distance(model.layer1, held16)
     w_rand = _random_orthonormal_rows(cfg.f1, 256, np.random.default_rng(2024))
     random_enc = LayerEncoder(w_rand)
@@ -305,8 +306,8 @@ class TrackCase:
 def tracking_runs():
     t0 = time.perf_counter()
     frame_seqs, box_seqs = mixed_motion_data()
-    ts16, _ = sample_training_set(frame_seqs, box_seqs, 16, 16)
-    ts32, _ = sample_training_set(frame_seqs, box_seqs, 32, 16)
+    ts16 = training_set(frame_seqs, box_seqs, 16)
+    ts32 = training_set(frame_seqs, box_seqs, 32)
     model = pretrain(
         ts16,
         ts32,

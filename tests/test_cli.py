@@ -2,13 +2,14 @@ import argparse
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slowtrack.cli import _build_parser
+from slowtrack.cli import _build_parser, main
 from slowtrack.hierarchy import PretrainConfig, load_model
 from slowtrack.patches import read_boxes_csv
 from slowtrack.tracker import TrackerConfig
@@ -167,6 +168,43 @@ class TestPretrain:
         whitening = load_model(tmp_path / "m.hftm").whitening
         assert (int(m[1]), int(m[2])) == (whitening.retained_dim, whitening.input_dim)
         assert 0.99 <= float(m[3]) <= 1.0
+
+    def test_small_box_skipped_for_one_side(self, tmp_path, data_dir):
+        # a 24 px box holds 16x16 patches but no 32x32 one
+        synth(tmp_path / "small", frames=6, target_side="24")
+        flags = ("--out", tmp_path / "m.hftm", "--f1", 8, "--f2", 4, "--max-iters", 2)
+        res = run_cli("pretrain", "--data", tmp_path / "small", *flags)
+        assert res.returncode == 3
+        assert res.stderr == (
+            "warning: 1 sequence(s) skipped for side 32 (box smaller than the patch)\n"
+            "error: no 32x32 training patches sampled\n"
+        )
+        res = run_cli("pretrain", "--data", tmp_path / "small", data_dir / "a",
+                      tmp_path / "small", *flags)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == (
+            "warning: 2 sequence(s) skipped for side 32 (box smaller than the patch)\n"
+        )
+
+    def test_holds_one_directory_of_frames(self, tmp_path, capsys):
+        # in process, so the peak is pretrain's own and not the test runner's
+        dirs = [tmp_path / f"d{i}" for i in range(6)]
+        for i, d in enumerate(dirs):
+            assert main(["synth", "--pattern", "translation", "--frames", "10",
+                         "--out", str(d), "--seed", str(i), "--target-side", "48"]) == 0
+
+        def traced_peak(data):
+            tracemalloc.start()
+            try:
+                assert main(["pretrain", "--data", *map(str, data),
+                             "--out", str(tmp_path / "m.hftm"),
+                             "--f1", "8", "--f2", "8", "--max-iters", "2"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_dir_of_frames = 10 * 320 * 240 * 8  # ten decoded float64 frames
+        assert traced_peak(dirs) - traced_peak(dirs[:1]) < one_dir_of_frames
 
     def test_lambda_warning_outside_range(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",
@@ -357,7 +395,22 @@ class TestErrorPaths:
         assert "tracking lost at frame 1" in res.stderr
         boxes = read_boxes_csv(tmp_path / "b.csv")
         np.testing.assert_allclose(boxes, gt[:1])
-        assert "tracking lost" in (tmp_path / "b.csv.log").read_text()
+        assert (tmp_path / "b.csv.log").read_text() == "tracking lost at frame 1\n"
+
+    def test_tracking_lost_log_keeps_earlier_adaptations(self, tmp_path, model_path):
+        synth(tmp_path / "tiny", frames=6, seed=2, velocity="0,0",
+              size="64x64", target_side="32")
+        # with one init frame the init adaptation runs before step 1, where the track is lost
+        res = run_cli("track", "--model", model_path, "--frames", tmp_path / "tiny",
+                      "--init-box", init_box_of(tmp_path / "tiny"),
+                      "--out", tmp_path / "b.csv", "--init-frames", 1, "--particles", 50,
+                      "--topk", 5, "--std-xy", 500, "--std-scale", 0,
+                      "--std-rotation", 0, "--seed", 0)
+        assert res.returncode == 5
+        assert res.stderr == "error: tracking lost at frame 1\n"
+        event, lost = (tmp_path / "b.csv.log").read_text().splitlines()
+        assert event.startswith("adapt kind=init frames=1 layer1_before=")
+        assert lost == "tracking lost at frame 1"
 
     def test_adapt_tracking_lost_in_bootstrap_exits_5(self, tmp_path, model_path, track_dir):
         # frame 1 is 2x2, so no candidate has half its samples inside it
@@ -430,7 +483,19 @@ class TestTypedDataErrors:
         res = run_cli("pretrain", "--data", seq, "--out", tmp_path / "m.hftm",
                       "--f1", 8, "--f2", 4, "--max-iters", 2)
         assert_data_error(res)
-        assert "sequence 0: frame 3 is 2x2" in res.stderr
+        assert f"error: {seq}: frame 3 is 2x2, frame 0 is " in res.stderr
+
+    def test_pretrain_frame_and_box_counts(self, tmp_path, data_dir):
+        seq = tmp_path / "seq"
+        seq.mkdir()
+        for path in (data_dir / "a").iterdir():
+            (seq / path.name).write_bytes(path.read_bytes())
+        rows = (seq / "gt.csv").read_text().splitlines()
+        (seq / "gt.csv").write_text("\n".join(rows[:-1]) + "\n")
+        res = run_cli("pretrain", "--data", data_dir / "b", seq, "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 2)
+        assert_data_error(res)
+        assert res.stderr == f"error: {seq}: 24 frames but 23 boxes\n"
 
     def test_track_nan_init_box(self, tmp_path, track_dir):
         res = run_cli("track", "--frames", track_dir, "--init-box", "nan,1,30,30",

@@ -26,7 +26,7 @@ def write_pgm(path, width, height, payload, maxval=255, magic=b"P5"):
 
 def cut(frame, x, y, side):
     """The normalized side x side training patch at (x, y) of one frame."""
-    (seq,), _ = sample_training_set([[frame]], [[(x, y, side, side)]], side, side)
+    (seq,) = sample_training_set([frame], [(x, y, side, side)], side, side)
     return seq[0]
 
 
@@ -152,12 +152,12 @@ class TestExtractPatch:
     def test_unsupported_side(self):
         frame = np.zeros((64, 64))
         with pytest.raises(ValueError, match="unsupported patch side"):
-            sample_training_set([[frame]], [[(0, 0, 32, 32)]], 24, 8)
+            sample_training_set([frame], [(0, 0, 32, 32)], 24, 8)
 
     def test_window_exceeding_frame(self):
         # no grid cell of a 16x16 window fits an 8x8 frame: nothing is cut
         frame = np.zeros((8, 8))
-        assert sample_training_set([[frame]], [[(0, 0, 16, 16)]], 16, 16) == ([], 0)
+        assert sample_training_set([frame], [(0, 0, 16, 16)], 16, 16) == []
 
     def test_window_resampled_nearest(self):
         # a 64x64 box sampled on the 32x32 candidate grid reads every other pixel
@@ -178,34 +178,30 @@ class TestSampleTrainingSet:
     def test_single_cell(self):
         frames = self.frames(2)
         boxes = [(10, 12, 16, 16)] * 2
-        seqs, skipped = sample_training_set([frames], [boxes], 16, 16)
+        seqs = sample_training_set(frames, boxes, 16, 16)
         assert len(seqs) == 1
         assert seqs[0].shape == (2, 256)
-        assert skipped == 0
 
     def test_2x2_grid(self):
         frames = self.frames(3)
         boxes = [(8, 8, 32, 32)] * 3
-        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        seqs = sample_training_set(frames, boxes, 16, 16)
         assert len(seqs) == 4
         assert sum(len(s) for s in seqs) == 12
 
     def test_empty_input(self):
-        assert sample_training_set([], [], 16, 16) == ([], 0)
+        assert sample_training_set([], [], 16, 16) == []
 
-    def test_small_box_skipped_with_count(self):
+    def test_small_box_skipped(self):
         frames = self.frames(2)
-        seqs, skipped = sample_training_set(
-            [frames, frames], [[(0, 0, 8, 8)] * 2, [(0, 0, 16, 16)] * 2], 16, 16
-        )
-        assert skipped == 1
-        assert len(seqs) == 1
+        assert sample_training_set(frames, [(0, 0, 8, 8)] * 2, 16, 16) is None
+        assert len(sample_training_set(frames, [(0, 0, 16, 16)] * 2, 16, 16)) == 1
 
     def test_grid_correspondence_identical_pixel_coordinates(self):
         frames = self.frames(4, seed=5)
         # boxes move, the sampling grid must not; cells run in row-major order
         boxes = [(8 + t, 8, 32, 32) for t in range(4)]
-        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        seqs = sample_training_set(frames, boxes, 16, 16)
         cells = [(gx, gy) for gy in (8, 24) for gx in (8, 24)]
         assert len(seqs) == len(cells)
         for seq, (gx, gy) in zip(seqs, cells):
@@ -216,7 +212,7 @@ class TestSampleTrainingSet:
     def test_n_bookkeeping(self):
         frames = self.frames(5)
         boxes = [(8, 8, 32, 32)] * 5
-        seqs, _ = sample_training_set([frames], [boxes], 16, 16)
+        seqs = sample_training_set(frames, boxes, 16, 16)
         assert [s.shape for s in seqs] == [(5, 256)] * 4
 
 

@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import normalize_values
@@ -385,22 +385,31 @@ class TestExemplarLibrary:
         assert lib.min_distance(np.array([[0.0, 2.0]]))[0] == pytest.approx(0.0)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_matches_per_row_reference(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        dim = data.draw(st.integers(1, 40))
-        exemplars = rng.standard_normal((data.draw(st.integers(1, 14)), dim))
-        features = rng.standard_normal((data.draw(st.integers(1, 20)), dim))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 40),
+        n_exemplars=st.integers(1, 14),
+        n_features=st.integers(1, 20),
+        edits=st.lists(st.tuples(st.integers(0, 19), st.booleans()), max_size=2),
+    )
+    # two copies of the exemplar tie exactly in the reference, but not in
+    # the batched round-off, which depends on the row's position
+    @example(seed=345, dim=20, n_exemplars=1, n_features=5, edits=[(0, False), (4, False)])
+    def test_matches_per_row_reference(self, seed, dim, n_exemplars, n_features, edits):
+        rng = np.random.default_rng(seed)
+        exemplars = rng.standard_normal((n_exemplars, dim))
+        features = rng.standard_normal((n_features, dim))
         # zero rows are kept as they are; copies of an exemplar sit at 0
-        for i in data.draw(st.lists(st.integers(0, len(features) - 1), max_size=2)):
-            features[i] = 0.0 if data.draw(st.booleans()) else 3.0 * exemplars[-1]
+        for i, zero in edits:
+            features[i % n_features] = 0.0 if zero else 3.0 * exemplars[-1]
         lib = ExemplarLibrary()
         for e in exemplars:
             lib.add(e)
         got = lib.min_distance(features)
         want = reference_min_distances(features, exemplars[-10:])
         np.testing.assert_allclose(got**2, want**2, rtol=0, atol=1e-12)
-        assert np.argmin(got) == np.argmin(want)
+        # the row picked is a nearest one, up to the same tolerance
+        assert want[np.argmin(got)] ** 2 <= want.min() ** 2 + 1e-12
 
     def test_fine_distances_match_per_row_reference(self, trained_model):
         frame = random_frame(seed=4)
