@@ -12,7 +12,8 @@ on the three sequences plus a scaling one, each learned, raw-only and
 learned without adaptation (`adapt_optimizer.max_iters=0`), and prints
 how often learned features beat raw pixels and adaptation beats none on
 ACE, with the worst case of each, under the `OPENBLAS_NUM_THREADS` value
-it ran with, and the summed wall seconds of each kind's tracks.
+it ran with (1: importing slowtrack sets it), and the summed wall seconds
+of each kind's tracks.
 """
 
 import argparse
@@ -91,7 +92,7 @@ def run_grid(model, cases, args):
             print(row)
             beats_raw[name, seed] = ace["learned"] - ace["raw"]
             beats_fixed[name, seed] = ace["learned"] - ace["no-adapt"]
-    # the BLAS thread count can move a win count (one thread and two differ)
+    # slowtrack holds BLAS to one thread, so this reads 1; older grids ran on two
     print(f"\nOPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
     print(summary("learned beats raw", beats_raw))
     print(summary("adaptation beats no adaptation", beats_fixed))

@@ -11,6 +11,9 @@ direction a descent direction.
 Objective closures take a flat float vector and return (value, gradient).
 A line search that finds no strong Wolfe step raises LineSearchError, which
 ends the run; pre-training and adaptation report it under their layer tag.
+The exception is a direction whose full step predicts a decrease within
+round-off of f: no probe can tell such a step from no step, so the run
+stops there as converged.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .errors import LineSearchError, OptimizationError
 
 # relative threshold for accepting a curvature pair
 _CURVATURE_RTOL = 1e-12
+
+# a failed line search whose full step predicts a decrease of at most this
+# many ulps of f has reached the objective's round-off floor: no probe can
+# resolve a decrease there, so the point is as good as f can tell
+_ROUNDOFF_ULPS = 16
 
 # textbook quasi-Newton defaults (Nocedal & Wright 2006, sections 3.1 and
 # 7.2): history size m, the strong Wolfe constants c1 < c2, and the
@@ -210,8 +218,10 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     """Run L-BFGS from x0 until the gradient max-norm drops below grad_tol.
 
     Stops on convergence or the iteration cap, the result's status saying
-    which. A line search that fails raises LineSearchError, and a
-    non-finite accepted point raises OptimizationError.
+    which; a line search that fails where the full step predicts a decrease
+    of at most `_ROUNDOFF_ULPS` ulps of f also counts as convergence. Any
+    other failed line search raises LineSearchError, and a non-finite
+    accepted point raises OptimizationError.
     """
     cfg = cfg or LbfgsConfig()
     evals = 0
@@ -236,7 +246,13 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     else:
         for _ in range(cfg.max_iters):
             p = two_loop_direction(grad, hist, b0)
-            ls = wolfe_line_search(counted, x, p, value, grad)
+            try:
+                ls = wolfe_line_search(counted, x, p, value, grad)
+            except LineSearchError:
+                if -float(p @ grad) <= _ROUNDOFF_ULPS * np.spacing(abs(value)):
+                    status = "converged"
+                    break
+                raise
             s = ls.x - x
             y = ls.gradient - grad
             x, value = ls.x, ls.value

@@ -211,32 +211,36 @@ def candidate_patches(
     shape = (min(_BLOCK, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
     index_buf = np.empty((shape[0], n * n), dtype=np.intp)
+    # the grid sums as K=2 products, one rounding each as in a sum:
+    # [1, -xb[i]] @ [xa[j], 1] for x and [1, yb[i]] @ [ya[j], 1] for y
+    left, right = np.ones((shape[0], n, 2)), np.ones((shape[0], 2, n))
     cos, sin = snapped_cos_sin(states[:, 3:4])
     w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
     grid = np.arange(n) + 0.5
-
-    def terms(rows, at):
-        """Terms at grid positions `at`: sample (i, j) is at (xa[j] - xb[i], ya[j] + yb[i])."""
-        off_u = at * w[rows] / n - w[rows] / 2.0
-        off_v = at * h[rows] / n - h[rows] / 2.0
-        c, s = cos[rows], sin[rows]
-        return states[rows, 0:1] + off_u * c, off_v * s, states[rows, 1:2] + off_u * s, off_v * c
+    off_u = grid * w / n - w / 2.0
+    off_v = grid * h / n - h / 2.0
+    # sample (i, j) of a candidate is at (xa[j] - xb[i], ya[j] + yb[i])
+    xa, xb = states[:, 0:1] + off_u * cos, off_v * sin
+    ya, yb = states[:, 1:2] + off_u * sin, off_v * cos
 
     # every step of a term rounds a monotone function of the grid position,
     # and so does the sum of two terms, so a coordinate's extremes over the
     # grid are sums of the terms' values at the grid's ends: a candidate
     # whose extreme samples are inside has every sample inside
-    xa, xb, ya, yb = terms(slice(None), grid[[0, -1]])
-    lo_x, hi_x = xa.min(axis=1) - xb.max(axis=1), xa.max(axis=1) - xb.min(axis=1)
-    lo_y, hi_y = ya.min(axis=1) + yb.min(axis=1), ya.max(axis=1) + yb.max(axis=1)
+    e = np.s_[:, [0, -1]]  # the grid's two ends
+    lo_x, hi_x = xa[e].min(axis=1) - xb[e].max(axis=1), xa[e].max(axis=1) - xb[e].min(axis=1)
+    lo_y, hi_y = ya[e].min(axis=1) + yb[e].min(axis=1), ya[e].max(axis=1) + yb[e].max(axis=1)
     inside_all = (lo_x >= 0) & (hi_x < width) & (lo_y >= 0) & (hi_y < height)
     for lo in range(0, len(states), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         k = len(states[rows])
         xs, ys, index = xs_buf[:k], ys_buf[:k], index_buf[:k]
-        xa, xb, ya, yb = terms(rows, grid)
-        np.floor(np.subtract(xa[:, None, :], xb[:, :, None], out=xs), out=xs)
-        np.floor(np.add(ya[:, None, :], yb[:, :, None], out=ys), out=ys)
+        np.negative(xb[rows], out=left[:k, :, 1])
+        right[:k, 0] = xa[rows]
+        np.floor(np.matmul(left[:k], right[:k], out=xs), out=xs)
+        left[:k, :, 1] = yb[rows]
+        right[:k, 0] = ya[rows]
+        np.floor(np.matmul(left[:k], right[:k], out=ys), out=ys)
         if inside_all[rows].all():
             valid[rows] = True
         else:  # a box in this block crosses the border: count and clamp

@@ -1,4 +1,6 @@
 import argparse
+import json
+import os
 import re
 import subprocess
 import sys
@@ -9,19 +11,34 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slowtrack import _blas_thread_setter
 from slowtrack.cli import _build_parser, main
 from slowtrack.hierarchy import PretrainConfig, load_model
 from slowtrack.patches import read_boxes_csv
 from slowtrack.tracker import TrackerConfig
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "slowtrack", *[str(a) for a in args]],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
+
+
+def blas_env(threads):
+    """This environment, with OPENBLAS_NUM_THREADS unset (None) or set to `threads`.
+
+    `src` goes first on PYTHONPATH, so a child imports slowtrack from any cwd.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
 
 
 def synth(out, pattern="translation", frames=24, seed=5, **extra):
@@ -122,6 +139,66 @@ class TestSynth:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
+
+
+class TestBlasThreads:
+    """Outputs do not depend on OPENBLAS_NUM_THREADS: BLAS runs on one thread.
+
+    With two threads OpenBLAS splits a product's inner dimension, so this
+    model, the track's log and the adapted model differ in their last
+    digits unless slowtrack holds BLAS to one thread.
+    """
+
+    OUTPUTS = ("model.hftm", "boxes.csv", "boxes.csv.log", "adapted.hftm")
+
+    @staticmethod
+    def commands(data_dir, track_dir):
+        seq = ["--frames", str(track_dir), "--init-box", init_box_of(track_dir)]
+        return [
+            ["pretrain", "--data", str(data_dir / "a"), str(data_dir / "b"), "--out",
+             "model.hftm", "--f1", "64", "--f2", "32", "--max-iters", "15", "--seed", "1"],
+            ["track", "--model", "model.hftm", *seq, "--out", "boxes.csv", "--particles",
+             "60", "--topk", "6", "--init-frames", "10", "--update-every", "10", "--seed", "3"],
+            ["adapt", "--model", "model.hftm", *seq, "--out", "adapted.hftm",
+             "--init-frames", "10"],
+        ]
+
+    @pytest.fixture(scope="class")
+    def by_threads(self, tmp_path_factory, data_dir, track_dir):
+        """Each command's stdout and each output's bytes, per thread setting."""
+        found = {}
+        for threads in (None, "1", "2"):
+            out = tmp_path_factory.mktemp(f"threads_{threads}")
+            stdout = []
+            for argv in self.commands(data_dir, track_dir):
+                res = run_cli(*argv, cwd=out, env=blas_env(threads))
+                assert res.returncode == 0, res.stderr
+                stdout.append(res.stdout)
+            found[threads] = stdout, [(out / name).read_bytes() for name in self.OUTPUTS]
+        return found
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, by_threads):
+        assert by_threads[None] == by_threads["1"] == by_threads["2"]
+
+    def test_numpy_imported_first_writes_the_same_bytes(self, tmp_path, by_threads, data_dir,
+                                                        track_dir):
+        # the order the scripts use: numpy has read the environment before
+        # slowtrack is imported, so only OpenBLAS's own setter binds
+        if _blas_thread_setter() is None:
+            pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+        code = (
+            "import json, sys\n"
+            "import numpy\n"
+            "from slowtrack.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n"
+        )
+        res = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(self.commands(data_dir, track_dir))],
+            capture_output=True, text=True, cwd=tmp_path, env=blas_env("2"),
+        )
+        assert res.returncode == 0, res.stderr
+        outputs = [(tmp_path / name).read_bytes() for name in self.OUTPUTS]
+        assert outputs == by_threads["1"][1]
 
 
 class TestPretrain:

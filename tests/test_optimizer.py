@@ -212,6 +212,19 @@ class TestMinimize:
         with pytest.raises(LineSearchError, match="no Wolfe step"):
             minimize(f, np.array([0.0]), LbfgsConfig(max_iters=10))
 
+    def test_line_search_failure_at_the_round_off_floor_converges(self):
+        # f is flat to its last digit and the gradient is round-off: the full
+        # step predicts a decrease of 1e-12, below one ulp of f (1.2e-10), so
+        # no probe can resolve it
+        f = lambda x: (1e6, np.array([1e-6]))
+        res = minimize(f, np.array([0.0]), LbfgsConfig(grad_tol=1e-9))
+        assert res.status == "converged" and res.iterations == 0
+        assert res.w_final.tolist() == [0.0] and res.value == 1e6
+        # a predicted decrease of 1e-6, thousands of ulps, still fails the run
+        f = lambda x: (1e6, np.array([1e-3]))
+        with pytest.raises(LineSearchError, match="no Wolfe step"):
+            minimize(f, np.array([0.0]), LbfgsConfig(grad_tol=1e-9))
+
     def test_evals_include_a_failed_line_search(self):
         calls = []
 

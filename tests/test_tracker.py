@@ -119,6 +119,55 @@ def reference_candidate_patch(frame, row, base_w, base_h):
     return frame[iy, ix].ravel(), inside.mean() >= 0.5
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_candidate_patches(frame, states, base_w, base_h, template):
+    """The sampler of broadcast grid sums: the bit-for-bit oracle for `candidate_patches`.
+
+    Builds each 16-row block's terms from (16, 1) slices, and its sample
+    coordinates as broadcast sums of them; `candidate_patches` builds the
+    terms once and the sums as K=2 products, which round once, as a sum does.
+    """
+    states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
+    height, width = frame.shape
+    n, block = 32, tracker._BLOCK
+    raw = np.empty((len(states), n * n))
+    valid = np.empty(len(states), dtype=bool)
+    moments = np.empty((len(states), 3))
+    cos, sin = snapped_cos_sin(states[:, 3:4])
+    w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
+    grid = np.arange(n) + 0.5
+
+    def terms(rows, at):
+        off_u = at * w[rows] / n - w[rows] / 2.0
+        off_v = at * h[rows] / n - h[rows] / 2.0
+        c, s = cos[rows], sin[rows]
+        return states[rows, 0:1] + off_u * c, off_v * s, states[rows, 1:2] + off_u * s, off_v * c
+
+    xa, xb, ya, yb = terms(slice(None), grid[[0, -1]])
+    lo_x, hi_x = xa.min(axis=1) - xb.max(axis=1), xa.max(axis=1) - xb.min(axis=1)
+    lo_y, hi_y = ya.min(axis=1) + yb.min(axis=1), ya.max(axis=1) + yb.max(axis=1)
+    inside_all = (lo_x >= 0) & (hi_x < width) & (lo_y >= 0) & (hi_y < height)
+    for lo in range(0, len(states), block):
+        rows = slice(lo, lo + block)
+        xa, xb, ya, yb = terms(rows, grid)
+        xs = np.floor(xa[:, None, :] - xb[:, :, None])
+        ys = np.floor(ya[:, None, :] + yb[:, :, None])
+        if inside_all[rows].all():
+            valid[rows] = True
+        else:
+            inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+            valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= 0.5 * n * n
+            xs = np.fmin(np.fmax(xs, 0), width - 1)
+            ys = np.fmin(np.fmax(ys, 0), height - 1)
+        index = (ys * width + xs).reshape(len(xs), n * n).astype(np.intp)
+        frame.take(index, out=raw[rows], mode="clip")
+        b = raw[rows]
+        np.matmul(b, template, out=moments[rows, 0])
+        b.sum(axis=1, out=moments[rows, 1])
+        np.einsum("ij,ij->i", b, b, out=moments[rows, 2])
+    return raw, valid, moments
+
+
 def sample_one(frame, row, base=(32.0, 32.0)):
     """candidate_patches on a single state row: (normalized values, accepted)."""
     raw, valid, _ = candidate_patches(frame, np.array([row], dtype=float), *base)
@@ -335,6 +384,34 @@ class TestCandidatePatch:
         # the moments, taken block by block, match the row-by-row reference
         want = reference_moments(raw, template)
         np.testing.assert_allclose(moments, want, rtol=1e-12, atol=1e-9)
+
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_broadcast_sampler_bit_for_bit(self, seed):
+        # 600 candidates: a tight cluster (whole blocks inside the frame)
+        # then positions up to 60 px off every edge (border-crossing and
+        # outside blocks), log-normal scales, quarter turns on every fourth
+        # trial and non-finite rows on every third
+        rng = np.random.default_rng(seed)
+        w, h = rng.integers(40, 330), rng.integers(40, 250)
+        frame = rng.random((h, w))
+        count, half = 600, 300
+        xy = np.column_stack([
+            np.r_[rng.normal(w / 2, 4.0, half), rng.uniform(-60.0, w + 60.0, count - half)],
+            np.r_[rng.normal(h / 2, 4.0, half), rng.uniform(-60.0, h + 60.0, count - half)],
+        ])
+        theta = (rng.choice(QUARTER_TURNS, count) if seed % 4 == 0
+                 else rng.uniform(-math.pi, math.pi, count))
+        rows = np.column_stack([xy, rng.lognormal(-0.5, 0.5, count), theta])
+        if seed % 3 == 0:
+            at = rng.integers(count, size=(6, 2)) % [count, 4]
+            rows[at[:, 0], at[:, 1]] = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.nan]
+        base = (rng.uniform(2.0, 48.0), rng.uniform(2.0, 48.0))
+        template = rng.random(1024)
+        got = candidate_patches(frame, rows, *base, template)
+        want = reference_candidate_patches(frame, rows, *base, template)
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
 
 
 class TestExemplarLibrary:
