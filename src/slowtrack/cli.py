@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from dataclasses import fields, is_dataclass, replace
 from itertools import islice
 from pathlib import Path
@@ -280,10 +281,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _sample_directory(directory: Path, stride: int) -> dict:
-    """Each side's training sequences of one data directory, None where its box is too small.
+def _sample_directory(directory: Path, stride: int, sides: dict[int, int | None]) -> dict:
+    """Training sequences of one data directory, None where its box is too small.
 
-    Its frames are freed on return, before the next directory is read.
+    Each side's are cut from the first `sides[side]` frames, or from all
+    of them for None. Its frames are freed on return, before the next
+    directory is read.
     """
     gt = directory / "gt.csv"
     if not gt.is_file():
@@ -291,24 +294,44 @@ def _sample_directory(directory: Path, stride: int) -> dict:
     frames = list(stream_frame_dir(directory))
     boxes = read_boxes_csv(gt)
     try:
-        return {side: sample_training_set(frames, boxes, side, stride) for side in (16, 32)}
+        return {side: sample_training_set(frames[:n], boxes[:n], side, stride)
+                for side, n in sides.items()}
     except DataError as err:
         raise DataError(f"{directory}: {err}") from None
+
+
+def _sample_layer1(dirs: list[Path], stride: int, kept32: list[Path]) -> list[np.ndarray]:
+    """Pass 1: every directory's 16x16 training sequences.
+
+    Appends to `kept32` each directory that yields 32x32 sequences. Their
+    grid depends only on the first frame and box, so it is decided here
+    from those; the patches are cut on a second read (`_sample_layer2`).
+    """
+    sampled = [_sample_directory(d, stride, {16: None, 32: 1}) for d in dirs]
+    for side in (16, 32):
+        skipped = sum(cells[side] is None for cells in sampled)
+        if skipped:
+            _warn(f"{skipped} sequence(s) skipped for side {side} (box smaller than the patch)")
+        if not any(cells[side] for cells in sampled):
+            raise DataError(f"no {side}x{side} training patches sampled")
+    kept32.extend(d for d, cells in zip(dirs, sampled) if cells[32])
+    return [seq for cells in sampled for seq in cells[16] or ()]
+
+
+def _sample_layer2(dirs: list[Path], stride: int) -> Iterator[np.ndarray]:
+    """Pass 2: the 32x32 training sequences of `dirs`, read again one directory at a time."""
+    for directory in dirs:
+        yield from _sample_directory(directory, stride, {32: None})[32] or ()
 
 
 def cmd_pretrain(args) -> int:
     cfg = _configure(PretrainConfig(), args)
     _check_tradeoffs(cfg.lam)
-    sampled = [_sample_directory(Path(d), cfg.sub_patch_stride) for d in args.data]
-    seqs = {}
-    for side in (16, 32):
-        skipped = sum(cells[side] is None for cells in sampled)
-        if skipped:
-            _warn(f"{skipped} sequence(s) skipped for side {side} (box smaller than the patch)")
-        seqs[side] = [seq for cells in sampled for seq in cells[side] or ()]
-        if not seqs[side]:
-            raise DataError(f"no {side}x{side} training patches sampled")
-    result = pretrain(seqs[16], seqs[32], cfg)
+    dirs, kept32 = [Path(d) for d in args.data], []
+    # no name holds pass 1's list, so layer 1's objective keeps the only copy;
+    # pass 2 runs after layer 1 trains, over the directories pass 1 kept
+    result = pretrain(_sample_layer1(dirs, cfg.sub_patch_stride, kept32),
+                      _sample_layer2(kept32, cfg.sub_patch_stride), cfg)
     save_model(result.model, args.out)
     for tag, opt in (("layer1", result.layer1_opt), ("layer2", result.layer2_opt)):
         print(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,38 +209,49 @@ def _fit_layer(obj, w0, cfg: LbfgsConfig, failure_message: str) -> OptimizeResul
         raise OptimizationError(failure_message) from None
 
 
-def _check_sequences(seqs, side: int, tag: str) -> list[np.ndarray]:
-    """Training sequences as a list of nonempty (L, side**2) arrays."""
-    seqs = [np.asarray(s, dtype=np.float64) for s in seqs]
-    if not seqs:
-        raise DataError(f"{tag}: training set is empty")
+def _checked_sequences(seqs, side: int, tag: str) -> Iterator[np.ndarray]:
+    """Each training sequence as a nonempty (L, side**2) array, checked as it arrives."""
+    empty = True
     for s in seqs:
+        s = np.asarray(s, dtype=np.float64)
         if s.ndim != 2 or s.shape[1] != side * side:
             raise DataError(
                 f"{tag}: expected {side}x{side} patches, got an array of shape {s.shape}"
             )
         if not len(s):
             raise DataError(f"{tag}: a training sequence is empty")
-    return seqs
+        empty = False
+        yield s
+    if empty:
+        raise DataError(f"{tag}: training set is empty")
 
 
 def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResult:
     """Train layer 1, fit whitening on its pooled outputs, train layer 2.
 
-    `seqs16` and `seqs32` are lists of (L, 256) and (L, 1024) arrays of
-    normalized patches, one row per consecutive frame.
+    Greedy, layer by layer. `seqs16` is an iterable of (L, 256) arrays and
+    `seqs32` one of (L, 1024) arrays, each of normalized patches, one row
+    per consecutive frame. Layer 1's objective stacks `seqs16`, and
+    pretrain keeps no other reference to them. `seqs32` is read once, only
+    after layer 1 is trained, and each sequence becomes its layer-1
+    features as it arrives, so a generator that cuts the 32x32 patches
+    then holds one sequence at a time. A malformed `seqs32` is reported
+    after layer 1 trains.
     """
     cfg = cfg or PretrainConfig()
-    seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
-    seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
     rng = np.random.default_rng(cfg.seed)
 
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
-    res1 = _fit_layer(SlownessObjective(seqs16, cfg.lam), w1_0, cfg.optimizer,
-                      "layer1: line search failed during training")
+    obj1 = SlownessObjective(list(_checked_sequences(seqs16, LAYER1_SIDE, "layer1")), cfg.lam)
+    del seqs16  # stacked by the objective; a caller's temporary list is freed here
+    res1 = _fit_layer(obj1, w1_0, cfg.optimizer, "layer1: line search failed during training")
+    del obj1
     layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape))
 
-    concat_seqs = [_layer1_features(layer1, s, cfg.sub_patch_stride) for s in seqs32]
+    concat_seqs = [
+        _layer1_features(layer1, s, cfg.sub_patch_stride)
+        for s in _checked_sequences(seqs32, LAYER2_SIDE, "layer2")
+    ]
     whit = fit_whitening(np.vstack(concat_seqs), d=cfg.whiten_dim)
     white_seqs = [apply_whitening(whit, v) for v in concat_seqs]
 
@@ -301,8 +313,8 @@ def adapt(
     for `pretrain`. Each layer starts from and is pulled toward its
     current filters; the whitening transform is reused unchanged.
     """
-    seqs16 = _check_sequences(seqs16, LAYER1_SIDE, "layer1")
-    seqs32 = _check_sequences(seqs32, LAYER2_SIDE, "layer2")
+    seqs16 = list(_checked_sequences(seqs16, LAYER1_SIDE, "layer1"))
+    seqs32 = list(_checked_sequences(seqs32, LAYER2_SIDE, "layer2"))
     adapted, stats = {}, []
     for tag, enc in (("layer1", model.layer1), ("layer2", model.layer2)):
         if tag == "layer1":

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 
 from slowtrack import _blas_thread_setter
 from slowtrack.cli import _build_parser, main
-from slowtrack.hierarchy import PretrainConfig, load_model
-from slowtrack.patches import read_boxes_csv
+from slowtrack.hierarchy import PretrainConfig, load_model, pretrain, save_model
+from slowtrack.objectives import SlownessObjective
+from slowtrack.patches import read_boxes_csv, sample_training_set, stream_frame_dir
 from slowtrack.tracker import TrackerConfig
 
 
@@ -68,6 +69,12 @@ def model_path(tmp_path_factory, data_dir):
     )
     assert res.returncode == 0, res.stderr
     return out
+
+
+def directory_sequences(seq_dir, side):
+    """The library's `side` training sequences of one data directory."""
+    frames = list(stream_frame_dir(seq_dir))
+    return sample_training_set(frames, read_boxes_csv(seq_dir / "gt.csv"), side, 16) or []
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +289,51 @@ class TestPretrain:
 
         one_dir_of_frames = 10 * 320 * 240 * 8  # ten decoded float64 frames
         assert traced_peak(dirs) - traced_peak(dirs[:1]) < one_dir_of_frames
+
+    def test_layer1_trains_without_the_32x32_patches(self, tmp_path, monkeypatch, capsys):
+        # in process; the traced memory as layer 1's objective is first evaluated.
+        # 270 rows a directory, so every run's objective holds a Gram matrix
+        dirs = [tmp_path / f"d{i}" for i in range(6)]
+        for i, d in enumerate(dirs):
+            assert main(["synth", "--pattern", "translation", "--frames", "30", "--out", str(d),
+                         "--seed", str(i), "--size", "140x120", "--target-side", "48"]) == 0
+        evaluate = SlownessObjective.evaluate
+        at_first_evaluation = []
+
+        def traced_evaluate(obj, w):
+            if not at_first_evaluation:
+                at_first_evaluation.append(tracemalloc.get_traced_memory()[0])
+            return evaluate(obj, w)
+
+        monkeypatch.setattr(SlownessObjective, "evaluate", traced_evaluate)
+
+        def traced_at_layer1(data):
+            at_first_evaluation.clear()
+            tracemalloc.start()
+            try:
+                assert main(["pretrain", "--data", *map(str, data),
+                             "--out", str(tmp_path / "m.hftm"),
+                             "--f1", "8", "--f2", "8", "--max-iters", "2"]) == 0
+            finally:
+                tracemalloc.stop()
+            return at_first_evaluation[0]
+
+        extra_seqs32 = sum(s.nbytes for d in dirs[1:] for s in directory_sequences(d, 32))
+        grown = traced_at_layer1(dirs) - traced_at_layer1(dirs[:1])
+        assert grown < extra_seqs32, (grown, extra_seqs32)
+
+    def test_model_equals_the_library_model(self, tmp_path, data_dir, capsys):
+        # a 24 px box yields 16x16 sequences but no 32x32 ones
+        synth(tmp_path / "small", frames=6, target_side="24")
+        dirs = [data_dir / "a", tmp_path / "small", data_dir / "b"]
+        assert main(["pretrain", "--data", *map(str, dirs), "--out", str(tmp_path / "cli.hftm"),
+                     "--f1", "8", "--f2", "4", "--max-iters", "5", "--seed", "2"]) == 0
+        defaults = PretrainConfig()
+        cfg = replace(defaults, f1=8, f2=4, seed=2,
+                      optimizer=replace(defaults.optimizer, max_iters=5))
+        seqs = {side: [s for d in dirs for s in directory_sequences(d, side)] for side in (16, 32)}
+        save_model(pretrain(seqs[16], seqs[32], cfg).model, tmp_path / "lib.hftm")
+        assert (tmp_path / "cli.hftm").read_bytes() == (tmp_path / "lib.hftm").read_bytes()
 
     def test_lambda_warning_outside_range(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",

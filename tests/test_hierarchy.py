@@ -1,4 +1,5 @@
 import functools
+import re
 import struct
 import tempfile
 import warnings
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_model, corruptions, normalize_values
+from slowtrack import hierarchy
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.errors import DataError, LineSearchError, ModelFormatError, OptimizationError
 from slowtrack.hierarchy import (
@@ -140,6 +142,44 @@ class TestPretrain:
         ts16, ts32 = small_training_sets
         with pytest.raises(DataError, match="expected 16x16"):
             pretrain(ts32, ts32, FAST)
+
+    def test_seqs32_from_a_generator_gives_the_same_model(self, small_training_sets, tmp_path):
+        ts16, ts32 = small_training_sets
+        save_model(pretrain(ts16, ts32, FAST).model, tmp_path / "list.hftm")
+        save_model(pretrain(ts16, (s for s in ts32), FAST).model, tmp_path / "gen.hftm")
+        assert (tmp_path / "list.hftm").read_bytes() == (tmp_path / "gen.hftm").read_bytes()
+
+    def test_seqs32_read_only_after_layer1_trains(self, small_training_sets, monkeypatch):
+        ts16, ts32 = small_training_sets
+        events = []
+        fit_layer = hierarchy._fit_layer
+
+        def logged_fit(obj, w0, cfg, failure_message):
+            result = fit_layer(obj, w0, cfg, failure_message)
+            events.append(failure_message.split(":")[0] + " trained")
+            return result
+
+        def seqs32():
+            events.append("seqs32 pulled")
+            yield from ts32
+
+        monkeypatch.setattr(hierarchy, "_fit_layer", logged_fit)
+        pretrain(ts16, seqs32(), FAST)
+        assert events == ["layer1 trained", "seqs32 pulled", "layer2 trained"]
+
+    @pytest.mark.parametrize(
+        "seqs32, message",
+        [
+            ((), "layer2: training set is empty"),
+            ([np.empty((0, 1024))], "layer2: a training sequence is empty"),
+            ([np.zeros((3, 256))], "layer2: expected 32x32 patches, got an array of shape"),
+        ],
+        ids=["empty-iterable", "empty-sequence", "wrong-side"],
+    )
+    def test_seqs32_errors_from_a_generator(self, small_training_sets, seqs32, message):
+        ts16, _ = small_training_sets
+        with pytest.raises(DataError, match=re.escape(message)):
+            pretrain(ts16, (s for s in seqs32), FAST)
 
 
 def img32_values(img):
