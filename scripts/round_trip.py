@@ -5,13 +5,14 @@
 
 With OUT as the working directory, runs through `slowtrack.cli.main` the
 README's `synth`, `pretrain`, `synth`, `track` and `eval` commands, then
-`track --raw-only`, an `eval` of the raw boxes and `adapt`. Each
-command's line, exit code, stdout and stderr go to OUT/NN-<command>.txt,
-next to the sequences, models, box CSVs and logs the commands write, so
-`diff -r` of the OUT directories of two checkouts lists exactly the
-outputs a change moved. `--frames` sets the tracked sequence's length
-(100, as in the README) and `--aux-frames` each pre-training sequence's
-(40). Exits 1 if any command exits non-zero.
+`track --raw-only`, an `eval` of the raw boxes and `adapt`, which reads
+its inputs from OUT/adapt.cfg, a config file the script writes first.
+Each command's line, exit code, stdout and stderr go to
+OUT/NN-<command>.txt, next to the sequences, models, box CSVs and logs
+the commands write, so `diff -r` of the OUT directories of two checkouts
+lists exactly the outputs a change moved. `--frames` sets the tracked
+sequence's length (100, as in the README) and `--aux-frames` each
+pre-training sequence's (40). Exits 1 if any command exits non-zero.
 """
 
 import argparse
@@ -23,6 +24,12 @@ from pathlib import Path
 from slowtrack.cli import main as slowtrack_main
 
 INIT_BOX = "144,104,32,32"  # the first gt.csv row of the tracked sequence
+
+# `adapt`'s inputs, given by --config so the round trip covers config files
+ADAPT_CONFIG = (
+    "# adapt the model to the tracked sequence\n"
+    f"model=model.hftm\nframes=seq\ninit-box={INIT_BOX}\n"
+)
 
 
 def commands(frames: int, aux_frames: int) -> list[list[str]]:
@@ -40,7 +47,7 @@ def commands(frames: int, aux_frames: int) -> list[list[str]]:
         ["eval", "--pred", "boxes.csv", "--gt", "seq/gt.csv"],
         ["track", "--raw-only", *seq, "--out", "raw.csv"],
         ["eval", "--pred", "raw.csv", "--gt", "seq/gt.csv"],
-        ["adapt", "--model", "model.hftm", *seq, "--out", "adapted.hftm"],
+        ["adapt", "--config", "adapt.cfg", "--out", "adapted.hftm"],
     ]
 
 
@@ -60,6 +67,7 @@ def main() -> int:
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
     os.chdir(args.out)
+    Path("adapt.cfg").write_text(ADAPT_CONFIG, encoding="utf-8")
     failed = False
     for i, argv in enumerate(commands(args.frames, args.aux_frames), start=1):
         code, stdout, stderr = run(argv)

@@ -95,28 +95,19 @@ def _configure(cfg, args):
     return _config(replace, cfg, **changes)
 
 
-def _merge_config(argv: list[str]) -> list[str]:
+def _merge_config(argv: list[str] | None) -> list[str]:
     """Expand `--config FILE` into flags inserted right after the subcommand.
 
-    Explicit flags come later on the command line, so they win.
+    Explicit flags come later on the command line, so they win; of two
+    `--config`s the last counts. `argv` None reads `sys.argv[1:]`.
     """
-    out = []
-    config_path = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            config_path = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
-            config_path = arg.partition("=")[2]
-            i += 1
-            continue
-        out.append(arg)
-        i += 1
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        known, out = pre.parse_known_args(argv)
+    except argparse.ArgumentError:
+        raise UsageError("--config requires a file path") from None
+    config_path = known.config
     if config_path is None:
         return out
     flags = []
@@ -132,8 +123,6 @@ def _merge_config(argv: list[str]) -> list[str]:
         if not sep:
             raise DataError(f"{config_path}: line {lineno} is not key=value")
         flags.extend([f"--{key.strip()}", value.strip()])
-    if not out:
-        return flags
     return out[:1] + flags + out[1:]
 
 
@@ -435,7 +424,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         argv = _merge_config(argv)

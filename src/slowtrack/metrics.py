@@ -22,6 +22,10 @@ class BoxTrace:
             raise ValueError(f"boxes must be a nonempty (n, 4) array, got {b.shape}")
         if np.any(b[:, 2:] <= 0):
             raise ValueError("box widths and heights must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            right_bottom_area = np.column_stack([b[:, :2] + b[:, 2:], b[:, 2] * b[:, 3]])
+        if not np.isfinite(right_bottom_area).all():
+            raise ValueError("box right and bottom edges and areas must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "boxes", b)
 
@@ -62,8 +66,9 @@ def overlap_rate(pred: BoxTrace, gt: BoxTrace) -> tuple[np.ndarray, float]:
     y1 = np.maximum(a[:, 1], b[:, 1])
     x2 = np.minimum(a[:, 0] + a[:, 2], b[:, 0] + b[:, 2])
     y2 = np.minimum(a[:, 1] + a[:, 3], b[:, 1] + b[:, 3])
-    inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    union = a[:, 2] * a[:, 3] + b[:, 2] * b[:, 3] - inter
+    # halving every area, exact in binary, keeps two finite areas' union finite
+    inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1) / 2
+    union = a[:, 2] * a[:, 3] / 2 + b[:, 2] * b[:, 3] / 2 - inter
     # rounding can push the ratio a few ulps outside [0, 1]
     per_frame = np.clip(inter / union, 0.0, 1.0)
     return per_frame, float(per_frame.mean())

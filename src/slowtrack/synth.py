@@ -150,11 +150,11 @@ def _render_target(texture, cx, cy, c, s, scale, amp, period, width, height):
     u = px + ts / 2.0
     if amp != 0.0:
         u = u - amp * np.sin(2.0 * math.pi * v / period)
-    iu = np.floor(u).astype(np.int64)
-    iv = np.floor(v).astype(np.int64)
-    inside = (iu >= 0) & (iu < ts) & (iv >= 0) & (iv < ts)
+    # floor(u) is in [0, ts) exactly when u is; only those samples are cast,
+    # so a huge or non-finite coordinate never reaches the integer cast
+    inside = (u >= 0) & (u < ts) & (v >= 0) & (v < ts)
     rows, cols = np.nonzero(inside)
-    vals = texture[iv[inside], iu[inside]]
+    vals = texture[v[inside].astype(np.int64), u[inside].astype(np.int64)]
     return rows + iy0, cols + ix0, vals
 
 

@@ -309,9 +309,14 @@ def weigh(dist: np.ndarray, sigma: float) -> np.ndarray:
 
     Subtracting the minimum before exponentiating is a positive rescaling
     of every kernel value, harmless for the argmax and immune to underflow.
+    A σ so small that 2σ² underflows gives the σ→0 limit: weight 1 on the
+    nearest candidates, 0 on the rest.
     """
     d2 = dist * dist
-    return np.exp(-(d2 - d2.min()) / (2.0 * sigma * sigma))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (d2 - d2.min()) / (2.0 * sigma * sigma)
+    z[d2 == d2.min()] = 0.0
+    return np.exp(-z)
 
 
 def step(

@@ -607,6 +607,21 @@ class TestTypedDataErrors:
         assert_data_error(res)
         assert "flat.csv" in res.stderr and "positive" in res.stderr
 
+    @pytest.mark.parametrize("row", ["0,1e308,0,1e308,10", "0,0,0,1.7e308,1.7e308"],
+                             ids=["edge", "area"])
+    def test_eval_overflowing_box(self, tmp_path, row):
+        (tmp_path / "huge.csv").write_text(row + "\n")
+        res = run_cli("eval", "--pred", tmp_path / "huge.csv", "--gt", tmp_path / "huge.csv")
+        assert_data_error(res)
+        assert "RuntimeWarning" not in res.stderr
+        assert "huge.csv" in res.stderr and "finite" in res.stderr
+
+    def test_synth_huge_shear_amplitude(self, tmp_path):
+        res = run_cli("synth", "--pattern", "deformation", "--amp", 1e300, "--frames", 3,
+                      "--out", tmp_path / "s", "--size", "140x120", "--target-side", 48)
+        assert_data_error(res)
+        assert "RuntimeWarning" not in res.stderr
+
     def test_pretrain_mixed_frame_sizes(self, tmp_path, data_dir):
         seq = copy_with_tiny_frame(data_dir / "a", tmp_path / "seq", 3)
         res = run_cli("pretrain", "--data", seq, "--out", tmp_path / "m.hftm",
@@ -673,6 +688,7 @@ class TestBadFlags:
             ("synth", "--size", "0x0"),
             ("synth", "--target-side", 0),
             ("synth", "--config"),
+            ("synth", "--config", "--frames", 3),
             ("synth", "--pattern", "translation", "--velocity", "nan,0"),
             ("synth", "--pattern", "scaling", "--rate", "inf"),
             ("synth", "--pattern", "scaling", "--rate", "nan"),
@@ -810,6 +826,20 @@ def test_config_census():
             assert action.default is argparse.SUPPRESS, (command, action.option_strings)
 
 
+class TestTinySigma:
+    """A σ whose 2σ² underflows weighs the nearest candidates 1, not NaN."""
+
+    @pytest.mark.parametrize("raw_only", [True, False], ids=["raw", "learned"])
+    def test_no_runtime_warning(self, tmp_path, model_path, rotation_dir, raw_only):
+        mode = ["--raw-only"] if raw_only else ["--model", model_path, "--init-frames", 10,
+                                                  "--update-every", 10]
+        res = run_cli("track", *mode, "--particles", 50, "--topk", 5, "--sigma", 1e-300,
+                      "--frames", rotation_dir, "--init-box", init_box_of(rotation_dir),
+                      "--out", tmp_path / "b.csv")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+
+
 class TestConfigFile:
     def test_config_merges_before_flags(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -824,3 +854,32 @@ class TestConfigFile:
         assert (tmp_path / "s" / "000003.pgm").read_bytes() == (
             other / "000003.pgm"
         ).read_bytes()
+
+    @staticmethod
+    def frames_of(seq):
+        return [p.read_bytes() for p in sorted(seq.glob("*.pgm"))]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("synth", "FLAGS", "--seed", 12, "--config={cfg}"),
+            ("--config", "{cfg}", "synth", "FLAGS", "--seed", 12),
+            # an explicit flag before --config still beats the file's value
+            ("synth", "--seed", 12, "--config", "{cfg}", "FLAGS"),
+            ("synth", "--config", "{first}", "FLAGS", "--seed", 12, "--config", "{cfg}"),
+        ],
+        ids=["equals", "before-subcommand", "flag-before-config", "last-config-wins"],
+    )
+    def test_config_placements(self, tmp_path, argv):
+        cfg, first = tmp_path / "sweep.cfg", tmp_path / "first.cfg"
+        # blank lines and comments are skipped
+        cfg.write_text("# a sweep\n\nframes = 4\n   \n  # frames=9\nseed=11\npattern=rotation\n")
+        first.write_text("frames=6\npattern=translation\n")
+        flags = ["--out", tmp_path / "s", "--size", "140x120", "--target-side", 48]
+        args = []
+        for arg in argv:
+            args += flags if arg == "FLAGS" else [str(arg).format(cfg=cfg, first=first)]
+        res = run_cli(*args)
+        assert res.returncode == 0, res.stderr
+        synth(tmp_path / "other", pattern="rotation", frames=4, seed=12)
+        assert self.frames_of(tmp_path / "s") == self.frames_of(tmp_path / "other")

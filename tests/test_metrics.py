@@ -84,3 +84,18 @@ class TestOverlapRate:
     def test_non_positive_dims_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             trace([0, 0, 0, 2])
+
+    @pytest.mark.parametrize(
+        "box", [[1e308, 0, 1e308, 10], [0, 1e308, 10, 1e308], [0, 0, 1e200, 1e200]],
+        ids=["right-edge", "bottom-edge", "area"],
+    )
+    def test_overflowing_box_rejected(self, box):
+        with pytest.raises(ValueError, match="finite"):
+            trace(box)
+
+    def test_union_of_huge_finite_areas(self):
+        # each area is 1.69e308, so their plain sum overflows
+        t = trace([0, 0, 1.3e154, 1.3e154])
+        assert overlap_rate(t, t)[1] == 1.0
+        half = trace([0, 0, 1.3e154, 0.65e154])
+        assert overlap_rate(half, t)[1] == pytest.approx(0.5, abs=1e-12)

@@ -414,6 +414,14 @@ class TestCandidatePatch:
             assert g.tobytes() == r.tobytes()
 
 
+class TestWeigh:
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+    def test_tiny_sigma_gives_the_nearest_limit(self, sigma):
+        # 2σ² underflows: weight 1 on the nearest candidates, 0 elsewhere
+        w = tracker.weigh(np.array([0.3, 0.1, 0.2, 0.1]), sigma)
+        np.testing.assert_array_equal(w, [0.0, 1.0, 0.0, 1.0])
+
+
 class TestExemplarLibrary:
     def test_stored_exemplar_has_likelihood_one(self):
         lib = ExemplarLibrary()
