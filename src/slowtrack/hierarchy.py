@@ -350,7 +350,8 @@ def adapt(
 # model file format: magic "HFTM", version 0x01, then tagged sections, each
 # tag (4 ascii bytes) + uint32 payload length + payload, in the order
 # L1W L1P L1E WHIT L2W L2P L2E META. All integers are 32-bit
-# little-endian; floats are 64-bit little-endian.
+# little-endian; floats are 64-bit little-endian. META holds a line count
+# and length-prefixed UTF-8 key=value lines, the first sub_patch_stride=<n>.
 
 _MAGIC = b"HFTM"
 _VERSION = 1
@@ -396,138 +397,117 @@ def save_model(model: HierarchicalModel, path) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path, base: int = 0):
+    """A cursor over a model file's bytes; inside a section, reads stop at its end."""
+
+    def __init__(self, buf: bytes, path):
         self.buf = buf
         self.pos = 0
+        self.limit = len(buf)
         self.path = path
-        self.base = base  # file offset of buf[0]
+
+    def error(self, message: str) -> ModelFormatError:
+        return ModelFormatError(f"{self.path}: {message}")
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ModelFormatError(
-                f"{self.path}: truncated while reading {what} "
-                f"at byte offset {self.base + self.pos}"
-            )
-        chunk = self.buf[self.pos : self.pos + n]
+        if self.pos + n > self.limit:
+            raise self.error(f"truncated while reading {what} at byte offset {self.pos}")
         self.pos += n
-        return chunk
+        return self.buf[self.pos - n : self.pos]
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+    def floats(self, shape: tuple, what: str) -> np.ndarray:
+        """Little-endian float64 values of `shape`; ModelFormatError unless all are finite."""
+        values = np.frombuffer(self.take(8 * math.prod(shape), what), dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            raise self.error(f"non-finite values in field {what}")
+        return values
 
-    def section(self, expected: bytes) -> "_Reader":
-        tag = self.take(4, "section tag")
-        if tag != expected:
-            raise ModelFormatError(
-                f"{self.path}: expected section {expected.decode()!r}, "
-                f"found {tag!r} at byte offset {self.pos - 4}"
+    def section(self, tag: bytes) -> None:
+        """Check the next section's tag and length; reads then stop at its end."""
+        name = tag.decode()
+        found = self.take(4, "section tag")
+        if found != tag:
+            raise self.error(
+                f"expected section {name!r}, found {found!r} at byte offset {self.pos - 4}"
             )
         length = self.u32("section length")
-        base = self.base + self.pos
-        return _Reader(self.take(length, f"section {expected.decode()!r}"), self.path, base)
+        if self.pos + length > self.limit:
+            raise self.error(f"truncated while reading section {name!r} at byte offset {self.pos}")
+        self.limit = self.pos + length
 
     def end(self, what: str) -> None:
-        """ModelFormatError if bytes are left after `what`, the last field read."""
-        unread = len(self.buf) - self.pos
+        """Lift the section bound, raising if bytes remain after `what`, the last field read."""
+        unread = self.limit - self.pos
         if unread:
-            raise ModelFormatError(
-                f"{self.path}: {unread} unread bytes after {what} "
-                f"at byte offset {self.base + self.pos}"
-            )
+            raise self.error(f"{unread} unread bytes after {what} at byte offset {self.pos}")
+        self.limit = len(self.buf)
 
 
-def _read_layer(r: _Reader, prefix: bytes, tag: str) -> tuple[np.ndarray, float]:
-    """Weights and eps of one layer, from the sections `_layer_sections` writes."""
-    s = r.section(prefix + b"W ")
-    f, d = s.u32(f"{tag} weights rows"), s.u32(f"{tag} weights cols")
-    w = np.frombuffer(s.take(8 * f * d, f"{tag} weights values"), dtype="<f8").reshape(f, d)
-    s.end(f"{tag} weights values")
-    if not np.all(np.isfinite(w)):
-        raise ModelFormatError(f"non-finite values in field {tag} weights")
-    s = r.section(prefix + b"P ")
-    p_in, p_out = s.u32(f"{tag} pooling input"), s.u32(f"{tag} pooling output")
-    s.end(f"{tag} pooling output")
+def _read_layer(r: _Reader, prefix: bytes, tag: str) -> LayerEncoder:
+    """One layer's encoder, from the sections `_layer_sections` writes."""
+    r.section(prefix + b"W ")
+    f, d = r.u32(f"{tag} weights rows"), r.u32(f"{tag} weights cols")
+    w = r.floats((f, d), f"{tag} weights")
+    r.end(f"{tag} weights")
+    r.section(prefix + b"P ")
+    p_in, p_out = r.u32(f"{tag} pooling input"), r.u32(f"{tag} pooling output")
     if p_in != f or p_out != p_in // 2:
-        raise ModelFormatError(f"inconsistent field {tag} pooling dims")
-    s = r.section(prefix + b"E ")
-    eps = s.f64(f"{tag} eps_sqrt")
-    s.end(f"{tag} eps_sqrt")
-    if not np.isfinite(eps):
-        raise ModelFormatError(f"non-finite values in field {tag} eps_sqrt")
-    return w, eps
+        raise r.error(f"inconsistent field {tag} pooling dims")
+    r.end(f"{tag} pooling output")
+    r.section(prefix + b"E ")
+    eps = float(r.floats((), f"{tag} eps_sqrt"))
+    r.end(f"{tag} eps_sqrt")
+    return LayerEncoder(w, eps)
+
+
+def _read_meta_line(r: _Reader, i: int) -> tuple[str, str]:
+    """Key and value of metadata line `i`."""
+    raw = r.take(r.u32(f"metadata line {i} length"), f"metadata line {i}")
+    try:
+        key, sep, val = raw.decode("utf-8").partition("=")
+    except UnicodeDecodeError:
+        raise r.error(f"invalid UTF-8 in field metadata line {i}") from None
+    if not sep:
+        raise r.error(f"metadata line {i} is not key=value")
+    return key, val
 
 
 def load_model(path) -> HierarchicalModel:
-    """Load a model written by save_model; errors name the offending field."""
+    """Load a model written by save_model; each error names the file, then the fault.
+
+    The reader stops at the first fault in file order. A file loads only in
+    the form save_model writes, so a loaded model re-saves to the same bytes.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    r = _Reader(buf, path)
-    magic = r.take(4, "magic")
-    if magic != _MAGIC:
-        raise ModelFormatError(f"{path}: bad magic at byte offset 0")
-    version = r.take(1, "version")[0]
-    if version != _VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported version {version} (expected {_VERSION})"
-        )
-
-    w1, eps1 = _read_layer(r, b"L1", "layer1")
-
-    wh = r.section(b"WHIT")
-    dim = wh.u32("whitening input dim")
-    d = wh.u32("whitening retained dim")
-    eps_reg = wh.f64("whitening eps_reg")
-    mean = np.frombuffer(wh.take(8 * dim, "whitening mean"), dtype="<f8").astype(
-        np.float64
-    )
-    proj = (
-        np.frombuffer(wh.take(8 * d * dim, "whitening projection"), dtype="<f8")
-        .reshape(d, dim)
-        .astype(np.float64)
-    )
-    wh.end("whitening projection")
-    for name, arr in (("whitening mean", mean), ("whitening projection", proj)):
-        if not np.all(np.isfinite(arr)):
-            raise ModelFormatError(f"non-finite values in field {name}")
-    if not np.isfinite(eps_reg):
-        raise ModelFormatError("non-finite values in field whitening eps_reg")
-
-    w2, eps2 = _read_layer(r, b"L2", "layer2")
-
-    meta = r.section(b"META")
-    count = meta.u32("metadata count")
-    lines = []
-    for i in range(count):
-        n = meta.u32(f"metadata line {i} length")
-        try:
-            lines.append(meta.take(n, f"metadata line {i}").decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ModelFormatError(f"invalid UTF-8 in field metadata line {i}") from None
-    meta.end("metadata")
-    r.end("section 'META'")
-    stride = 16
-    pairs = []
-    for i, line in enumerate(lines):
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ModelFormatError(f"metadata line {i} is not key=value")
-        if key == _RESERVED_META_KEY:
-            if not val.isdecimal():
-                raise ModelFormatError(f"{path}: metadata {key}={val!r} is not an integer")
-            stride = int(val)
-        else:
-            pairs.append((key, val))
-
+        r = _Reader(fh.read(), path)
     try:
-        return HierarchicalModel(
-            layer1=LayerEncoder(w1, eps1),
-            whitening=WhiteningTransform(mean, proj, eps_reg),
-            layer2=LayerEncoder(w2, eps2),
-            sub_patch_stride=stride,
-            metadata=tuple(pairs),
-        )
+        if r.take(4, "magic") != _MAGIC:
+            raise r.error("bad magic at byte offset 0")
+        version = r.take(1, "version")[0]
+        if version != _VERSION:
+            raise r.error(f"unsupported version {version} (expected {_VERSION})")
+        layer1 = _read_layer(r, b"L1", "layer1")
+        r.section(b"WHIT")
+        dim, d = r.u32("whitening input dim"), r.u32("whitening retained dim")
+        eps_reg = float(r.floats((), "whitening eps_reg"))
+        mean = r.floats((dim,), "whitening mean")
+        proj = r.floats((d, dim), "whitening projection")
+        r.end("whitening projection")
+        whitening = WhiteningTransform(mean, proj, eps_reg)
+        layer2 = _read_layer(r, b"L2", "layer2")
+        r.section(b"META")
+        count = r.u32("metadata count")
+        key, val = _read_meta_line(r, 0) if count else ("", "")
+        if key != _RESERVED_META_KEY:
+            raise r.error(f"metadata does not start with {_RESERVED_META_KEY}")
+        # only the form save_model writes: ASCII digits, no leading zero
+        if not (val.isascii() and val.isdigit() and str(int(val)) == val):
+            raise r.error(f"metadata {key}={val!r} is not an integer")
+        pairs = tuple(_read_meta_line(r, i) for i in range(1, count))
+        r.end("metadata")
+        r.end("section 'META'")
+        return HierarchicalModel(layer1, whitening, layer2, sub_patch_stride=int(val), metadata=pairs)
     except ValueError as err:
-        raise ModelFormatError(f"{path}: {err}") from None
+        raise r.error(str(err)) from None

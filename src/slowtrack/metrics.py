@@ -51,11 +51,18 @@ def _check_lengths(pred: BoxTrace, gt: BoxTrace) -> None:
 
 
 def center_error(pred: BoxTrace, gt: BoxTrace) -> tuple[np.ndarray, float]:
-    """Per-frame Euclidean center distance in pixels, plus the mean."""
+    """Per-frame Euclidean center distance in pixels, plus the mean.
+
+    A distance beyond float64 reads inf; the mean is finite whenever it truly is.
+    """
     _check_lengths(pred, gt)
-    diff = pred.centers() - gt.centers()
-    per_frame = np.hypot(diff[:, 0], diff[:, 1])
-    return per_frame, float(per_frame.mean())
+    # a power-of-two scale, exact in binary, keeps the differences, their
+    # norms and the sum of all n norms finite
+    scale = 2.0 ** -(2 + len(pred).bit_length())
+    diff = pred.centers() * scale - gt.centers() * scale
+    scaled = np.hypot(diff[:, 0], diff[:, 1])
+    with np.errstate(over="ignore"):
+        return scaled / scale, float(scaled.mean() / scale)
 
 
 def overlap_rate(pred: BoxTrace, gt: BoxTrace) -> tuple[np.ndarray, float]:
@@ -66,8 +73,9 @@ def overlap_rate(pred: BoxTrace, gt: BoxTrace) -> tuple[np.ndarray, float]:
     y1 = np.maximum(a[:, 1], b[:, 1])
     x2 = np.minimum(a[:, 0] + a[:, 2], b[:, 0] + b[:, 2])
     y2 = np.minimum(a[:, 1] + a[:, 3], b[:, 1] + b[:, 3])
+    # an empty overlap reads 0 without forming x2 - x1, which can overflow;
     # halving every area, exact in binary, keeps two finite areas' union finite
-    inter = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1) / 2
+    inter = (np.maximum(x2, x1) - x1) * (np.maximum(y2, y1) - y1) / 2
     union = a[:, 2] * a[:, 3] / 2 + b[:, 2] * b[:, 3] / 2 - inter
     # rounding can push the ratio a few ulps outside [0, 1]
     per_frame = np.clip(inter / union, 0.0, 1.0)

@@ -28,8 +28,9 @@ shape of its data X (N rows of D dims):
 
 The adaptation pull is gamma ||A - A_old||^2 in both forms, with the old
 responses A_old = X W_old^T computed once per objective. A rerun repeats
-every bit; a different BLAS thread count can move the last digits,
-because the matrix products split their work by thread count.
+every bit. Importing slowtrack holds BLAS to one thread (see the package
+docstring), because a different thread count can move the last digits:
+the matrix products split their work by thread count.
 
 An objective owns the work arrays of its row terms: they are allocated
 on its first evaluation (again when the filter count changes) and every

@@ -483,6 +483,12 @@ class TestEval:
         assert res.returncode == 3
         assert "line 2" in res.stderr
 
+    def test_far_apart_boxes_without_warnings(self, tmp_path):
+        (tmp_path / "a.csv").write_text("0,0,-1e308,2,2\n")
+        (tmp_path / "b.csv").write_text("0,0,1e308,2,2\n")
+        res = run_cli("eval", "--pred", tmp_path / "a.csv", "--gt", tmp_path / "b.csv")
+        assert (res.returncode, res.stdout, res.stderr) == (0, "ACE=inf AOR=0.0000\n", "")
+
     def test_length_mismatch_exits_3(self, tmp_path):
         (tmp_path / "a.csv").write_text("0,0,0,2,2\n1,0,0,2,2\n")
         (tmp_path / "b.csv").write_text("0,0,0,2,2\n")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_model, corruptions, normalize_values
 from slowtrack import hierarchy
+from slowtrack.cli import main
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.errors import DataError, LineSearchError, ModelFormatError, OptimizationError
 from slowtrack.hierarchy import (
@@ -242,11 +243,84 @@ def cached_model(stride):
 
 
 @functools.cache
-def valid_model_bytes():
+def valid_model_bytes(f1=2, f2=2):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.hftm"
-        save_model(build_model(f1=2, f2=2), path)
+        save_model(build_model(f1=f1, f2=f2), path)
         return path.read_bytes()
+
+
+NAN = struct.pack("<d", float("nan"))
+
+
+def in_section(tag, edit):
+    """A fault: section `tag`'s payload replaced by `edit(payload)`, its length field updated."""
+    def fault(data):
+        pos = 5
+        while data[pos : pos + 4] != tag:
+            pos += 8 + struct.unpack_from("<I", data, pos + 4)[0]
+        end = pos + 8 + struct.unpack_from("<I", data, pos + 4)[0]
+        payload = edit(data[pos + 8 : end])
+        return data[: pos + 4] + struct.pack("<I", len(payload)) + payload + data[end:]
+    return fault
+
+
+def put(at, raw):
+    """An edit that writes `raw` over the payload from byte `at`, counted from the end if < 0."""
+    def edit(payload):
+        start = at % len(payload)
+        return payload[:start] + raw + payload[start + len(raw) :]
+    return edit
+
+
+def meta(*lines):
+    """A META payload holding `lines`."""
+    raws = [line.encode("utf-8") for line in lines]
+    return struct.pack("<I", len(raws)) + b"".join(struct.pack("<I", len(r)) + r for r in raws)
+
+
+def odd_filter_count(data):
+    """Layer 1 cut to 7 filters, with the pooling dims (7, 3) that match that count."""
+    data = in_section(b"L1W ", lambda p: struct.pack("<II", 7, 256) + p[8 : 8 + 7 * 256 * 8])(data)
+    return in_section(b"L1P ", lambda p: struct.pack("<II", 7, 3))(data)
+
+
+# faults of one field each in a build_model(f1=8, f2=4) file, with the text naming it
+FIELD_FAULTS = {
+    "pooling-dims": (in_section(b"L1P ", put(4, struct.pack("<I", 3))),
+                     "inconsistent field layer1 pooling dims"),
+    "layer1-eps": (in_section(b"L1E ", put(0, NAN)), "non-finite values in field layer1 eps_sqrt"),
+    "layer2-eps": (in_section(b"L2E ", put(0, NAN)), "non-finite values in field layer2 eps_sqrt"),
+    "whitening-mean": (in_section(b"WHIT", put(16, NAN)),
+                       "non-finite values in field whitening mean"),
+    "whitening-projection": (in_section(b"WHIT", put(-8, NAN)),
+                             "non-finite values in field whitening projection"),
+    "whitening-eps": (in_section(b"WHIT", put(8, NAN)),
+                      "non-finite values in field whitening eps_reg"),
+    "metadata-utf8": (in_section(b"META", put(8, b"\xff")),
+                      "invalid UTF-8 in field metadata line 0"),
+    "metadata-no-equals": (in_section(b"META", put(24, b":")), "metadata line 0 is not key=value"),
+    "odd-filter-count": (odd_filter_count, "filter count must be even and >= 2, got 7"),
+    "zero-stride": (in_section(b"META", lambda p: meta("sub_patch_stride=0")),
+                    "sub-patch stride must be >= 1"),
+}
+
+# with FIELD_FAULTS, one fault for each check of the model reader
+OTHER_FAULTS = {
+    "magic": lambda d: b"XFTM" + d[4:],
+    "version": lambda d: d[:4] + bytes([9]) + d[5:],
+    "section-tag": lambda d: d[:5] + b"L9W " + d[9:],
+    "truncated-section": lambda d: d[:20],
+    "truncated-field": in_section(b"L1E ", lambda p: p[:4]),
+    "unread-bytes": in_section(b"L1E ", lambda p: p + bytes(8)),
+    "appended-bytes": lambda d: d + bytes(7),
+    "non-integer-stride": in_section(b"META", lambda p: meta("sub_patch_stride=xx")),
+    "no-stride": in_section(b"META", lambda p: meta()),
+    # more digits than int() converts by default
+    "huge-stride": in_section(b"META", lambda p: meta("sub_patch_stride=" + "1" * 5000)),
+    "reserved-key": in_section(b"META", lambda p: meta("sub_patch_stride=16", "sub_patch_stride=16")),
+}
+ALL_FAULTS = {**{k: fault for k, (fault, _) in FIELD_FAULTS.items()}, **OTHER_FAULTS}
 
 
 @st.composite
@@ -488,6 +562,43 @@ class TestModelFile:
         ):
             load_model(path)
 
+    @pytest.mark.parametrize("fault, text", FIELD_FAULTS.values(), ids=list(FIELD_FAULTS))
+    def test_field_fault_named(self, tmp_path, fault, text):
+        path = tmp_path / "m.hftm"
+        path.write_bytes(fault(valid_model_bytes(8, 4)))
+        with pytest.raises(ModelFormatError, match=re.escape(text)):
+            load_model(path)
+
+    @pytest.mark.parametrize("fault", ALL_FAULTS.values(), ids=list(ALL_FAULTS))
+    def test_every_fault_exits_3_naming_the_file(self, tmp_path, capsys, fault):
+        path = tmp_path / "m.hftm"
+        path.write_bytes(fault(valid_model_bytes(8, 4)))
+        code = main(["track", "--raw-only", "--model", str(path), "--frames", str(tmp_path),
+                     "--init-box", "0,0,32,32", "--out", str(tmp_path / "b.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "lines, text",
+        [
+            (["sub_patch_stride=\u0661\u0666"], "metadata sub_patch_stride='\u0661\u0666' is not an integer"),
+            (["sub_patch_stride=016"], "metadata sub_patch_stride='016' is not an integer"),
+            (["k=v", "sub_patch_stride=16"], "metadata does not start with sub_patch_stride"),
+            (["sub_patch_stride=16", "sub_patch_stride=16"],
+             "metadata key 'sub_patch_stride' is reserved"),
+            ([], "metadata does not start with sub_patch_stride"),
+        ],
+        ids=["arabic-indic-digits", "leading-zero", "second-line", "duplicated", "missing"],
+    )
+    def test_stride_line_only_as_written(self, tmp_path, lines, text):
+        # each file reads as stride 16 if a non-ASCII, zero-padded, late, repeated or
+        # missing stride line is accepted, and then re-saves to other bytes
+        path = tmp_path / "m.hftm"
+        path.write_bytes(in_section(b"META", lambda p: meta(*lines))(valid_model_bytes(8, 4)))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(f'{path}: {text}')}$"):
+            load_model(path)
+
 
 class TestModelFileFuzz:
     @settings(max_examples=300, deadline=None)
@@ -496,9 +607,13 @@ class TestModelFileFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.hftm"
         path.write_bytes(data.draw(corruptions(valid_model_bytes())))
         try:
-            load_model(path)
+            model = load_model(path)
         except ModelFormatError:
-            pass
+            return
+        # a file loads only in the form save_model writes
+        resaved = tmp_path_factory.getbasetemp() / "fuzz-resaved.hftm"
+        save_model(model, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
 
 class TestModelInvariants:

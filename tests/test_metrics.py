@@ -50,6 +50,37 @@ class TestCenterError:
         )
         assert abs(base[0] - moved[0]) < 1e-9
 
+    def test_distance_beyond_float64_reads_inf(self):
+        per_frame, avg = center_error(trace([0, -1e308, 2, 2]), trace([0, 1e308, 2, 2]))
+        assert per_frame[0] == avg == np.inf
+
+    def test_mean_finite_whenever_it_truly_is(self):
+        per_frame, avg = center_error(
+            trace([0, -1e308, 2, 2], [0, 0, 2, 2]), trace([0, 1e308, 2, 2], [0, 0, 2, 2])
+        )
+        np.testing.assert_array_equal(per_frame, [np.inf, 0.0])
+        assert avg == pytest.approx(1e308, rel=1e-15)
+        # each 1e308 apart: their sum overflows, their mean does not
+        per_frame, avg = center_error(
+            trace(*[[0, -0.5e308, 2, 2]] * 2), trace(*[[0, 0.5e308, 2, 2]] * 2)
+        )
+        assert avg == pytest.approx(1e308, rel=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(finite_box, finite_box), min_size=1, max_size=20))
+    def test_ordinary_boxes_match_the_plain_formulas(self, pairs):
+        pred, gt = trace(*[p for p, _ in pairs]), trace(*[g for _, g in pairs])
+        diff = pred.centers() - gt.centers()
+        plain = np.hypot(diff[:, 0], diff[:, 1])
+        per_frame, avg = center_error(pred, gt)
+        np.testing.assert_array_equal(per_frame, plain)
+        assert avg == plain.mean()
+        a, b = pred.boxes, gt.boxes
+        lo, hi = np.maximum(a[:, :2], b[:, :2]), np.minimum(a[:, :2] + a[:, 2:], b[:, :2] + b[:, 2:])
+        inter = np.prod(np.maximum(0.0, hi - lo), axis=1) / 2
+        iou = np.clip(inter / (a[:, 2] * a[:, 3] / 2 + b[:, 2] * b[:, 3] / 2 - inter), 0.0, 1.0)
+        np.testing.assert_array_equal(overlap_rate(pred, gt)[0], iou)
+
 
 class TestOverlapRate:
     def test_identical_boxes(self):
@@ -92,6 +123,10 @@ class TestOverlapRate:
     def test_overflowing_box_rejected(self, box):
         with pytest.raises(ValueError, match="finite"):
             trace(box)
+
+    def test_far_apart_disjoint_boxes(self):
+        per_frame, avg = overlap_rate(trace([0, -1e308, 2, 2]), trace([0, 1e308, 2, 2]))
+        assert per_frame[0] == avg == 0.0
 
     def test_union_of_huge_finite_areas(self):
         # each area is 1.69e308, so their plain sum overflows

@@ -1,10 +1,13 @@
-"""Smoke tests: both experiment scripts run end to end on small inputs."""
+"""Smoke tests: the experiment and tooling scripts run end to end on small inputs."""
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from conftest import build_model
 from slowtrack.hierarchy import save_model
@@ -76,3 +79,15 @@ def test_round_trip_writes_one_file_per_command(tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").glob("*.txt")) == files
     for name in files:
         assert "\nexit 0\n" in (tmp_path / "out" / name).read_text(), name
+
+
+def test_diff_outputs_finds_the_working_tree_identical_to_head(tmp_path):
+    status = shutil.which("git") and subprocess.run(
+        ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True
+    )
+    if not status or status.returncode or status.stdout:
+        pytest.skip("needs a git checkout whose src/ matches HEAD")
+    res = run_script("diff_outputs.py", tmp_path / "d", "--frames", 22, "--aux-frames", 10)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert re.search(r"^0 of \d+ outputs differ from HEAD$", res.stdout, re.MULTILINE), res.stdout
+    assert (tmp_path / "d" / "tree-out" / "09-adapt.txt").is_file()
