@@ -26,7 +26,7 @@ import numpy as np
 from ._version import __version__ as _pkg_version
 from .encoder import LayerEncoder, encode
 from .errors import DataError, LineSearchError, ModelFormatError, OptimizationError
-from .objectives import AdaptationObjective, SlownessObjective
+from .objectives import AdaptationObjective, SlownessObjective, helper_thread
 from .optimizer import LbfgsConfig, OptimizeResult, minimize
 from .patches import Patch, normalize_rows
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening
@@ -236,7 +236,8 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     after layer 1 is trained, and each sequence becomes its layer-1
     features as it arrives, so a generator that cuts the 32x32 patches
     then holds one sequence at a time. A malformed `seqs32` is reported
-    after layer 1 trains.
+    after layer 1 trains. Each layer trains with a helper thread
+    (`objectives.helper_thread`), which ends with its layer.
     """
     cfg = cfg or PretrainConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -244,7 +245,8 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
     obj1 = SlownessObjective(list(_checked_sequences(seqs16, LAYER1_SIDE, "layer1")), cfg.lam)
     del seqs16  # stacked by the objective; a caller's temporary list is freed here
-    res1 = _fit_layer(obj1, w1_0, cfg.optimizer, "layer1: line search failed during training")
+    with helper_thread():
+        res1 = _fit_layer(obj1, w1_0, cfg.optimizer, "layer1: line search failed during training")
     del obj1
     layer1 = LayerEncoder(res1.w_final.reshape(w1_0.shape))
 
@@ -256,8 +258,9 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     white_seqs = [apply_whitening(whit, v) for v in concat_seqs]
 
     w2_0 = _random_orthonormal_rows(cfg.f2, whit.retained_dim, rng)
-    res2 = _fit_layer(SlownessObjective(white_seqs, cfg.lam), w2_0, cfg.optimizer,
-                      "layer2: line search failed during training")
+    with helper_thread():
+        res2 = _fit_layer(SlownessObjective(white_seqs, cfg.lam), w2_0, cfg.optimizer,
+                          "layer2: line search failed during training")
     layer2 = LayerEncoder(res2.w_final.reshape(w2_0.shape))
 
     metadata = (
@@ -503,8 +506,13 @@ def load_model(path) -> HierarchicalModel:
         if key != _RESERVED_META_KEY:
             raise r.error(f"metadata does not start with {_RESERVED_META_KEY}")
         # only the form save_model writes: ASCII digits, no leading zero
-        if not (val.isascii() and val.isdigit() and str(int(val)) == val):
-            raise r.error(f"metadata {key}={val!r} is not an integer")
+        try:
+            canonical = val.isascii() and val.isdigit() and str(int(val)) == val
+        except ValueError:  # more digits than int() converts
+            canonical = False
+        if not canonical:
+            shown = repr(val) if len(val) <= 40 else f"{val[:40]!r}... ({len(val)} characters)"
+            raise r.error(f"metadata {key}={shown} is not an integer")
         pairs = tuple(_read_meta_line(r, i) for i in range(1, count))
         r.end("metadata")
         r.end("section 'META'")

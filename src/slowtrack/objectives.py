@@ -38,11 +38,23 @@ later evaluation writes into them, so an objective is not re-entrant.
 `evaluate(w)` returns the pair (value, gradient), the gradient a fresh
 (F, D) array; either may be non-finite, and `optimizer.minimize` checks
 every point it accepts.
+
+Inside `helper_thread()`, a large Gram-form evaluation runs its row
+terms as two row halves, one on the calling thread and one on the
+helper, and U^T X as two filter halves. The bytes do not change: each
+elementwise value is the same operation on the same operands as in one
+pass, the two products are cut where their halves sum as the whole
+products do (SPLIT_BLOCK), and the reductions run over whole arrays
+after the join.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import queue
+import threading
 
 import numpy as np
 
@@ -50,6 +62,90 @@ from .encoder import DEFAULT_EPS_SQRT, forward
 from .errors import DataError
 
 DEFAULT_EPS_ABS = 1e-6
+
+# Multiply-adds of X W^T (N F D) below which an evaluation runs in one
+# pass even with a helper thread. Split, an evaluation at 480 x 111 x 128
+# (6.8e6) took 1-14% less wall time and 21-34% more CPU time; at
+# 1080 x 256 x 64 (1.8e7) 21-24% less and 17-19% more; at 2880 x 256 x 64
+# (4.7e7) 42% less and no more.
+SPLIT_MIN_WORK = 2**23
+
+# Rows and filters split at a multiple of this many, so that each half
+# product sums as the whole one does. OpenBLAS picks its kernels by
+# shape, and a narrower kernel, which rounds differently, takes the
+# columns that a cut leaves short of a block. With numpy 2.4's OpenBLAS
+# 0.3.31 on an AVX-512 Xeon, halves cut at a multiple of 12 reproduced
+# the whole product bit for bit in 150 of 150 random shapes above
+# SPLIT_MIN_WORK; cut at a multiple of 8, the filter halves of U^T X
+# differed in 48. Halves of 12 or more rows and filters above
+# SPLIT_MIN_WORK also stay clear of OpenBLAS's small-matrix kernel
+# (below about 1e6 multiply-adds) and of a one-row matrix-vector product.
+SPLIT_BLOCK = 12
+
+_HELPER: contextvars.ContextVar[_Helper | None] = contextvars.ContextVar("helper", default=None)
+
+
+class _Helper:
+    """A second thread that runs one task at a time for the thread that posts it."""
+
+    def __init__(self):
+        self._tasks = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        self._thread = threading.Thread(target=_serve, args=(self._tasks, self._done), daemon=True)
+        self._thread.start()
+
+    def run(self, fn, theirs, mine) -> None:
+        """`fn(*theirs)` on the helper while `fn(*mine)` runs here; return when both end.
+
+        The helper's call runs in a copy of this thread's context, so
+        numpy's error state (`np.errstate`) holds there too; what it
+        raised is re-raised here.
+        """
+        self._tasks.put((contextvars.copy_context(), fn, theirs))
+        try:
+            fn(*mine)
+        finally:
+            error = self._done.get()
+            if error is not None:
+                raise error
+
+    def stop(self) -> None:
+        self._tasks.put(None)
+        self._thread.join()
+
+
+def _serve(tasks, done):
+    while (task := tasks.get()) is not None:
+        ctx, fn, args = task
+        # hold nothing of a finished task while waiting for the next one,
+        # so its objective and data are freed with their owner
+        del task
+        try:
+            ctx.run(fn, *args)
+            done.put(None)
+        except BaseException as error:
+            done.put(error)
+        del ctx, fn, args
+
+
+@contextlib.contextmanager
+def helper_thread():
+    """Let the Gram-form objectives evaluated inside split their rows onto a second thread.
+
+    The thread starts on entry and is joined on exit, however the block ends.
+    """
+    helper = _Helper()
+    token = _HELPER.set(helper)
+    try:
+        yield
+    finally:
+        _HELPER.reset(token)
+        helper.stop()
+
+
+def _half(m: int) -> int:
+    """The multiple of SPLIT_BLOCK nearest m / 2, where m rows or filters split."""
+    return SPLIT_BLOCK * round(m / (2 * SPLIT_BLOCK))
 
 
 def _check_nonnegative(name: str, value: float) -> float:
@@ -125,15 +221,61 @@ class SlownessObjective:
     def _buffers(self, f):
         """Work arrays a, z, scratch, s, c, u, (N, F)^T X for F filters, made per F.
 
-        The row form adds the residual R and its (N, F) coefficients.
+        The row form adds the residual R and its (N, F) coefficients. The
+        first and last rows of c stay zero.
         """
         if self._work is None or self._work[0].shape[1] != f:
             n, h, d = self.n, f // 2, self.dim
             shapes = [(n, f), (n, h), (n, h), (n - 1, h), (n + 1, h), (n, f), (f, d)]
             if self._gram is None:
                 shapes += [(n, d), (n, f)]
-            self._work = [np.empty(shape) for shape in shapes]
+            self._work = [np.zeros(shape) for shape in shapes]
         return self._work
+
+    def _rows(self, w, lo, hi):
+        """Responses, pair terms and u of rows lo..hi-1, as far as they need no other row.
+
+        That leaves the pair (hi-1, hi) and the u of rows lo and hi-1,
+        except at the ends of the data.
+        """
+        a, z, t = self._work[:3]
+        forward(w, self.eps_sqrt, self._all[lo:hi], out=(a[lo:hi], z[lo:hi], t[lo:hi]))
+        self._pairs(lo, hi - 1)
+        self._grads(lo + (lo > 0), hi - (hi < self.n))
+
+    def _pairs(self, p0, p1):
+        """Smoothed differences s and their derivatives c of pairs p0..p1-1."""
+        _, z, t, s, c = self._work[:5]
+        d = np.subtract(z[p0:p1], z[p0 + 1 : p1 + 1], out=t[p0:p1])
+        s = s[p0:p1]
+        np.multiply(d, d, out=s)
+        s += self.eps_abs
+        np.sqrt(s, out=s)
+        # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0.
+        # c holds it per pair, zero-padded at both ends, so the gradient
+        # with respect to z_i is c_i - c_{i-1}; the divide skips pairs
+        # with s == 0, so c is zeroed first
+        c = c[p0 + 1 : p1 + 1]
+        c.fill(0.0)
+        np.divide(d, s, out=c, where=s > 0)
+        c *= self._pair_mask[p0:p1, None]
+
+    def _grads(self, r0, r1):
+        """u = dE/da of rows r0..r1-1, from c and the responses."""
+        a, z, t, _, c, u = self._work[:6]
+        # gradient with respect to z, divided by z; where z == 0 both
+        # responses are 0, so u is 0 regardless
+        ratio = np.subtract(c[r0 + 1 : r1 + 1], c[r0:r1], out=t[r0:r1])
+        z = z[r0:r1]
+        np.divide(ratio, z, out=ratio, where=z > 0)
+        a, u = a[r0:r1], u[r0:r1]
+        np.multiply(a[:, ::2], ratio, out=u[:, ::2])
+        np.multiply(a[:, 1::2], ratio, out=u[:, 1::2])
+
+    def _ux(self, f0, f1):
+        """Rows f0..f1-1 of U^T X."""
+        u, ux = self._work[5:7]
+        np.matmul(u[:, f0:f1].T, self._all, out=ux[f0:f1])
 
     def _terms(self, w, pull=None):
         """Value and gradient at `w`; `pull` is None or (gamma, A_old)."""
@@ -151,30 +293,28 @@ class SlownessObjective:
                 return value, grad
         else:
             value = 0.0
-        a, z, t, s, c, u, ux, *rows = self._buffers(w.shape[0])
+        f = w.shape[0]
+        a, _, _, s, _, u, ux, *rows = self._buffers(f)
 
         if lam > 0:
-            forward(w, self.eps_sqrt, x, out=(a, z, t))  # (N, F) a, (N, F/2) z
-            d = np.subtract(z[:-1], z[1:], out=t[:-1])
-            np.multiply(d, d, out=s)
-            s += self.eps_abs
-            np.sqrt(s, out=s)
+            split = (gram is not None and min(self.n, f) >= 2 * SPLIT_BLOCK
+                     and self.n * f * self.dim >= SPLIT_MIN_WORK)
+            helper = _HELPER.get() if split else None
+            if helper is None:
+                self._rows(w, 0, self.n)
+            else:
+                # both halves, then the pair across the cut and its two rows
+                cut = _half(self.n)
+                helper.run(self._rows, (w, cut, self.n), (w, 0, cut))
+                self._pairs(cut - 1, cut)
+                self._grads(cut - 1, cut + 1)
             value += lam * float((self._pair_mask @ s).sum())
-            # derivative of s(u) is u / s(u); 0/0 only when eps_abs == 0.
-            # c holds it per pair, zero-padded at both ends, so the
-            # gradient with respect to z_i is c_i - c_{i-1}; the divide
-            # skips pairs with s == 0, so c is zeroed first
-            c.fill(0.0)
-            np.divide(d, s, out=c[1:-1], where=s > 0)
-            c[1:-1] *= self._pair_mask[:, None]
-            # gradient with respect to z, divided by z; where z == 0
-            # both responses are 0, so u is 0 regardless
-            ratio = np.subtract(c[1:], c[:-1], out=t)
-            np.divide(ratio, z, out=ratio, where=z > 0)
-            np.multiply(a[:, ::2], ratio, out=u[:, ::2])
-            np.multiply(a[:, 1::2], ratio, out=u[:, 1::2])
             if gram is not None:  # pre-training's order, which model bytes pin
-                np.matmul(u.T, x, out=ux)
+                if helper is None:
+                    self._ux(0, f)
+                else:
+                    cut = _half(f)
+                    helper.run(self._ux, (cut, f), (0, cut))
                 ux *= lam
                 grad += ux
         else:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slowtrack import objectives
 from slowtrack.encoder import LayerEncoder
 from slowtrack.hierarchy import (
     HierarchicalModel,
@@ -132,6 +133,27 @@ def trained_model():
         seed=0,
     )
     return pretrain(seqs16, seqs32, cfg).model
+
+
+@pytest.fixture
+def helper_runs(monkeypatch):
+    """Each split of an objective evaluation, as (split function's name, the cut)."""
+    runs = []
+    run = objectives._Helper.run
+
+    def spy(self, fn, theirs, mine):
+        runs.append((fn.__name__, mine[-1]))
+        return run(self, fn, theirs, mine)
+
+    monkeypatch.setattr(objectives._Helper, "run", spy)
+    return runs
+
+
+@pytest.fixture
+def forced_splits(helper_runs, monkeypatch):
+    """`helper_runs`, with every evaluation that has rows and filters enough splitting."""
+    monkeypatch.setattr(objectives, "SPLIT_MIN_WORK", 0)
+    return helper_runs
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowtrack import _blas_thread_setter
+from slowtrack import _blas_thread_setter, objectives
 from slowtrack.cli import _build_parser, main
 from slowtrack.hierarchy import PretrainConfig, load_model, pretrain, save_model
 from slowtrack.objectives import SlownessObjective
@@ -223,6 +223,26 @@ class TestPretrain:
                           "--max-iters", 5, "--seed", 2)
             assert res.returncode == 0, res.stderr
         assert (tmp_path / "m1.hftm").read_bytes() == (tmp_path / "m2.hftm").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_one_cpu_writes_the_same_model(self, tmp_path, data_dir):
+        # layer 1 is large enough to split its evaluations onto a helper
+        # thread; confined to one CPU, that thread shares the caller's
+        dirs = [data_dir / "a", data_dir / "b"]
+        rows = sum(len(s) for d in dirs for s in directory_sequences(d, 16))
+        assert rows * 128 * 256 >= objectives.SPLIT_MIN_WORK
+        one_cpu = min(os.sched_getaffinity(0))
+        models = []
+        for name, preexec in (("any", None), ("one", lambda: os.sched_setaffinity(0, {one_cpu}))):
+            out = tmp_path / f"{name}.hftm"
+            res = subprocess.run(
+                [sys.executable, "-m", "slowtrack", "pretrain", "--data", *map(str, dirs),
+                 "--out", str(out), "--f1", "128", "--f2", "8", "--max-iters", "5"],
+                capture_output=True, text=True, env=blas_env(None), preexec_fn=preexec,
+            )
+            assert res.returncode == 0, res.stderr
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_reports_objectives(self, model_path):
         model = load_model(model_path)

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import slowtrack.objectives
 from slowtrack.encoder import LayerEncoder, encode, filters_as_patches
-from slowtrack.objectives import SlownessObjective
+from slowtrack.objectives import SlownessObjective, helper_thread
 
 
 def enc_from(rows, eps=0.0):
@@ -169,20 +171,30 @@ class TestTypes:
         assert encode(enc, np.ones(2)).shape == (2,)
 
 
-def test_objective_and_encode_pool_alike(monkeypatch):
-    """The slowness objective sees the pooled values `encode` returns."""
+def test_objective_and_encode_pool_alike(monkeypatch, forced_splits):
+    """The slowness objective sees the pooled values `encode` returns, split or not."""
     seen = []
     forward = slowtrack.objectives.forward
 
     def spy(w, eps, x, out=None):
         out = forward(w, eps, x, out)
-        seen.append(out[1].copy())
+        # x is a row range of the objective's stacked data: note where it starts
+        start = (x.ctypes.data - x.base.ctypes.data) // x.strides[0]
+        seen.append((start, out[1].copy()))
         return out
 
     monkeypatch.setattr(slowtrack.objectives, "forward", spy)
     rng = np.random.default_rng(8)
-    w = rng.standard_normal((6, 5))
-    x = rng.standard_normal((7, 5))
-    SlownessObjective([x[:3], x[3:]], lam=1.0, eps_sqrt=1e-6).evaluate(w)
-    (pooled,) = seen
-    assert pooled.tobytes() == encode(enc_from(w, eps=1e-6), x).tobytes()
+    w = rng.standard_normal((24, 5))
+    x = rng.standard_normal((30, 5))
+    want = encode(enc_from(w, eps=1e-6), x)
+    for halves, context in ((1, contextlib.nullcontext), (2, helper_thread)):
+        seen.clear()
+        with context():
+            SlownessObjective([x[:3], x[3:]], lam=1.0, eps_sqrt=1e-6).evaluate(w)
+        assert len(seen) == halves
+        pooled = np.full_like(want, np.nan)
+        for start, z in seen:
+            pooled[start : start + len(z)] = z
+        assert pooled.tobytes() == want.tobytes()
+    assert [name for name, _ in forced_splits] == ["_rows", "_ux"]

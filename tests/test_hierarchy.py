@@ -2,7 +2,9 @@ import functools
 import re
 import struct
 import tempfile
+import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +183,35 @@ class TestPretrain:
         ts16, _ = small_training_sets
         with pytest.raises(DataError, match=re.escape(message)):
             pretrain(ts16, (s for s in seqs32), FAST)
+
+
+class TestPretrainThreads:
+    """Each layer trains with a helper thread, and no thread outlives pretrain."""
+
+    @pytest.fixture
+    def seqs16(self):
+        # 300 rows of 256 dims: a Gram-form layer-1 objective with rows to split
+        return list(np.random.default_rng(4).standard_normal((2, 150, 256)))
+
+    CFG = replace(FAST, f1=24, optimizer=LbfgsConfig(max_iters=3))
+
+    def test_returns(self, forced_splits, seqs16, small_training_sets):
+        before = threading.enumerate()
+        pretrain(seqs16, small_training_sets[1], self.CFG)
+        assert forced_splits and threading.enumerate() == before
+
+    def test_raises_in_layer1(self, forced_splits, seqs16, small_training_sets):
+        before = threading.enumerate()
+        cfg = replace(self.CFG, lam=1e300)
+        message = fit_failure(lambda: pretrain(seqs16, small_training_sets[1], cfg))
+        assert message == "layer1: line search failed during training"
+        assert forced_splits and threading.enumerate() == before
+
+    def test_raises_after_layer1(self, forced_splits, seqs16):
+        before = threading.enumerate()
+        with pytest.raises(DataError, match="layer2: training set is empty"):
+            pretrain(seqs16, [], self.CFG)
+        assert forced_splits and threading.enumerate() == before
 
 
 def img32_values(img):
@@ -522,6 +553,17 @@ class TestModelFile:
         path.write_bytes(data.replace(b"sub_patch_stride=16", b"sub_patch_stride=xx"))
         with pytest.raises(ModelFormatError, match="sub_patch_stride='xx'"):
             load_model(path)
+
+    def test_overlong_stride_metadata(self, tmp_path):
+        # more digits than int() converts: the same message, the value cut short
+        path = tmp_path / "m.hftm"
+        path.write_bytes(ALL_FAULTS["huge-stride"](valid_model_bytes()))
+        with pytest.raises(ModelFormatError) as err:
+            load_model(path)
+        assert str(err.value).endswith(
+            f"metadata sub_patch_stride='{'1' * 40}'... (5000 characters) is not an integer"
+        )
+        assert "int_max_str_digits" not in str(err.value)
 
     def test_appended_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.hftm"

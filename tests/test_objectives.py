@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference_gradient
 from slowtrack.encoder import forward
-from slowtrack.errors import DataError
-from slowtrack.objectives import AdaptationObjective, SlownessObjective
+from slowtrack.errors import DataError, OptimizationError
+from slowtrack.objectives import AdaptationObjective, SlownessObjective, helper_thread
+from slowtrack.optimizer import minimize
 
 
 def reference_terms(seqs, w, lam, eps_sqrt, eps_abs):
@@ -342,6 +345,181 @@ def assert_same(got, want):
     """Bit-for-bit equality of two (value, gradient) evaluations."""
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
+
+
+def assert_bits(got, want):
+    """Bit-for-bit equality of two evaluations, NaNs and their signs included."""
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.fixture
+def splits(forced_splits):
+    """`forced_splits`, inside a helper thread."""
+    with helper_thread():
+        yield forced_splits
+
+
+def split_case(n, d=12, f=24, starts=(), seed=0):
+    """Sequences of n rows broken before each row in `starts`, and filters W."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    return np.split(x, list(starts)), 0.1 * rng.standard_normal((f, d))
+
+
+class TestGramFormSplit:
+    """A split evaluation repeats the one-pass order bit for bit.
+
+    The row cut sits on a multiple of SPLIT_BLOCK (12) rows, so at least
+    24 rows split; fewer run in one pass. The filter cut does the same.
+    """
+
+    def check(self, seqs, w, lam=5.0, eps_abs=1e-6):
+        obj = SlownessObjective(seqs, lam, eps_abs=eps_abs)
+        for _ in range(2):  # a fresh objective and one with its work arrays
+            assert_bits(obj.evaluate(w), pretraining_terms(seqs, w, lam, 1e-8, eps_abs))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 23])
+    def test_too_few_rows_run_in_one_pass(self, splits, n):
+        seqs, w = split_case(n, d=min(n, 12), starts=[n // 2])
+        self.check(seqs, w)
+        assert splits == []
+
+    @pytest.mark.parametrize("n, cut", [(24, 12), (25, 12), (26, 12), (35, 12), (36, 24), (37, 24)])
+    def test_row_counts(self, splits, n, cut):
+        seqs, w = split_case(n, starts=[n // 3])
+        self.check(seqs, w)
+        assert splits == [("_rows", cut), ("_ux", 12)] * 2
+
+    @pytest.mark.parametrize("f, cut", [(22, None), (24, 12), (26, 12), (36, 24), (64, 36)])
+    def test_filter_counts(self, splits, f, cut):
+        seqs, w = split_case(30, f=f, starts=[10])
+        self.check(seqs, w)
+        assert splits == ([] if cut is None else [("_rows", 12), ("_ux", cut)] * 2)
+
+    @pytest.mark.parametrize("start", [11, 12, 13])
+    def test_sequence_break_at_the_cut(self, splits, start):
+        # a sequence starting at row cut-1, cut or cut+1 removes the pair
+        # before, across or after the cut
+        seqs, w = split_case(30, starts=[start], seed=start)
+        self.check(seqs, w)
+        assert splits[0] == ("_rows", 12)
+
+    def test_sequence_of_one_row_at_the_cut(self, splits):
+        seqs, w = split_case(30, starts=[12, 13], seed=3)
+        self.check(seqs, w)
+
+    def test_zero_eps_abs_with_equal_rows_across_the_cut(self, splits):
+        seqs, w = split_case(30, seed=4)
+        x = seqs[0]
+        x[11] = x[12]  # the pair across the cut: s == 0 under every W
+        x[5] = x[6]
+        x[20] = x[21]
+        self.check([x], w, eps_abs=0.0)
+        assert splits[0] == ("_rows", 12)
+
+    def test_zero_eps_abs_with_equal_pooled_values_across_the_cut(self, splits):
+        # rows 11 and 12 differ, but under w_tie their first pooled unit is
+        # the same, so the pair's c, written under w_free, must not survive
+        seqs, w_free = split_case(30, seed=5)
+        x = seqs[0]
+        x[11], x[12] = np.eye(12)[:2]
+        w_tie = w_free.copy()
+        w_tie[:2] = np.eye(12)[:2]
+        obj = SlownessObjective([x], 5.0, eps_abs=0.0)
+        for w in (w_free, w_tie, w_free, w_tie):
+            assert_bits(obj.evaluate(w), pretraining_terms([x], w, 5.0, 1e-8, 0.0))
+        assert splits[0] == ("_rows", 12)
+
+    @pytest.mark.parametrize("row", [11, 12, 20])
+    def test_overflowing_row_at_the_cut(self, splits, row):
+        # z overflows in one row: inf and NaN reach its pairs and, through
+        # the Gram matrix, every gradient entry
+        seqs, w = split_case(30, starts=[7], seed=row)
+        seqs[1][row - 7] *= 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.check(seqs, w)
+            got = SlownessObjective(seqs, 5.0).evaluate(w)
+        assert not np.isfinite(got[0])
+        assert splits[0] == ("_rows", 12)
+
+    @pytest.mark.parametrize("n, d, f", [(2880, 256, 64), (1280, 111, 128)])
+    def test_workload_shapes_split_at_the_default_size(self, helper_runs, n, d, f):
+        # the pretrain workload's layers, without forcing the split
+        seqs, w = split_case(n, d=d, f=f, starts=[n // 8 * k for k in range(1, 8)])
+        with helper_thread():
+            self.check(seqs, w)
+        assert [name for name, _ in helper_runs] == ["_rows", "_ux"] * 2
+
+
+class TestHelperThread:
+    def test_error_in_the_helper_reaches_the_caller(self, splits):
+        # a row whose squared responses underflow, in the helper's half
+        # only, with underflow an error there too
+        seqs, w = split_case(30, seed=6)
+        seqs[0][20] *= 1e-200
+        obj = SlownessObjective(seqs, 5.0)
+        with np.errstate(under="raise"):
+            with pytest.raises(FloatingPointError, match="underflow") as err:
+                obj.evaluate(w)
+        assert any(entry.name == "_rows" and entry.locals["lo"] == 12 for entry in err.traceback)
+        # the helper serves the next evaluation
+        with np.errstate(under="ignore"):
+            assert_bits(obj.evaluate(w), pretraining_terms(seqs, w, 5.0, 1e-8, 1e-6))
+        assert splits[-1] == ("_ux", 12)
+
+    def test_thread_ends_with_the_block(self, splits):
+        before = threading.enumerate()
+        seqs, w = split_case(30, seed=7)
+        with pytest.raises(KeyError):
+            with helper_thread():
+                SlownessObjective(seqs, 5.0).evaluate(w)
+                assert len(threading.enumerate()) == len(before) + 1
+                raise KeyError
+        assert splits and threading.enumerate() == before
+
+    def test_dropped_objective_is_freed(self, splits):
+        seqs, w = split_case(30, seed=7)
+        obj = SlownessObjective(seqs, 5.0)
+        obj.evaluate(w)
+        assert splits
+        ref, data = weakref.ref(obj), weakref.ref(obj._all)
+        del obj
+        assert ref() is None and data() is None
+
+    def test_overflowing_probe_inside_minimize_warns_nothing(self, splits):
+        # RuntimeWarnings are errors in this suite; minimize's errstate
+        # must reach the helper's half too
+        seqs, w = split_case(30, seed=8)
+        seqs[0][20] *= 1e200
+        with np.errstate(over="ignore"):
+            obj = SlownessObjective(seqs, 5.0)
+
+        def f(v):
+            value, grad = obj.evaluate(v.reshape(w.shape))
+            return value, grad.ravel()
+
+        with pytest.raises(OptimizationError, match="starting point"):
+            minimize(f, w.ravel())
+        assert splits == [("_rows", 12), ("_ux", 12)]
+
+    def test_helper_calls_only_the_row_functions(self, splits):
+        # the tracer probes SlownessObjective.evaluate and counts one span
+        # per evaluation: the helper must call nothing that it probes
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and "slowtrack" in frame.f_code.co_filename:
+                called.add(frame.f_code.co_name)
+
+        seqs, w = split_case(30, seed=9)
+        threading.setprofile(profile)
+        try:
+            with helper_thread():  # started under the profile
+                SlownessObjective(seqs, 5.0).evaluate(w)
+        finally:
+            threading.setprofile(None)
+        assert called == {"_serve", "_rows", "n", "forward", "_pairs", "_grads", "_ux"}
 
 
 class TestWorkBuffers:
