@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--stride", dest="sub_patch_stride", metavar="STRIDE", type=int)
     p.add_argument("--max-iters", type=int)
-    p.add_argument("--grad-tol", type=float)
+    p.add_argument("--tol", type=float)
     p.add_argument("--whiten-dim", type=int)
 
     p = sub.add_parser(

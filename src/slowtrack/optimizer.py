@@ -14,6 +14,13 @@ ends the run; pre-training and adaptation report it under their layer tag.
 The exception is a direction whose full step predicts a decrease within
 round-off of f: no probe can tell such a step from no step, so the run
 stops there as converged.
+
+A run also stops as converged when the objective has stopped moving: at
+the first iteration k >= WINDOW where (f_{k-WINDOW} - f_k) / max(|f_k|, 1)
+<= tol, read from the run's trace. Every accepted step satisfies
+sufficient decrease, so at tol = 0 that takes WINDOW iterations in which f
+did not fall at all. An iterate whose gradient is exactly zero stops the
+run as converged too, since its search direction would be zero.
 """
 
 from __future__ import annotations
@@ -36,8 +43,10 @@ _ROUNDOFF_ULPS = 16
 
 # textbook quasi-Newton defaults (Nocedal & Wright 2006, sections 3.1 and
 # 7.2): history size m, the strong Wolfe constants c1 < c2, and the
-# objective evaluations one line search may spend
+# objective evaluations one line search may spend; WINDOW is the number of
+# iterations the stopping test measures the relative decrease over
 MEMORY = 5
+WINDOW = 5
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 MAX_LINE_SEARCH_STEPS = 20
@@ -76,13 +85,13 @@ class LbfgsHistory:
 @dataclass(frozen=True)
 class LbfgsConfig:
     max_iters: int = 100
-    grad_tol: float = 1e-5  # threshold on the max-norm of the gradient
+    tol: float = 0.0  # relative decrease of f over WINDOW iterations that ends a run
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if not math.isfinite(self.grad_tol):
-            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -215,11 +224,12 @@ def _check_finite(value, grad, where):
 # search or the check instead
 @np.errstate(over="ignore", invalid="ignore")
 def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
-    """Run L-BFGS from x0 until the gradient max-norm drops below grad_tol.
+    """Run L-BFGS from x0 until f stops moving by the relative tolerance tol.
 
     Stops on convergence or the iteration cap, the result's status saying
-    which; a line search that fails where the full step predicts a decrease
-    of at most `_ROUNDOFF_ULPS` ulps of f also counts as convergence. Any
+    which. Convergence is the windowed relative-decrease test, an exactly
+    zero gradient, or a line search that fails where the full step predicts
+    a decrease of at most `_ROUNDOFF_ULPS` ulps of f. Any
     other failed line search raises LineSearchError, and a non-finite
     accepted point raises OptimizationError.
     """
@@ -241,7 +251,7 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
     b0 = 1.0
     iterations = 0
     status = "max_iters"
-    if ginf <= cfg.grad_tol:
+    if ginf == 0.0:
         status = "converged"
     else:
         for _ in range(cfg.max_iters):
@@ -264,7 +274,10 @@ def minimize(f, x0, cfg: LbfgsConfig | None = None) -> OptimizeResult:
             ginf = float(np.max(np.abs(grad)))
             trace.append((value, ginf))
             iterations += 1
-            if ginf <= cfg.grad_tol:
+            if ginf == 0.0 or (
+                iterations >= WINDOW
+                and (trace[-1 - WINDOW][0] - value) / max(abs(value), 1.0) <= cfg.tol
+            ):
                 status = "converged"
                 break
     return OptimizeResult(

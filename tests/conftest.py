@@ -129,7 +129,7 @@ def trained_model():
         lam=5.0,
         f1=32,
         f2=64,
-        optimizer=LbfgsConfig(max_iters=100, grad_tol=1e-4),
+        optimizer=LbfgsConfig(max_iters=100, tol=0.0),
         seed=0,
     )
     return pretrain(seqs16, seqs32, cfg).model

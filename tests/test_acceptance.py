@@ -134,7 +134,7 @@ def test_criterion_3_optimizer_sanity():
         grad = np.array([-2 * (1 - a) - 400 * a * (b - a * a), 200 * (b - a * a)])
         return value, grad
 
-    res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=100, grad_tol=1e-6))
+    res = minimize(rosenbrock, np.array([-1.2, 1.0]), LbfgsConfig(max_iters=100, tol=1e-10))
     rosen_ok = (
         res.status == "converged"
         and res.iterations <= 100
@@ -144,7 +144,7 @@ def test_criterion_3_optimizer_sanity():
     quad = minimize(
         lambda x: (0.5 * float(x @ x), x.copy()),
         np.array([4.0, -4.0]),
-        LbfgsConfig(grad_tol=1e-8),
+        LbfgsConfig(tol=1e-10),
     )
     quad_ok = quad.status == "converged" and quad.iterations <= 3
     report(
@@ -174,7 +174,7 @@ def test_criterion_4_slowness_improvement():
     ts16 = training_set(frame_seqs, box_seqs, 16)
     ts32 = training_set(frame_seqs, box_seqs, 32)
     cfg = PretrainConfig(
-        lam=10.0, f1=32, f2=4, optimizer=LbfgsConfig(max_iters=200, grad_tol=1e-4), seed=0
+        lam=10.0, f1=32, f2=4, optimizer=LbfgsConfig(max_iters=200, tol=0.0), seed=0
     )
     model = pretrain(ts16, ts32, cfg).model
 
@@ -225,7 +225,7 @@ def test_criterion_5_adaptation_contract(trained_model):
             obj32,
             lam=5.0,
             gamma=gamma,
-            optimizer_cfg=LbfgsConfig(max_iters=50, grad_tol=1e-5),
+            optimizer_cfg=LbfgsConfig(max_iters=50, tol=0.0),
         )
         changes[gamma] = [st.relative_change for st in res.layers]
     pin_ok = all(rel < 1e-2 for rel in changes[1e6])
@@ -312,7 +312,7 @@ def tracking_runs():
         ts16,
         ts32,
         PretrainConfig(
-            lam=5.0, f1=32, f2=64, optimizer=LbfgsConfig(max_iters=100, grad_tol=1e-4), seed=0
+            lam=5.0, f1=32, f2=64, optimizer=LbfgsConfig(max_iters=100, tol=0.0), seed=0
         ),
     ).model
 

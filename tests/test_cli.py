@@ -262,6 +262,15 @@ class TestPretrain:
             assert m, res.stdout
             assert float(m[2]) < float(m[1]) and int(m[3]) >= 4
 
+    def test_tol_sets_the_stop(self, tmp_path, data_dir):
+        # any decrease is within a huge tolerance, so the first full window stops each layer
+        res = run_cli("pretrain", "--data", data_dir / "a", "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 30, "--tol", 1e9)
+        assert res.returncode == 0, res.stderr
+        for layer in ("layer1", "layer2"):
+            pattern = rf"^{layer} objective: \S+ -> \S+ \(5 iterations, \d+ evals, converged\)$"
+            assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
+
     def test_stdout_says_what_whitening_kept(self, tmp_path, data_dir):
         res = run_cli("pretrain", "--data", data_dir / "a", "--out",
                       tmp_path / "m.hftm", "--f1", 8, "--f2", 4, "--max-iters", 3)
@@ -702,7 +711,9 @@ class TestBadFlags:
             ("pretrain", "--max-iters", -1),
             ("pretrain", "--lambda", "nan"),
             ("pretrain", "--lambda", "inf"),
-            ("pretrain", "--grad-tol", "nan"),
+            ("pretrain", "--tol", "nan"),
+            ("pretrain", "--tol", "inf"),
+            ("pretrain", "--tol", -1),
             ("track", "--gamma", "nan"),
             ("track", "--sigma", "nan"),
             ("track", "--std-xy", "nan"),
@@ -747,6 +758,18 @@ class TestBadFlags:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
         assert sum(line.startswith("error: ") for line in res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("given_by", ["flag", "config"])
+    def test_renamed_grad_tol_is_unrecognized(self, tmp_path, data_dir, given_by):
+        # `--tol` replaced `--grad-tol`; the old name is argparse's usage error
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("grad-tol=1e-4\n")
+        old = ["--grad-tol", "1e-4"] if given_by == "flag" else ["--config", cfg]
+        res = run_cli("pretrain", *old, "--data", data_dir / "a", "--out", tmp_path / "m.hftm")
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.endswith("slowtrack: error: unrecognized arguments: --grad-tol 1e-4\n")
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "m.hftm").exists()
 
     def test_track_corrupt_last_frame_exits_3_without_boxes(self, tmp_path, track_dir):
         seq = tmp_path / "seq"
@@ -829,12 +852,12 @@ def test_config_census():
     pretrain_values = settable(PretrainConfig())
     track_values = settable(TrackerConfig())
     assert pretrain_values == [
-        "lam", "f1", "f2", "whiten_dim", "sub_patch_stride", "max_iters", "grad_tol", "seed",
+        "lam", "f1", "f2", "whiten_dim", "sub_patch_stride", "max_iters", "tol", "seed",
     ]
     assert track_values == [
         "n_candidates", "top_k", "update_period", "init_frames",
         "std_xy", "std_scale", "std_rotation", "lam", "gamma", "sigma", "seed",
-        "max_iters", "grad_tol",
+        "max_iters", "tol",
     ]
     assert len(pretrain_values) + len(track_values) == 21
 

@@ -75,7 +75,7 @@ def random_patch_sets(rng, n16=8, n32=8):
 
 
 FAST = PretrainConfig(
-    lam=2.0, f1=8, f2=4, optimizer=LbfgsConfig(max_iters=15, grad_tol=1e-4), seed=3
+    lam=2.0, f1=8, f2=4, optimizer=LbfgsConfig(max_iters=15, tol=0.0), seed=3
 )
 
 
@@ -404,7 +404,7 @@ class TestAdapt:
             ts32,
             lam=FAST.lam,
             gamma=0.0,
-            optimizer_cfg=LbfgsConfig(max_iters=10, grad_tol=1e-6),
+            optimizer_cfg=LbfgsConfig(max_iters=10, tol=0.0),
         )
         assert adapted.layers[0].value_after <= res.layer1_opt.value + 1e-9
 

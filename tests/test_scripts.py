@@ -39,9 +39,18 @@ def test_visualize_filters_writes_a_tile_sheet(tmp_path):
     assert frame.shape == (56, 56)
 
 
+def pretrained_line(label):
+    """The line the benchmark script prints after one 2-iteration pre-training."""
+    layers = "; ".join(
+        rf"{tag} \S+ -> \S+ in 2 iterations, max_iters" for tag in ("layer1", "layer2")
+    )
+    return rf"^pre-trained{re.escape(label)} in \d+s \({layers}; whitening kept \d+ of 64 dimensions\)$"
+
+
 def test_synthetic_benchmark_prints_six_rows():
     res = run_script("run_synthetic_benchmark.py", "--frames", 22, "--pretrain-iters", 2)
     assert res.returncode == 0, res.stderr
+    assert re.search(pretrained_line(""), res.stdout, re.MULTILINE), res.stdout
     rows = re.findall(
         r"^(translation|rotation|shear) +(learned|raw) +\d+\.\d\d +\d\.\d{3} +\d+s$",
         res.stdout,
@@ -69,6 +78,27 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
     kinds = ", ".join(rf"{kind} \d+\.\d" for kind in ("learned", "raw", "no-adapt"))
     seconds = rf"^wall seconds of the 20 tracks of each kind: {kinds}$"
     assert re.search(seconds, res.stdout, re.MULTILINE), res.stdout
+
+    # three pre-training replicates, and the spread of each case's ACE over them
+    replicates = ("script order", "reversed", "rotated by 3")
+    lines = res.stdout.splitlines()
+    assert [re.fullmatch(pretrained_line(f" ({label})"), line) is not None
+            for label, line in zip(replicates, lines)] == [True] * 3, res.stdout
+    ace, spread = r" +\d+\.\d\d", r" +(\d+\.\d\d)"
+    rows = re.findall(
+        rf"^(translation|rotation|shear|scaling) +([0-4])(?:{ace * 3}{spread}){{2}}$",
+        res.stdout,
+        re.MULTILINE,
+    )
+    assert [row[:2] for row in rows] == [(name, str(seed)) for name in names for seed in range(5)]
+    for kind in ("learned", "no-adapt"):
+        pattern = (rf"^{kind} ACE spread: median \d+\.\d\d px, max \d+\.\d\d px "
+                   r"\([a-z]+ seed [0-4]\), above 0\.25 px in \d+/20$")
+        assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
+    for label in replicates:
+        pattern = (rf"^replicate {label}: learned beats raw: \d+/20; worst [a-z]+ seed [0-4] "
+                   r"\([+-]\d+\.\d\d px\); adaptation beats no adaptation: \d+/20; ")
+        assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
 
 
 def test_round_trip_writes_one_file_per_command(tmp_path):
