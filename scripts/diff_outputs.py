@@ -23,12 +23,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def round_trip(src: Path, out: Path, extra: list[str]) -> int:
-    """Exit code of the working tree's round trip with `src` first on PYTHONPATH."""
+def run_script(name: str, src: Path, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """The working tree's scripts/`name` run with `src` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    script = ROOT / "scripts" / "round_trip.py"
-    return subprocess.run([sys.executable, str(script), str(out), *extra], env=env).returncode
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env, **kwargs)
+
+
+def extract_src(parser: argparse.ArgumentParser, ref: str, dest: Path) -> Path:
+    """REF's `src/`, extracted with `git archive` under `dest`; a failure is a usage error."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref, "src"], cwd=ROOT, capture_output=True
+    )
+    if archive.returncode:
+        parser.error(archive.stderr.decode(errors="replace").strip())
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
 
 
 def contents(root: Path) -> dict[str, bytes]:
@@ -44,16 +55,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.out.exists():
         parser.error(f"{args.out} exists")
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", args.ref, "src"], cwd=ROOT, capture_output=True
-    )
-    if archive.returncode:
-        parser.error(archive.stderr.decode(errors="replace").strip())
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(args.out / "ref", filter="data")
+    ref_src = extract_src(parser, args.ref, args.out / "ref")
     extra = ["--frames", args.frames, "--aux-frames", args.aux_frames]
-    for src, out in ((args.out / "ref" / "src", "ref-out"), (ROOT / "src", "tree-out")):
-        if round_trip(src, args.out / out, extra):
+    for src, out in ((ref_src, "ref-out"), (ROOT / "src", "tree-out")):
+        if run_script("round_trip.py", src, [str(args.out / out), *extra]).returncode:
             print(f"the round trip with {src} failed; see {args.out / out}")
             return 1
     ref, tree = contents(args.out / "ref-out"), contents(args.out / "tree-out")

@@ -360,7 +360,8 @@ def cmd_adapt(args) -> int:
     for st in event.layers:
         print(
             f"{st.layer}: |W - W_old|_F = {st.frobenius_change:.6e} "
-            f"(relative {st.relative_change:.6e})"
+            f"({st.iterations} iterations, {st.evals} evals, {st.status}; "
+            f"relative {st.relative_change:.6e})"
         )
     save_model(result.model, args.out)
     print(f"wrote model to {args.out}")

@@ -38,8 +38,8 @@ LAYER1_INPUT_DIM = LAYER1_SIDE * LAYER1_SIDE
 _RESERVED_META_KEY = "sub_patch_stride"
 
 # L-BFGS settings of an adaptation run, shared by `adapt` and the tracker;
-# at tol 0 every adaptation runs to its cap unless f stops falling at all
-ADAPT_OPTIMIZER = LbfgsConfig(max_iters=50, tol=0.0)
+# it stops on pre-training's tolerance, as soon as f stops moving
+ADAPT_OPTIMIZER = LbfgsConfig(max_iters=50)
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,7 @@ class PretrainConfig:
     f2: int = 128
     whiten_dim: int | None = None
     sub_patch_stride: int = 16
-    optimizer: LbfgsConfig = field(
-        default_factory=lambda: LbfgsConfig(max_iters=150, tol=5e-3)
-    )
+    optimizer: LbfgsConfig = field(default_factory=lambda: LbfgsConfig(max_iters=150))
     seed: int = 0
 
     def __post_init__(self):

@@ -85,7 +85,9 @@ class LbfgsHistory:
 @dataclass(frozen=True)
 class LbfgsConfig:
     max_iters: int = 100
-    tol: float = 0.0  # relative decrease of f over WINDOW iterations that ends a run
+    # relative decrease of f over WINDOW iterations that ends a run; every
+    # run, pre-training and adaptation alike, stops on this one value
+    tol: float = 5e-3
 
     def __post_init__(self):
         if self.max_iters < 0:

@@ -404,6 +404,25 @@ class TestAdapt:
         assert all(r < 1e-2 for r in rels)
         assert "warning" in res.stderr  # gamma outside [90, 110]
 
+    def test_stdout_says_how_each_layer_stopped(self, tmp_path, model_path, track_dir):
+        # in the form pretrain prints, with the counts a track's init event logs
+        flags = ("--model", model_path, "--frames", track_dir,
+                 "--init-box", init_box_of(track_dir), "--init-frames", 10)
+        res = run_cli("adapt", *flags, "--out", tmp_path / "o.hftm")
+        assert res.returncode == 0, res.stderr
+        stops = re.findall(r"^(layer[12]): \|W - W_old\|_F = \S+ "
+                           r"\((\d+) iterations, (\d+) evals, (converged|max_iters); "
+                           r"relative \S+\)$", res.stdout, re.MULTILINE)
+        assert [stop[0] for stop in stops] == ["layer1", "layer2"], res.stdout
+        res = run_cli("track", *flags, "--out", tmp_path / "b.csv")
+        assert res.returncode == 0, res.stderr
+        event = (tmp_path / "b.csv.log").read_text().splitlines()[0]
+        assert event.startswith("adapt kind=init frames=10 "), event
+        tokens = dict(t.split("=", 1) for t in event.split()[1:])
+        logged = [(layer, tokens[f"{layer}_iters"], tokens[f"{layer}_evals"],
+                   tokens[f"{layer}_status"]) for layer in ("layer1", "layer2")]
+        assert logged == stops
+
     def test_output_model_loads_and_differs(self, tmp_path, model_path, track_dir):
         out = tmp_path / "adapted.hftm"
         res = run_cli("adapt", "--model", model_path, "--frames", track_dir,

@@ -18,6 +18,7 @@ from slowtrack.cli import main
 from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.errors import DataError, LineSearchError, ModelFormatError, OptimizationError
 from slowtrack.hierarchy import (
+    ADAPT_OPTIMIZER,
     HierarchicalModel,
     HierFeature,
     PretrainConfig,
@@ -395,6 +396,10 @@ class TestHierFeatures:
 
 
 class TestAdapt:
+    def test_adaptation_stops_on_the_pretraining_tolerance(self):
+        # one stop tolerance for every L-BFGS run, stated once in LbfgsConfig
+        assert LbfgsConfig().tol == PretrainConfig().optimizer.tol == ADAPT_OPTIMIZER.tol > 0
+
     def test_gamma_zero_warm_start_does_not_regress(self, small_training_sets):
         ts16, ts32 = small_training_sets
         res = pretrain(ts16, ts32, FAST)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_model
@@ -14,6 +15,8 @@ from slowtrack.hierarchy import save_model
 from slowtrack.patches import load_frame
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+import grid_gate  # noqa: E402
 
 
 def run_script(name, *args):
@@ -99,6 +102,41 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
         pattern = (rf"^replicate {label}: learned beats raw: \d+/20; worst [a-z]+ seed [0-4] "
                    r"\([+-]\d+\.\d\d px\); adaptation beats no adaptation: \d+/20; ")
         assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
+
+    # the gate reads both tables and the counts; the first table's learned
+    # ACE is the script-order replicate's
+    grid = grid_gate.parse_grid(res.stdout)
+    assert grid["cases"] == [(name, seed) for name in names for seed in range(5)]
+    assert [grid[kind].shape for kind in ("learned", "no-adapt")] == [(20, 3)] * 2
+    assert grid["spread"].shape == grid["raw"].shape == (20,)
+    assert list(grid["beats_raw"]) == list(replicates)
+    first = re.findall(rf"^[a-z]+ +[0-4] +(\d+\.\d\d) +\d\.\d{{3}}(?:{ace} +\d\.\d{{3}}){{2}}$",
+                       res.stdout, re.MULTILINE)
+    assert grid["learned"][:, 0].tolist() == [float(v) for v in first]
+    assert grid_gate.item2_flags(grid, grid) == []
+
+
+def test_grid_gate_statistics_on_a_fixed_vector():
+    # 20 cases x 3 replicates; nine pairs fell by 0.5 px and one rose by 0.25 px
+    d = np.zeros((20, 3))
+    d[:9, 0], d[9, 1] = -0.5, 0.25
+    stats = grid_gate.paired_statistics(d, margin=0.0)
+    assert (stats["rises"], stats["falls"], stats["ties"]) == (1, 9, 50)
+    assert stats["sign_p"] == 2 * (1 + 10) / 2**10
+    assert stats["mean"] == pytest.approx(-4.25 / 60, abs=1e-15)
+    # the percentiles of 10,000 resampled means, each a mean over the pairs of 20 drawn cases
+    draws = np.random.default_rng(0).integers(0, 20, size=(10_000, 20))
+    means = [d[cases].mean() for cases in draws]
+    want = np.percentile(means, [2.5, 97.5])
+    assert [stats["low"], stats["high"]] == pytest.approx(want, abs=1e-12)
+    assert [stats["low"], stats["high"]] == pytest.approx([-6.5 / 60, -2 / 60], abs=1e-12)
+    assert stats["pass"]
+    assert not grid_gate.paired_statistics(d, margin=stats["high"])["pass"]
+
+    # no change: every pair tied, a degenerate interval at 0, and no margin of 0 to pass
+    zero = grid_gate.paired_statistics(np.zeros((20, 3)), margin=0.0)
+    assert (zero["sign_p"], zero["low"], zero["high"], zero["pass"]) == (1.0, 0.0, 0.0, False)
+    assert grid_gate.paired_statistics(np.zeros((20, 3)), margin=0.1)["pass"]
 
 
 def test_round_trip_writes_one_file_per_command(tmp_path):

@@ -11,6 +11,7 @@ from conftest import normalize_values
 from slowtrack.errors import DataError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import ADAPT_OPTIMIZER, encode_hier, hier_features
+from slowtrack.optimizer import LbfgsConfig
 from slowtrack.patches import Patch, normalize_rows
 from slowtrack import tracker
 from slowtrack.synth import generate_sequence, translation_script
@@ -763,17 +764,27 @@ class TestRunTracker:
             assert int(tokens[f"{st.layer}_evals"]) == st.evals >= 3
             assert f"{st.layer}_before" in tokens and f"{st.layer}_after" in tokens
 
-    def test_default_adaptation_runs_to_its_cap(self, trained_model):
-        # at tol 0 an adaptation stops early only where f stops falling
-        # for a whole window, so every one spends ADAPT_OPTIMIZER's budget
+    def adaptation_layers(self, model, **fields):
+        """The six layer runs of the three adaptations on one short fixture track."""
         script = translation_script(7, (48.0, 48.0), (0.5, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=8)
-        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2)
-        assert cfg.adapt_optimizer is ADAPT_OPTIMIZER and ADAPT_OPTIMIZER.tol == 0.0
-        events = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg).events
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2, **fields)
+        events = run_tracker(frames, tuple(gt.boxes[0]), model, cfg).events
         assert [e.kind for e in events] == ["init", "update", "update"]
-        for st in (st for e in events for st in e.layers):
-            assert (st.status, st.iterations) == ("max_iters", ADAPT_OPTIMIZER.max_iters)
+        return [st for e in events for st in e.layers]
+
+    def test_default_adaptation_stops_when_f_stops_moving(self, trained_model):
+        assert TrackerConfig().adapt_optimizer is ADAPT_OPTIMIZER
+        layers = self.adaptation_layers(trained_model)
+        assert len(layers) == 6
+        for st in layers:
+            assert st.status == "converged" and st.iterations < ADAPT_OPTIMIZER.max_iters, st
+
+    def test_tol_zero_adaptation_runs_to_its_cap(self, trained_model):
+        # at tol 0 a run stops early only where f stops falling for a whole window
+        cap = LbfgsConfig(max_iters=ADAPT_OPTIMIZER.max_iters, tol=0.0)
+        for st in self.adaptation_layers(trained_model, adapt_optimizer=cap):
+            assert (st.status, st.iterations) == ("max_iters", cap.max_iters)
 
     def test_raw_only_never_adapts(self):
         script = translation_script(6, (48.0, 48.0), (0.5, 0.0))
