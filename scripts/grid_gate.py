@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """The accuracy gate: the seed grid at a git revision's `src/` against the working tree's.
 
-    python3 scripts/grid_gate.py OUT [--ref REF] [--frames N] [--pretrain-iters N]
+    python3 scripts/grid_gate.py OUT [--ref REF]
 
 Extracts the `src/` of REF (default HEAD) with `git archive` into OUT/ref,
 then runs this working tree's `scripts/run_synthetic_benchmark.py --grid`
 twice, with that `src/` into OUT/ref-grid.txt and with the working tree's
-`src/` into OUT/tree-grid.txt; `--frames` and `--pretrain-iters` are passed
-through. From the replicate table each run prints, it pairs every case's
-learned ACE under every replicate, d = tree - ref, and applies ROADMAP
+`src/` into OUT/tree-grid.txt, both at that script's default grid. From
+the replicate table each run prints, it pairs every case's learned ACE
+under every replicate, d = tree - ref, and applies ROADMAP
 item 9's rule: the upper end of the 95% percentile bootstrap interval of
 mean(d), drawn by resampling the cases with their replicates kept together,
 must lie below REF's median per-case learned replicate spread. It prints
@@ -135,16 +135,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path)
     parser.add_argument("--ref", default="HEAD")
-    parser.add_argument("--frames", default="100")
-    parser.add_argument("--pretrain-iters", default="100")
     args = parser.parse_args()
     if args.out.exists():
         parser.error(f"{args.out} exists")
     ref_src = extract_src(parser, args.ref, args.out / "ref")
-    extra = ["--grid", "--frames", args.frames, "--pretrain-iters", args.pretrain_iters]
     grids = {}
     for src, side in ((ref_src, "ref"), (ROOT / "src", "tree")):
-        run = run_script("run_synthetic_benchmark.py", src, extra, capture_output=True, text=True)
+        run = run_script("run_synthetic_benchmark.py", src, ["--grid"], capture_output=True, text=True)
         (args.out / f"{side}-grid.txt").write_text(run.stdout + run.stderr)
         if run.returncode:
             print(f"the grid with {src} failed; see {args.out / f'{side}-grid.txt'}")
