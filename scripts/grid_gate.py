@@ -14,9 +14,10 @@ mean(d), drawn by resampling the cases with their replicates kept together,
 must lie below REF's median per-case learned replicate spread. It prints
 the pairs, the exact two-sided sign test, each replicate's learned-beats-raw
 count on both sides, how many raw and no-adaptation pairs are not 0 (all of
-them are 0 when a change leaves those tracks alone), item 2's older rule,
-and `pass` or `fail`. Only the bootstrap bound gates. Exits 0 on pass and 1
-on fail or when a grid run fails. OUT must not exist yet.
+them are 0 when a change leaves those tracks alone), the same mean, sign
+test and interval for the no-adaptation pairs, item 2's older rule, and
+`pass` or `fail`. Only the learned pairs' bootstrap bound gates. Exits 0
+on pass and 1 on fail or when a grid run fails. OUT must not exist yet.
 """
 
 import argparse
@@ -69,9 +70,9 @@ def parse_grid(text: str) -> dict:
     """The cases, ACEs and counts that `run_synthetic_benchmark.py --grid` printed.
 
     `learned` and `no-adapt` are (cases, replicates) arrays from the
-    replicate table, `spread` the learned spread column, `raw` the raw ACE
-    of the first table, and `beats_raw` each replicate's learned-beats-raw
-    count by label.
+    replicate table, `spread` and `no-adapt spread` their spread columns,
+    `raw` the raw ACE of the first table, and `beats_raw` each replicate's
+    learned-beats-raw count by label.
     """
     tables = {6: {}, 8: {}}
     for name, seed, numbers in _ROW.findall(text):
@@ -87,9 +88,20 @@ def parse_grid(text: str) -> dict:
         "learned": rows[:, 0:3],
         "spread": rows[:, 3],
         "no-adapt": rows[:, 4:7],
+        "no-adapt spread": rows[:, 7],
         "raw": np.array([values[2] for values in first.values()]),
         "beats_raw": {label: int(n) for label, n in _COUNT.findall(text)},
     }
+
+
+def summary(stats: dict, pairs: int) -> tuple[str, str]:
+    """The mean, sign-test and interval lines of `paired_statistics` output."""
+    return (
+        f"mean change {stats['mean']:+.3f} px over {pairs} pairs: {stats['rises']} rose, "
+        f"{stats['falls']} fell, {stats['ties']} tied; sign test p = {stats['sign_p']:.3f}",
+        f"95% bootstrap interval of the mean change: [{stats['low']:+.3f}, {stats['high']:+.3f}] px "
+        f"({BOOTSTRAP_DRAWS} case resamples)",
+    )
 
 
 def item2_flags(ref: dict, tree: dict) -> list[str]:
@@ -119,11 +131,16 @@ def report(ref: dict, tree: dict) -> bool:
         counts = ", ".join(str(n) for n in grid["beats_raw"].values())
         print(f"learned beats raw ({labels}): {side} {counts}")
     stats = paired_statistics(d, statistics.median(ref["spread"]))
-    print(f"mean change {stats['mean']:+.3f} px over {d.size} pairs: {stats['rises']} rose, "
-          f"{stats['falls']} fell, {stats['ties']} tied; sign test p = {stats['sign_p']:.3f}")
-    print(f"95% bootstrap interval of the mean change: [{stats['low']:+.3f}, {stats['high']:+.3f}] px "
-          f"({BOOTSTRAP_DRAWS} case resamples)")
+    print("\n".join(summary(stats, d.size)))
     print(f"margin: the ref's median per-case learned replicate spread, {stats['margin']:.3f} px")
+    # no-adaptation tracks rank with a library too, so a change to ranking moves them
+    na = paired_statistics(
+        tree["no-adapt"] - ref["no-adapt"], statistics.median(ref["no-adapt spread"])
+    )
+    for line in summary(na, d.size):
+        print(f"no-adapt (not gating): {line}")
+    print(f"no-adapt (not gating): the ref's median per-case no-adapt replicate spread, "
+          f"{na['margin']:.3f} px")
     flags = item2_flags(ref, tree)
     print("item 2's rule (first replicate, not gating): "
           + (f"flags {'; '.join(flags)}" if flags else "holds"))

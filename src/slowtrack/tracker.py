@@ -6,16 +6,23 @@ A step is a short run of array stages over plain (N, 4) states, one
 
 - `propose`: systematically resample the previous particles and add
   Gaussian motion noise;
-- `candidate_patches`: sample every candidate's 32x32 grid from the
-  frame, 16 candidates at a time, into the run's one (N, 1024) work
-  array, with each row's product with the template, sum and sum of
+- `candidate_patches`: sample every candidate's ranking grid from the
+  frame, a block at a time, into the front of the run's one (N, 1024)
+  work array, with each row's product with the template, sum and sum of
   squares;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
-  previous predicted patch, in correlation form, from those moments;
-- `fine_distances`: re-rank the top few by hierarchical features, with
-  one product against the exemplar library's rows;
+  previous prediction's row on that grid, in correlation form, from
+  those moments;
+- `fine_distances`: re-rank the top few by hierarchical features of
+  their 32x32 patches, with one product against the exemplar library's
+  rows;
 - `weigh`: a Gaussian kernel over the distances; the maximum-weight
   candidate becomes the prediction.
+
+The ranking grid is the full 32x32 one while the exemplar library is
+empty (the bootstrap frames, and every raw-pixel track), and a centred
+16x16 half-resolution one after: only the top-k are re-ranked, so only
+they are sampled at 32x32 (coarse-to-fine search, Lewis 1995).
 
 The feature filters and the exemplar library are re-adapted on the
 tracked object's own patches every M frames, warm-started from the
@@ -42,11 +49,13 @@ from .optimizer import LbfgsConfig
 from .patches import _CONST_STD, normalize_rows
 
 CANDIDATE_SIDE = 32
+COARSE_SIDE = 16  # the ranking grid once the exemplar library holds rows
 
 # a candidate needs at least this fraction of its samples inside the frame
 _MIN_INSIDE_FRACTION = 0.5
 
-# candidates sampled per block: a (16, 32, 32) float64 buffer is 128 KiB
+# candidates sampled per block on the 32x32 grid: a (16, 32, 32) float64
+# buffer is 128 KiB; a smaller grid scales the rows to the same bytes
 _BLOCK = 16
 
 
@@ -190,25 +199,29 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
 # and the arithmetic's floating-point warnings on the way are noise
 @np.errstate(over="ignore", invalid="ignore")
 def candidate_patches(
-    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, template=None, out=None
+    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, template=None, out=None,
+    grid: int = CANDIDATE_SIDE,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Sample every rotated, scaled box into a raw 32x32 patch.
+    """Sample every rotated, scaled box into a raw grid x grid patch.
 
-    `states` holds one (cx, cy, scale, rotation) row per candidate. Returns
-    `(raw, valid, moments)`: (N, 1024) frame intensities, not normalized,
-    written into `out` when given; an (N,) mask, False where less than half
-    of a candidate's samples lie inside the frame (samples outside are
-    clamped to the border); and, given a template, each row's product with
-    it, sum and sum of squares as an (N, 3) array, else None. Candidates run
-    in blocks of `_BLOCK` rows, each read once while it is in cache.
+    `states` holds one (cx, cy, scale, rotation) row per candidate; sample
+    (i, j) is at the box offset ((j + 0.5)·w/grid − w/2, (i + 0.5)·h/grid −
+    h/2), rotated. Returns `(raw, valid, moments)`: (N, grid²) frame
+    intensities, not normalized, written into `out` when given; an (N,)
+    mask, False where less than half of a candidate's samples lie inside
+    the frame (samples outside are clamped to the border); and, given a
+    template, each row's product with it, sum and sum of squares as an
+    (N, 3) array, else None. Candidates run in blocks of 128 KiB of
+    samples, each read once while it is in cache.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     height, width = frame.shape
-    n = CANDIDATE_SIDE
+    n = grid
+    per_block = _BLOCK * CANDIDATE_SIDE**2 // (n * n)
     raw = np.empty((len(states), n * n)) if out is None else out
     valid = np.empty(len(states), dtype=bool)
     moments = None if template is None else np.empty((len(states), 3))
-    shape = (min(_BLOCK, len(states)), n, n)
+    shape = (min(per_block, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
     index_buf = np.empty((shape[0], n * n), dtype=np.intp)
     # the grid sums as K=2 products, one rounding each as in a sum:
@@ -216,9 +229,9 @@ def candidate_patches(
     left, right = np.ones((shape[0], n, 2)), np.ones((shape[0], 2, n))
     cos, sin = snapped_cos_sin(states[:, 3:4])
     w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
-    grid = np.arange(n) + 0.5
-    off_u = grid * w / n - w / 2.0
-    off_v = grid * h / n - h / 2.0
+    at = np.arange(n) + 0.5
+    off_u = at * w / n - w / 2.0
+    off_v = at * h / n - h / 2.0
     # sample (i, j) of a candidate is at (xa[j] - xb[i], ya[j] + yb[i])
     xa, xb = states[:, 0:1] + off_u * cos, off_v * sin
     ya, yb = states[:, 1:2] + off_u * sin, off_v * cos
@@ -231,8 +244,8 @@ def candidate_patches(
     lo_x, hi_x = xa[e].min(axis=1) - xb[e].max(axis=1), xa[e].max(axis=1) - xb[e].min(axis=1)
     lo_y, hi_y = ya[e].min(axis=1) + yb[e].min(axis=1), ya[e].max(axis=1) + yb[e].max(axis=1)
     inside_all = (lo_x >= 0) & (hi_x < width) & (lo_y >= 0) & (hi_y < height)
-    for lo in range(0, len(states), _BLOCK):
-        rows = slice(lo, lo + _BLOCK)
+    for lo in range(0, len(states), per_block):
+        rows = slice(lo, lo + per_block)
         k = len(states[rows])
         xs, ys, index = xs_buf[:k], ys_buf[:k], index_buf[:k]
         np.negative(xb[rows], out=left[:k, :, 1])
@@ -330,19 +343,23 @@ def step(
     cfg: TrackerConfig,
     rng: np.random.Generator,
     work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
     """One tracking step; see the module docstring for the stages.
 
-    Returns `(states, weights, best, patch)`: the new (N, 4) particles,
-    their (N,) weights, the index of the prediction and its normalized
-    (1024,) patch. The top-k are re-ranked by hierarchical features
-    exactly when the library holds exemplars, which only a successful
-    adaptation adds.
-    `work` is an (n_candidates, 1024) array that receives the raw
-    candidate rows; a run passes the same one to every step.
+    `template` is the previous prediction's normalized row on the ranking
+    grid: 32x32 while the library is empty, 16x16 once it holds exemplars,
+    which only a successful adaptation adds; the 16x16 rows also give the
+    valid mask. Returns `(states, weights, best, patch, template)`: the new
+    (N, 4) particles, their (N,) weights, the index of the prediction, its
+    normalized (1024,) patch, and its normalized row on the ranking grid
+    for the next step. `work` is an (n_candidates, 1024) array whose front
+    receives the raw ranking rows; a run passes the same one to every step.
     """
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    raw, valid, moments = candidate_patches(frame, states, *base, template, out=work)
+    side = COARSE_SIDE if len(lib) else CANDIDATE_SIDE
+    if work is not None:
+        work = work.reshape(-1)[: len(states) * side * side].reshape(len(states), -1)
+    raw, valid, moments = candidate_patches(frame, states, *base, template, work, side)
     if not valid.any():
         raise TrackingLostError()
     dist = coarse_distances(raw, valid, template, moments)
@@ -351,13 +368,16 @@ def step(
     if len(lib):
         top = np.argsort(dist, kind="stable")[: cfg.top_k]
         top = top[np.isfinite(dist[top])]
-        weights[top] = weigh(fine_distances(model, lib, normalize_rows(raw[top])), cfg.sigma)
+        x32 = normalize_rows(candidate_patches(frame, states[top], *base)[0])
+        weights[top] = weigh(fine_distances(model, lib, x32), cfg.sigma)
     else:
         weights[valid] = weigh(dist[valid], cfg.sigma)
     weights /= weights.sum()
 
     best = int(np.argmax(weights))  # ties resolve to the lowest index
-    return states, weights, best, normalize_rows(raw[best : best + 1])[0]
+    template = normalize_rows(raw[best : best + 1])[0]
+    patch = x32[top == best][0] if len(lib) else template  # a copy, not a view of x32
+    return states, weights, best, patch, template
 
 
 def run_tracker(
@@ -400,8 +420,8 @@ def run_tracker(
     events: list[AdaptEvent] = []
     current = model
 
-    def maybe_adapt(frames_processed: int):
-        nonlocal current
+    def maybe_adapt(frames_processed: int, frame: np.ndarray):
+        nonlocal current, template
         if frames_processed < cfg.init_frames:
             return
         is_init = frames_processed == cfg.init_frames
@@ -435,20 +455,23 @@ def run_tracker(
                 layers=result.layers,
             )
         )
+        if not len(lib):  # from here on steps rank on the coarse grid
+            rows = candidate_patches(frame, chosen[-1], w, h, grid=COARSE_SIDE)[0]
+            template = normalize_rows(rows)[0]
         lib.add(hier_features(current, x32 if is_init else x32[-1]))
 
-    maybe_adapt(1)
+    maybe_adapt(1, f0)
     work = np.empty((cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
     for t, frame in enumerate(frames, start=1):
         try:
-            states, weights, best, template = step(
+            states, weights, best, patch, template = step(
                 frame, states, weights, (w, h), template, current, lib, cfg, rng, work
             )
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None
         chosen.append(states[best])
-        window.append(template)
-        maybe_adapt(t + 1)
+        window.append(patch)
+        maybe_adapt(t + 1, frame)
     return TrackResult(boxes_of(np.array(chosen), w, h), current, tuple(events))
 
 

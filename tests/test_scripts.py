@@ -139,6 +139,46 @@ def test_grid_gate_statistics_on_a_fixed_vector():
     assert grid_gate.paired_statistics(np.zeros((20, 3)), margin=0.1)["pass"]
 
 
+def gate_grid(learned, no_adapt):
+    """A parsed grid of 20 cases x 3 replicates, with fixed spreads, raw ACEs and counts."""
+    names = ("translation", "rotation", "shear", "scaling")
+    return {
+        "cases": [(name, seed) for name in names for seed in range(5)],
+        "learned": learned,
+        "spread": np.full(20, 0.1),
+        "no-adapt": no_adapt,
+        "no-adapt spread": np.full(20, 0.2),
+        "raw": np.full(20, 4.0),
+        "beats_raw": {"script order": 18, "reversed": 18, "rotated by 3": 17},
+    }
+
+
+def test_grid_gate_reports_the_no_adapt_pairs_without_gating(capsys):
+    # the no-adaptation pairs are the fixed vector above: their mean, sign
+    # test and interval are printed, and only the learned pairs decide
+    d = np.zeros((20, 3))
+    d[:9, 0], d[9, 1] = -0.5, 0.25
+    ace = np.full((20, 3), 2.0)
+    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + d))
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("no-adapt")] == [
+        "no-adapt pairs not 0: 10 of 60",
+        "no-adapt (not gating): mean change -0.071 px over 60 pairs: 1 rose, 9 fell, 50 tied; "
+        "sign test p = 0.021",
+        "no-adapt (not gating): 95% bootstrap interval of the mean change: [-0.108, -0.033] px "
+        "(10000 case resamples)",
+        "no-adapt (not gating): the ref's median per-case no-adapt replicate spread, 0.200 px",
+    ]
+    assert "raw pairs not 0: 0 of 20" in out and out[-1] == "pass"
+
+    # every no-adaptation pair 1 px worse still passes; learned pairs 1 px worse fail
+    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + 1.0))
+    assert "no-adapt (not gating): mean change +1.000 px over 60 pairs: 60 rose, 0 fell, 0 tied; " \
+        "sign test p = 0.000" in capsys.readouterr().out.splitlines()
+    assert not grid_gate.report(gate_grid(ace, ace), gate_grid(ace + 1.0, ace))
+    assert capsys.readouterr().out.splitlines()[-1] == "fail"
+
+
 def test_round_trip_writes_one_file_per_command(tmp_path):
     res = run_script("round_trip.py", tmp_path / "out", "--frames", 22, "--aux-frames", 10)
     assert res.returncode == 0, res.stdout
@@ -150,12 +190,22 @@ def test_round_trip_writes_one_file_per_command(tmp_path):
 
 
 def test_diff_outputs_finds_the_working_tree_identical_to_head(tmp_path):
-    status = shutil.which("git") and subprocess.run(
-        ["git", "status", "--porcelain", "--", "src"], cwd=ROOT, capture_output=True, text=True
+    # a fresh checkout whose HEAD is this tree's scripts/ and src/, so the
+    # test does not depend on whether this checkout has uncommitted changes
+    if not shutil.which("git"):
+        pytest.skip("needs git")
+    repo = tmp_path / "repo"
+    for name in ("scripts", "src"):
+        shutil.copytree(ROOT / name, repo / name, ignore=shutil.ignore_patterns("__pycache__"))
+    git = ["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+           "-c", "commit.gpgsign=false"]
+    for cmd in (["init", "-q"], ["add", "scripts", "src"], ["commit", "-q", "-m", "tree"]):
+        subprocess.run([*git, *cmd], cwd=repo, check=True, capture_output=True)
+    res = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "diff_outputs.py"), str(tmp_path / "d"),
+         "--frames", "22", "--aux-frames", "10"],
+        capture_output=True, text=True,
     )
-    if not status or status.returncode or status.stdout:
-        pytest.skip("needs a git checkout whose src/ matches HEAD")
-    res = run_script("diff_outputs.py", tmp_path / "d", "--frames", 22, "--aux-frames", 10)
     assert res.returncode == 0, res.stdout + res.stderr
     assert re.search(r"^0 of \d+ outputs differ from HEAD$", res.stdout, re.MULTILINE), res.stdout
     assert (tmp_path / "d" / "tree-out" / "09-adapt.txt").is_file()

@@ -16,6 +16,7 @@ from slowtrack.patches import Patch, normalize_rows
 from slowtrack import tracker
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
+    COARSE_SIDE,
     ExemplarLibrary,
     MotionModel,
     TrackerConfig,
@@ -166,6 +167,40 @@ def reference_candidate_patches(frame, states, base_w, base_h, template):
         np.matmul(b, template, out=moments[rows, 0])
         b.sum(axis=1, out=moments[rows, 1])
         np.einsum("ij,ij->i", b, b, out=moments[rows, 2])
+    return raw, valid, moments
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_coarse_candidate_patches(frame, states, base_w, base_h, template):
+    """The 16x16 grid's broadcast sampler: the bit-for-bit oracle for `candidate_patches(grid=16)`.
+
+    Takes every candidate's sample coordinates at once, as broadcast sums of
+    its column and row terms, then counts and clamps every row, with no
+    shortcut for boxes inside the frame. Only the moments run in the
+    sampler's 64-row blocks, as a matrix product may round by block.
+    """
+    states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
+    height, width = frame.shape
+    n, block = 16, 64
+    cos, sin = snapped_cos_sin(states[:, 3:4])
+    w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
+    at = np.arange(n) + 0.5
+    off_u = at * w / n - w / 2.0
+    off_v = at * h / n - h / 2.0
+    xs = np.floor((states[:, 0:1] + off_u * cos)[:, None, :] - (off_v * sin)[:, :, None])
+    ys = np.floor((states[:, 1:2] + off_u * sin)[:, None, :] + (off_v * cos)[:, :, None])
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    valid = np.count_nonzero(inside, axis=(1, 2)) >= 0.5 * n * n
+    xs = np.fmin(np.fmax(xs, 0), width - 1)
+    ys = np.fmin(np.fmax(ys, 0), height - 1)
+    index = (ys * width + xs).reshape(len(states), n * n).astype(np.intp)
+    raw = frame.take(index, mode="clip")
+    moments = np.empty((len(states), 3))
+    for lo in range(0, len(states), block):
+        b = raw[lo : lo + block]
+        np.matmul(b, template, out=moments[lo : lo + block, 0])
+        b.sum(axis=1, out=moments[lo : lo + block, 1])
+        np.einsum("ij,ij->i", b, b, out=moments[lo : lo + block, 2])
     return raw, valid, moments
 
 
@@ -415,6 +450,49 @@ class TestCandidatePatch:
             assert g.tobytes() == r.tobytes()
 
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_coarse_grid_matches_broadcast_sampler_bit_for_bit(self, seed):
+        # 600 candidates on the 16x16 grid, in 64-row blocks: five blocks of
+        # a tight cluster, where the rows at the first four blocks' edges
+        # (63, 64, 191, 192) are moved across the frame's border and the
+        # fifth block lies wholly inside; then positions up to 60 px off
+        # every edge (border-crossing and outside blocks), log-normal
+        # scales, quarter turns on every fourth trial and non-finite rows
+        # on every third
+        rng = np.random.default_rng(1000 + seed)
+        w, h = rng.integers(120, 330), rng.integers(100, 250)
+        frame = rng.random((h, w))
+        count, cluster = 600, 320
+        xy = np.column_stack([
+            np.r_[rng.normal(w / 2, 4.0, cluster), rng.uniform(-60.0, w + 60.0, count - cluster)],
+            np.r_[rng.normal(h / 2, 4.0, cluster), rng.uniform(-60.0, h + 60.0, count - cluster)],
+        ])
+        theta = (rng.choice(QUARTER_TURNS, count) if seed % 4 == 0
+                 else rng.uniform(-math.pi, math.pi, count))
+        scale = np.r_[rng.lognormal(-0.5, 0.25, cluster), rng.lognormal(-0.5, 0.5, count - cluster)]
+        base = (rng.uniform(2.0, 32.0), rng.uniform(2.0, 32.0))
+        # a centre within 0.4 of the smaller half side of an edge puts the box across it
+        edges = [63, 64, 191, 192]
+        reach = 0.4 * scale[edges] * min(base)
+        xy[edges, 0] = rng.choice([0, w], len(edges)) + rng.uniform(-reach, reach)
+        rows = np.column_stack([xy, scale, theta])
+        if seed % 3 == 0:
+            at = rng.integers(count - cluster, size=(6, 2)) % [count - cluster, 4] + [cluster, 0]
+            rows[at[:, 0], at[:, 1]] = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.nan]
+        # the layout holds: a whole block inside, and a border-crossing box
+        # in each of the four blocks around the moved edge rows
+        x, y, bw, bh = boxes_of(rows[:cluster], *base).T
+        inside = (x >= 0) & (y >= 0) & (x + bw <= w) & (y + bh <= h)
+        assert inside[256:320].all() and not inside[edges].any()
+        template = rng.random(256)
+        got = candidate_patches(frame, rows, *base, template, grid=COARSE_SIDE)
+        want = reference_coarse_candidate_patches(frame, rows, *base, template)
+        assert got[0].shape == (count, 256)
+        assert want[1].any() and not want[1].all()
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+
+
 class TestWeigh:
     @pytest.mark.parametrize("sigma", [1e-300, 1e-160])
     def test_tiny_sigma_gives_the_nearest_limit(self, sigma):
@@ -530,6 +608,11 @@ class TestStep:
     base = (32.0, 32.0)
 
     def setup_case(self, model, use_lib):
+        """Frames, the first box's state row, its template on the ranking grid, a library.
+
+        With `use_lib` the library holds the first box's features, so a step
+        ranks on the 16x16 grid, against the first box's normalized 16x16 row.
+        """
         script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=5)
         row = np.array([row_of_box(gt.boxes[0])])
@@ -537,6 +620,8 @@ class TestStep:
         lib = ExemplarLibrary()
         if use_lib:
             lib.add(encode_hier(model, Patch(32, template)).combined)
+            coarse = candidate_patches(frames[0], row, *self.base, grid=COARSE_SIDE)[0]
+            template = normalize_rows(coarse)[0]
         return frames, row, template, lib
 
     def run_step(self, frames, row, template, model, lib, cfg, seed):
@@ -548,25 +633,46 @@ class TestStep:
         cfg = TrackerConfig(
             n_candidates=50, top_k=5, motion=MotionModel(0, 0, 0), init_frames=1
         )
-        states, _, best, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
+        states, _, best, _, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
         np.testing.assert_array_equal(states[best], row[0])
 
     def test_weights_normalized_and_sparse(self, trained_model):
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(n_candidates=60, top_k=5, init_frames=1)
-        states, weights, _, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 0)
+        states, weights, _, patch, coarse = self.run_step(
+            frames, row, template, trained_model, lib, cfg, 0
+        )
         assert states.shape == (60, 4) and weights.shape == (60,)
+        assert patch.shape == (1024,) and coarse.shape == (256,)
         assert abs(weights.sum() - 1.0) < 1e-9 and weights.min() >= 0.0
         assert np.count_nonzero(weights) <= cfg.top_k
 
     def test_prediction_among_coarse_top_k(self, trained_model):
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(n_candidates=60, top_k=7, init_frames=1)
-        states, _, best, patch = self.run_step(frames, row, template, trained_model, lib, cfg, 1)
-        raw, valid, moments = candidate_patches(frames[1], states, *self.base, template)
+        states, _, best, patch, coarse = self.run_step(
+            frames, row, template, trained_model, lib, cfg, 1
+        )
+        # ranked on the 16x16 rows; the next template is the pick's own row
+        raw, valid, moments = candidate_patches(
+            frames[1], states, *self.base, template, grid=COARSE_SIDE
+        )
         dist = coarse_distances(raw, valid, template, moments)
         assert np.count_nonzero(dist < dist[best]) < cfg.top_k
-        assert patch.tobytes() == normalize_rows(raw)[best].tobytes()
+        assert coarse.tobytes() == normalize_rows(raw)[best].tobytes()
+        # the patch is the pick's 32x32 one
+        fine = candidate_patches(frames[1], states[best], *self.base)[0]
+        assert patch.tobytes() == normalize_rows(fine)[0].tobytes()
+
+    def test_empty_library_ranks_every_candidate_at_full_resolution(self):
+        frames, row, template, lib = self.setup_case(None, use_lib=False)
+        cfg = TrackerConfig(n_candidates=60, top_k=7)
+        states, weights, best, patch, coarse = self.run_step(frames, row, template, None, lib, cfg, 1)
+        raw, valid, moments = candidate_patches(frames[1], states, *self.base, template)
+        dist = coarse_distances(raw, valid, template, moments)
+        assert np.count_nonzero(weights) == np.count_nonzero(valid) > cfg.top_k
+        assert best == np.argmin(dist)
+        assert patch is coarse and patch.tobytes() == normalize_rows(raw)[best].tobytes()
 
     def test_sigma_does_not_change_argmax(self, trained_model):
         # the Gaussian kernel is monotone in distance for every sigma, so the
@@ -575,14 +681,16 @@ class TestStep:
         chosen = []
         for sigma in (0.05, 0.2, 5.0):
             cfg = TrackerConfig(n_candidates=60, top_k=7, sigma=sigma, init_frames=1)
-            states, _, best, _ = self.run_step(frames, row, template, trained_model, lib, cfg, 2)
+            states, _, best, _, _ = self.run_step(
+                frames, row, template, trained_model, lib, cfg, 2
+            )
             chosen.append(states[best])
         np.testing.assert_array_equal(chosen[0], chosen[1])
         np.testing.assert_array_equal(chosen[0], chosen[2])
 
     def test_work_array_keeps_a_step_small(self, trained_model):
         # 600 candidates on their own temporaries peaked at 15.7 MB; with the
-        # run's work array the sampler runs in 16-row blocks
+        # run's work array the sampler runs in 64-row blocks into its front
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(init_frames=1)
         work = np.empty((cfg.n_candidates, 1024))
@@ -590,7 +698,7 @@ class TestStep:
         step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
         tracemalloc.start()
         try:
-            states, weights, _, _ = step(*args, np.random.default_rng(0), work)
+            states, weights, _, patch, coarse = step(*args, np.random.default_rng(0), work)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -598,6 +706,7 @@ class TestStep:
         fresh = step(*args, np.random.default_rng(0))
         assert states.tobytes() == fresh[0].tobytes()
         assert weights.tobytes() == fresh[1].tobytes()
+        assert patch.tobytes() == fresh[3].tobytes() and coarse.tobytes() == fresh[4].tobytes()
 
     def test_all_candidates_rejected_raises(self, trained_model):
         frames, _, template, lib = self.setup_case(trained_model, use_lib=True)
@@ -807,11 +916,12 @@ class TestRunTracker:
 
         cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2,
                             adapt_optimizer=LbfgsConfig(max_iters=1))
-        patches, refs, alive, received = [], [], [], []
+        patches, refs, alive, received, grids = [], [], [], [], []
         real_step, real_adapt = tracker.step, tracker.adapt
 
         def recording_step(*args):
             alive.append(sum(ref() is not None for ref in refs))
+            grids.append(args[4].size)  # the template's, the ranking grid's
             out = real_step(*args)
             patches.append(out[3].copy())
             refs.append(weakref.ref(out[3]))
@@ -826,15 +936,72 @@ class TestRunTracker:
         res = run_tracker(frames, tuple(gt.boxes[0]), trained_model if learned else None, cfg)
         assert len(patches) == 13
         assert max(alive) <= max(cfg.init_frames, cfg.update_period)
+        assert {patch.size for patch in patches} == {1024}
         if not learned:
             assert received == [] and res.events == ()
+            assert grids == [1024] * 13
             return
+        # the bootstrap frames 1 and 2 rank at 32x32, and every frame after
+        # the first adaptation on the 16x16 grid
+        assert grids == [1024] * 2 + [256] * 11
         # patches[k] is the patch of frame k + 1
         first = sample_one(frames[0], row_of_box(gt.boxes[0]), tuple(gt.boxes[0][2:]))[0]
         assert [e.frames_processed for e in res.events] == [3, 5, 7, 9, 11, 13]
         np.testing.assert_array_equal(received[0], np.stack([first, *patches[:2]]))
         for done, x32 in zip([5, 7, 9, 11, 13], received[1:], strict=True):
             np.testing.assert_array_equal(x32, np.stack(patches[done - 3 : done - 1]))
+
+    def test_learned_first_step(self, trained_model, monkeypatch):
+        # init_frames=1 adapts on the first box's patch before any step, so
+        # the first step already ranks on the 16x16 grid, against the first
+        # box's own normalized 16x16 row
+        script = translation_script(6, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=1, update_period=2,
+                            adapt_optimizer=LbfgsConfig(max_iters=1))
+        templates, patches = [], []
+        real_step = tracker.step
+
+        def recording_step(*args):
+            templates.append(args[4].copy())
+            out = real_step(*args)
+            patches.append(out[3])
+            return out
+
+        monkeypatch.setattr(tracker, "step", recording_step)
+        res = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
+        assert [(e.kind, e.frames_processed) for e in res.events] == [
+            ("init", 1), ("update", 3), ("update", 5)
+        ]
+        first = candidate_patches(frames[0], row_of_box(gt.boxes[0]), *gt.boxes[0][2:],
+                                  grid=COARSE_SIDE)[0]
+        assert templates[0].tobytes() == normalize_rows(first)[0].tobytes()
+        assert [t.size for t in templates] == [256] * 5
+        assert [p.size for p in patches] == [1024] * 5
+        assert np.all(np.isfinite(res.boxes)) and res.boxes.shape == (6, 4)
+
+    def test_first_exemplars_switch_the_template_to_the_coarse_grid(self, trained_model,
+                                                                     monkeypatch):
+        # the first learned step ranks against the last bootstrap pick's
+        # normalized 16x16 row, sampled on that pick's own frame
+        script = translation_script(5, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=5,
+                            adapt_optimizer=LbfgsConfig(max_iters=1))
+        templates, picks = [], []
+        real_step = tracker.step
+
+        def recording_step(*args):
+            templates.append(args[4].copy())
+            out = real_step(*args)
+            picks.append(out[0][out[2]])
+            return out
+
+        monkeypatch.setattr(tracker, "step", recording_step)
+        run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
+        assert [t.size for t in templates] == [1024, 1024, 256, 256]
+        row = candidate_patches(frames[2], picks[1], *gt.boxes[0][2:], grid=COARSE_SIDE)[0]
+        assert templates[2].tobytes() == normalize_rows(row)[0].tobytes()
 
     def test_rerun_determinism(self, trained_model):
         script = translation_script(8, (46.0, 48.0), (1.0, 0.0))
