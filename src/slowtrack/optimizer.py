@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class OptimizeResult:
     trace: list  # (value, grad max-norm) per iterate, including the start
 
 
-@dataclass(frozen=True)
-class LineSearchResult:
+class LineSearchResult(NamedTuple):
     alpha: float
     x: np.ndarray
     value: float

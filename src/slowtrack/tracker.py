@@ -19,10 +19,10 @@ A step is a short run of array stages over plain (N, 4) states, one
 - `weigh`: a Gaussian kernel over the distances; the maximum-weight
   candidate becomes the prediction.
 
-The ranking grid is the full 32x32 one while the exemplar library is
-empty (the bootstrap frames, and every raw-pixel track), and a centred
-16x16 half-resolution one after: only the top-k are re-ranked, so only
-they are sampled at 32x32 (coarse-to-fine search, Lewis 1995).
+A learned track ranks every step on a centred 16x16 half-resolution
+grid: only the top-k are re-ranked, so only they are sampled at 32x32
+(coarse-to-fine search, Lewis 1995). A raw-pixel track ranks on the
+full 32x32 grid.
 
 The feature filters and the exemplar library are re-adapted on the
 tracked object's own patches every M frames, warm-started from the
@@ -49,7 +49,7 @@ from .optimizer import LbfgsConfig
 from .patches import _CONST_STD, normalize_rows
 
 CANDIDATE_SIDE = 32
-COARSE_SIDE = 16  # the ranking grid once the exemplar library holds rows
+COARSE_SIDE = 16  # the ranking grid of a learned track
 
 # a candidate needs at least this fraction of its samples inside the frame
 _MIN_INSIDE_FRACTION = 0.5
@@ -106,7 +106,7 @@ class TrackerConfig:
     n_candidates: int = 600
     top_k: int = 20
     update_period: int = 20  # M: adapt every M frames after initialization
-    init_frames: int = 20  # bootstrap frames tracked by raw pixels only
+    init_frames: int = 20  # the first adaptation's window, in frames
     motion: MotionModel = field(default_factory=MotionModel)
     lam: float = 5.0
     gamma: float = 100.0
@@ -347,8 +347,8 @@ def step(
     """One tracking step; see the module docstring for the stages.
 
     `template` is the previous prediction's normalized row on the ranking
-    grid: 32x32 while the library is empty, 16x16 once it holds exemplars,
-    which only a successful adaptation adds; the 16x16 rows also give the
+    grid: 16x16 when the library holds exemplars (a learned track), 32x32
+    when it is empty (a raw-pixel track); the 16x16 rows also give the
     valid mask. Returns `(states, weights, best, patch, template)`: the new
     (N, 4) particles, their (N,) weights, the index of the prediction, its
     normalized (1024,) patch, and its normalized row on the ranking grid
@@ -388,12 +388,11 @@ def run_tracker(
     Frames are read once, in order, so a lazy iterable keeps one frame in
     memory at a time. With no model, this is the raw-pixel tracker.
 
-    The first init_frames frames run on raw-pixel ranking while object
-    patches are collected; adaptation then runs on those patches and
-    seeds the exemplar library, and re-runs every update_period frames
-    on the patches tracked since, warm-started from the current
-    filters. A failed adaptation is logged and tracking continues with
-    the previous filters.
+    A model's features of frame 0's patch are the exemplar library's
+    first row. Adaptation runs on the first init_frames patches and
+    re-runs every update_period frames on the patches tracked since,
+    warm-started from the current filters; each success adds features to
+    the library. A failed adaptation is logged and changes nothing.
     """
     frames = iter(frames)
     f0 = next(frames, None)
@@ -417,11 +416,14 @@ def run_tracker(
     template = normalize_rows(candidate_patches(f0, states, w, h)[0])[0]
     window = [template]  # (1024,) patches tracked since the last scheduled adaptation
     lib = ExemplarLibrary()
+    if model is not None:
+        lib.add(hier_features(model, template))
+        template = normalize_rows(candidate_patches(f0, states, w, h, grid=COARSE_SIDE)[0])[0]
     events: list[AdaptEvent] = []
     current = model
 
-    def maybe_adapt(frames_processed: int, frame: np.ndarray):
-        nonlocal current, template
+    def maybe_adapt(frames_processed: int):
+        nonlocal current
         if frames_processed < cfg.init_frames:
             return
         is_init = frames_processed == cfg.init_frames
@@ -455,12 +457,9 @@ def run_tracker(
                 layers=result.layers,
             )
         )
-        if not len(lib):  # from here on steps rank on the coarse grid
-            rows = candidate_patches(frame, chosen[-1], w, h, grid=COARSE_SIDE)[0]
-            template = normalize_rows(rows)[0]
         lib.add(hier_features(current, x32 if is_init else x32[-1]))
 
-    maybe_adapt(1, f0)
+    maybe_adapt(1)
     work = np.empty((cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
     for t, frame in enumerate(frames, start=1):
         try:
@@ -471,7 +470,7 @@ def run_tracker(
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None
         chosen.append(states[best])
         window.append(patch)
-        maybe_adapt(t + 1, frame)
+        maybe_adapt(t + 1)
     return TrackResult(boxes_of(np.array(chosen), w, h), current, tuple(events))
 
 

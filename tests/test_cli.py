@@ -380,7 +380,7 @@ class TestAdapt:
         assert res.returncode == 2
 
     def test_huge_gamma_small_relative_change(self, tmp_path):
-        # rotation decorrelates the bootstrap patches and the small whitened
+        # rotation decorrelates the first window's patches and the small whitened
         # dim keeps the layer-2 data spanning, so the large-gamma pull can
         # pin both layers; warm-started adaptation stays in the
         # few-iteration regime

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import normalize_values
-from slowtrack.errors import DataError, TrackingLostError
+from slowtrack.errors import DataError, OptimizationError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
 from slowtrack.hierarchy import ADAPT_OPTIMIZER, encode_hier, hier_features
 from slowtrack.optimizer import LbfgsConfig
@@ -941,9 +941,8 @@ class TestRunTracker:
             assert received == [] and res.events == ()
             assert grids == [1024] * 13
             return
-        # the bootstrap frames 1 and 2 rank at 32x32, and every frame after
-        # the first adaptation on the 16x16 grid
-        assert grids == [1024] * 2 + [256] * 11
+        # every learned step ranks on the 16x16 grid, from frame 1 on
+        assert grids == [256] * 13
         # patches[k] is the patch of frame k + 1
         first = sample_one(frames[0], row_of_box(gt.boxes[0]), tuple(gt.boxes[0][2:]))[0]
         assert [e.frames_processed for e in res.events] == [3, 5, 7, 9, 11, 13]
@@ -952,9 +951,9 @@ class TestRunTracker:
             np.testing.assert_array_equal(x32, np.stack(patches[done - 3 : done - 1]))
 
     def test_learned_first_step(self, trained_model, monkeypatch):
-        # init_frames=1 adapts on the first box's patch before any step, so
-        # the first step already ranks on the 16x16 grid, against the first
-        # box's own normalized 16x16 row
+        # init_frames=1 adapts on the first box's patch before any step; the
+        # first step ranks on the 16x16 grid, against the first box's own
+        # normalized 16x16 row
         script = translation_script(6, (46.0, 48.0), (0.5, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=8)
         cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=1, update_period=2,
@@ -980,28 +979,68 @@ class TestRunTracker:
         assert [p.size for p in patches] == [1024] * 5
         assert np.all(np.isfinite(res.boxes)) and res.boxes.shape == (6, 4)
 
-    def test_first_exemplars_switch_the_template_to_the_coarse_grid(self, trained_model,
-                                                                     monkeypatch):
-        # the first learned step ranks against the last bootstrap pick's
-        # normalized 16x16 row, sampled on that pick's own frame
-        script = translation_script(5, (46.0, 48.0), (0.5, 0.0))
-        frames, gt = generate_sequence(script, (96, 96), seed=8)
-        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=5,
-                            adapt_optimizer=LbfgsConfig(max_iters=1))
-        templates, picks = [], []
+    def record_steps(self, monkeypatch):
+        """Each step's template and exemplar rows, copied as the step receives them."""
+        templates, libraries = [], []
         real_step = tracker.step
 
         def recording_step(*args):
             templates.append(args[4].copy())
-            out = real_step(*args)
-            picks.append(out[0][out[2]])
-            return out
+            libraries.append(args[6]._rows.copy())
+            return real_step(*args)
 
         monkeypatch.setattr(tracker, "step", recording_step)
+        return templates, libraries
+
+    @staticmethod
+    def seed_row(model, frames, gt):
+        """The unit-normalized features of frame 0's normalized 32x32 box patch."""
+        first = sample_one(frames[0], row_of_box(gt.boxes[0]), tuple(gt.boxes[0][2:]))[0]
+        return tracker._unit_rows(hier_features(model, first))
+
+    def test_library_seeded_from_frame_0(self, trained_model, monkeypatch):
+        # before the first adaptation, the library holds one row: the
+        # pre-trained features of frame 0's normalized 32x32 patch; the
+        # first step ranks against frame 0's normalized 16x16 row
+        script = translation_script(5, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=5,
+                            adapt_optimizer=LbfgsConfig(max_iters=1))
+        templates, libraries = self.record_steps(monkeypatch)
         run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
-        assert [t.size for t in templates] == [1024, 1024, 256, 256]
-        row = candidate_patches(frames[2], picks[1], *gt.boxes[0][2:], grid=COARSE_SIDE)[0]
-        assert templates[2].tobytes() == normalize_rows(row)[0].tobytes()
+        seed = self.seed_row(trained_model, frames, gt)
+        assert seed.shape == (1, trained_model.feature_dim)
+        assert [len(rows) for rows in libraries] == [1, 1, 4, 4]
+        for rows in libraries[:2]:
+            assert rows.tobytes() == seed.tobytes()
+        # the first adaptation appends its three rows after the seed
+        assert libraries[2][0].tobytes() == seed[0].tobytes()
+        row = candidate_patches(frames[0], row_of_box(gt.boxes[0]), *gt.boxes[0][2:],
+                                grid=COARSE_SIDE)[0]
+        assert templates[0].tobytes() == normalize_rows(row)[0].tobytes()
+        assert [t.size for t in templates] == [256] * 4
+
+    def test_failed_adaptations_keep_the_seed_and_the_coarse_grid(self, trained_model,
+                                                                  monkeypatch):
+        # a track whose every adaptation fails still ranks each step on the
+        # 16x16 grid against the seed row alone
+        script = translation_script(8, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2)
+
+        def failing_adapt(*args):
+            raise OptimizationError("layer1: adaptation failed on purpose")
+
+        monkeypatch.setattr(tracker, "adapt", failing_adapt)
+        templates, libraries = self.record_steps(monkeypatch)
+        res = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
+        assert [(e.kind, e.frames_processed) for e in res.events] == [
+            ("failed", 3), ("failed", 5), ("failed", 7)
+        ]
+        assert res.model is trained_model
+        assert [t.size for t in templates] == [256] * 7
+        seed = self.seed_row(trained_model, frames, gt)
+        assert [rows.tobytes() for rows in libraries] == [seed.tobytes()] * 7
 
     def test_rerun_determinism(self, trained_model):
         script = translation_script(8, (46.0, 48.0), (1.0, 0.0))
