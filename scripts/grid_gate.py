@@ -15,9 +15,20 @@ must lie below REF's median per-case learned replicate spread. It prints
 the pairs, the exact two-sided sign test, each replicate's learned-beats-raw
 count on both sides, how many raw and no-adaptation pairs are not 0 (all of
 them are 0 when a change leaves those tracks alone), the same mean, sign
-test and interval for the no-adaptation pairs, item 2's older rule, and
-`pass` or `fail`. Only the learned pairs' bootstrap bound gates. Exits 0
-on pass and 1 on fail or when a grid run fails. OUT must not exist yet.
+test and interval for the no-adaptation pairs, and item 2's older rule.
+
+Raw-pixel tracks use no model, so they have no replicate spread. The gate
+also runs each side's raw tracks of the grid's four cases at tracker seeds
+RAW_SEEDS (`run_synthetic_benchmark.py --raw-gate`, into
+OUT/ref-raw.txt and OUT/tree-raw.txt), which the grid does not use, and
+pairs their ACEs, d = tree - ref, one pair per track. The raw rule is the
+same interval over those pairs, resampled one track at a time, against a
+margin of one tenth of REF's mean raw ACE over them. Each pattern's mean
+raw change and mean AOR are printed, and do not gate.
+
+Last it prints `pass` or `fail`: the gate passes when the learned pairs'
+and the raw pairs' bounds both hold. Exits 0 on pass and 1 on fail or
+when a run fails. OUT must not exist yet.
 """
 
 import argparse
@@ -31,11 +42,13 @@ import numpy as np
 from diff_outputs import ROOT, extract_src, run_script
 
 BOOTSTRAP_DRAWS = 10_000
+RAW_SEEDS = range(40, 80)  # the raw pairs' tracker seeds, fixed before any judging
 
 # a case row of the first table (learned, raw, no-adapt: ACE and AOR each)
 # and of the replicate table (learned ACEs and spread, no-adapt ACEs and spread)
 _ROW = re.compile(r"^([a-z]+) +(\d+)((?: +\d+\.\d+)+)$", re.MULTILINE)
 _COUNT = re.compile(r"^replicate (.+?): learned beats raw: (\d+)/\d+;", re.MULTILINE)
+_RAW = re.compile(r"^raw ([a-z]+) (\d+) (\d+\.\d+) (\d+\.\d+)$", re.MULTILINE)
 
 
 def paired_statistics(d, margin: float) -> dict:
@@ -94,6 +107,25 @@ def parse_grid(text: str) -> dict:
     }
 
 
+def parse_raw(text: str) -> dict:
+    """The (case, seed) pairs, ACEs and AORs that `run_synthetic_benchmark.py --raw-gate` printed."""
+    rows = _RAW.findall(text)
+    if not rows:
+        raise ValueError("no raw tracks")
+    return {
+        "cases": [(name, int(seed)) for name, seed, _, _ in rows],
+        "ace": np.array([float(ace) for _, _, ace, _ in rows]),
+        "aor": np.array([float(aor) for _, _, _, aor in rows]),
+    }
+
+
+def raw_rule(ref_ace, tree_ace) -> dict:
+    """`paired_statistics` of the raw pairs, one track each, against a tenth of REF's mean ACE."""
+    ref_ace = np.asarray(ref_ace, dtype=np.float64)
+    d = np.asarray(tree_ace, dtype=np.float64) - ref_ace
+    return paired_statistics(d[:, None], float(ref_ace.mean()) / 10)
+
+
 def summary(stats: dict, pairs: int) -> tuple[str, str]:
     """The mean, sign-test and interval lines of `paired_statistics` output."""
     return (
@@ -115,10 +147,12 @@ def item2_flags(ref: dict, tree: dict) -> list[str]:
     return flags
 
 
-def report(ref: dict, tree: dict) -> bool:
+def report(ref: dict, tree: dict, ref_raw: dict, tree_raw: dict) -> bool:
     """Print the pairs and the statistics; True when the gate passes."""
     if ref["cases"] != tree["cases"] or list(ref["beats_raw"]) != list(tree["beats_raw"]):
         raise ValueError("the two grids list different cases or replicates")
+    if ref_raw["cases"] != tree_raw["cases"]:
+        raise ValueError("the two raw runs list different tracks")
     d = tree["learned"] - ref["learned"]
     print(f"{'case':<12} {'seed':>4}  learned ACE change per replicate (tree - ref, px)")
     for (name, seed), row in zip(tree["cases"], d):
@@ -144,8 +178,20 @@ def report(ref: dict, tree: dict) -> bool:
     flags = item2_flags(ref, tree)
     print("item 2's rule (first replicate, not gating): "
           + (f"flags {'; '.join(flags)}" if flags else "holds"))
-    print("pass" if stats["pass"] else "fail")
-    return stats["pass"]
+
+    raw = raw_rule(ref_raw["ace"], tree_raw["ace"])
+    d = tree_raw["ace"] - ref_raw["ace"]
+    names = [name for name, _ in ref_raw["cases"]]
+    for name in dict.fromkeys(names):
+        at = np.array(names) == name
+        print(f"raw {name} (not gating): mean change {d[at].mean():+.3f} px; "
+              f"AOR {ref_raw['aor'][at].mean():.3f} -> {tree_raw['aor'][at].mean():.3f}")
+    for line in summary(raw, d.size):
+        print(f"raw: {line}")
+    print(f"raw margin: a tenth of the ref's mean raw ACE, {raw['margin']:.3f} px")
+    passed = stats["pass"] and raw["pass"]
+    print("pass" if passed else "fail")
+    return passed
 
 
 def main() -> int:
@@ -156,15 +202,20 @@ def main() -> int:
     if args.out.exists():
         parser.error(f"{args.out} exists")
     ref_src = extract_src(parser, args.ref, args.out / "ref")
-    grids = {}
+    parsed = {}
     for src, side in ((ref_src, "ref"), (ROOT / "src", "tree")):
-        run = run_script("run_synthetic_benchmark.py", src, ["--grid"], capture_output=True, text=True)
-        (args.out / f"{side}-grid.txt").write_text(run.stdout + run.stderr)
-        if run.returncode:
-            print(f"the grid with {src} failed; see {args.out / f'{side}-grid.txt'}")
-            return 1
-        grids[side] = parse_grid(run.stdout)
-    return int(not report(grids["ref"], grids["tree"]))
+        for kind, flags, parse in (("grid", ["--grid"], parse_grid),
+                                   ("raw", ["--raw-gate"], parse_raw)):
+            run = run_script("run_synthetic_benchmark.py", src, flags,
+                             capture_output=True, text=True)
+            (args.out / f"{side}-{kind}.txt").write_text(run.stdout + run.stderr)
+            if run.returncode:
+                print(f"the {kind} run with {src} failed; see {args.out / f'{side}-{kind}.txt'}")
+                return 1
+            parsed[side, kind] = parse(run.stdout)
+    passed = report(parsed["ref", "grid"], parsed["tree", "grid"],
+                    parsed["ref", "raw"], parsed["tree", "raw"])
+    return int(not passed)
 
 
 if __name__ == "__main__":

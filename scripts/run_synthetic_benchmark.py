@@ -22,7 +22,14 @@ the five pre-training videos in the script's order, reversed and rotated
 by three, so that only the summation order differs; the table and counts
 are the first replicate's. It then prints each case's learned and
 no-adaptation ACE under every replicate, their spread (max - min), and
-each replicate's counts.
+each replicate's counts. Last come the paired learned - raw and learned -
+no-adaptation ACE differences over cases x replicates: their mean, sign
+test and 95% bootstrap interval (`grid_gate.paired_statistics`).
+
+With `--raw-gate`, it tracks only the raw-pixel runs that
+`grid_gate.py`'s raw rule pairs: the grid's four cases at tracker seeds
+`grid_gate.RAW_SEEDS`. It prints one `raw CASE SEED ACE AOR` line per
+track and pre-trains nothing.
 """
 
 import argparse
@@ -33,6 +40,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from grid_gate import RAW_SEEDS, paired_statistics
 from slowtrack.hierarchy import PretrainConfig, pretrain
 from slowtrack.metrics import BoxTrace, center_error, overlap_rate
 from slowtrack.optimizer import LbfgsConfig
@@ -100,15 +108,15 @@ def summary(label, diffs):
     return f"{label}: {wins}/{len(diffs)}; worst {name} seed {seed} ({d:+.2f} px)"
 
 
-def grid_tracks(cases, runs, args):
-    """(ACE, AOR) of every run on every (case, seed) pair, and each run's summed seconds.
+def grid_tracks(cases, runs, args, seeds=range(5)):
+    """(ACE, AOR) of every run on every (case, tracker seed) pair, and each run's summed seconds.
 
     `runs` maps a key to the (model, TrackerConfig fields) it tracks with.
     """
     scores, seconds = {}, dict.fromkeys(runs, 0.0)
     for name, (script, texture_seed) in cases.items():
         frames, gt = generate_sequence(script, (320, 240), seed=texture_seed)
-        for seed in range(5):
+        for seed in seeds:
             for key, (model, fields) in runs.items():
                 cfg = TrackerConfig(seed=seed, lam=args.lam, gamma=args.gamma, **fields)
                 t0 = time.perf_counter()
@@ -168,6 +176,14 @@ def run_grid(models, cases, args):
               + summary("learned beats raw", diffs(label, "learned", "raw")) + "; "
               + summary("adaptation beats no adaptation", diffs(label, "learned", "no-adapt")))
 
+    print(f"\npaired ACE differences over {len(pairs)} cases x {len(models)} replicates")
+    for other in ("raw", "no-adapt"):
+        d = np.array([[diffs(label, "learned", other)[case] for label in models] for case in pairs])
+        stats = paired_statistics(d, margin=0.0)
+        print(f"learned - {other}: mean {stats['mean']:+.3f} px, 95% bootstrap interval "
+              f"[{stats['low']:+.3f}, {stats['high']:+.3f}] px; {stats['rises']} rose, "
+              f"{stats['falls']} fell, {stats['ties']} tied; sign test p = {stats['sign_p']:.3f}")
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -180,22 +196,29 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--grid", action="store_true",
                         help="track the fixed seed grid instead of the table")
+    parser.add_argument("--raw-gate", action="store_true",
+                        help="track only the raw-pixel runs of grid_gate.py's raw rule")
     args = parser.parse_args()
 
-    videos = pretraining_data()
-    optimizer = replace(PretrainConfig().optimizer, max_iters=args.pretrain_iters)
-    cfg = PretrainConfig(lam=args.lam, f1=args.f1, f2=args.f2, optimizer=optimizer, seed=0)
     n = args.frames
     cases = {
         "translation": (translation_script(n, (160.0 - (n - 1), 120.0), (2.0, 0.0)), 21),
         "rotation": (rotation_script(n, (160.0, 120.0), np.deg2rad(1.5)), 22),
         "shear": (deformation_script(n, (160.0, 120.0), 4.0, time_period=25.0), 23),
     }
+    grid_cases = {**cases, "scaling": (scaling_script(n, (160.0, 120.0), 1.006), 24)}
+    if args.raw_gate:
+        scores, _ = grid_tracks(grid_cases, {"raw": (None, {})}, args, RAW_SEEDS)
+        for (_, name, seed), (ace, aor) in scores.items():
+            print(f"raw {name} {seed} {ace:.6f} {aor:.6f}")
+        return
+    videos = pretraining_data()
+    optimizer = replace(PretrainConfig().optimizer, max_iters=args.pretrain_iters)
+    cfg = PretrainConfig(lam=args.lam, f1=args.f1, f2=args.f2, optimizer=optimizer, seed=0)
     if args.grid:
         models = {label: pretrain_model(videos, order, cfg, f" ({label})")
                   for label, order in REPLICATES.items()}
-        cases["scaling"] = (scaling_script(n, (160.0, 120.0), 1.006), 24)
-        run_grid(models, cases, args)
+        run_grid(models, grid_cases, args)
         return
     model = pretrain_model(videos, REPLICATES["script order"], cfg, "")
     print(f"\n{'sequence':<12} {'features':<8} {'ACE px':>8} {'AOR':>6} {'time':>6}")

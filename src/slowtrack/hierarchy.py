@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from ._version import __version__ as _pkg_version
 from .encoder import LayerEncoder, encode
 from .errors import DataError, LineSearchError, ModelFormatError, OptimizationError
-from .objectives import AdaptationObjective, SlownessObjective, helper_thread
+from .objectives import AdaptationObjective, SlownessObjective, checked_sequences, helper_thread
 from .optimizer import LbfgsConfig, OptimizeResult, minimize
 from .patches import Patch, normalize_rows
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening
@@ -208,23 +207,6 @@ def _fit_layer(obj, w0, cfg: LbfgsConfig, failure_message: str) -> OptimizeResul
         raise OptimizationError(failure_message) from None
 
 
-def _checked_sequences(seqs, side: int, tag: str) -> Iterator[np.ndarray]:
-    """Each training sequence as a nonempty (L, side**2) array, checked as it arrives."""
-    empty = True
-    for s in seqs:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != side * side:
-            raise DataError(
-                f"{tag}: expected {side}x{side} patches, got an array of shape {s.shape}"
-            )
-        if not len(s):
-            raise DataError(f"{tag}: a training sequence is empty")
-        empty = False
-        yield s
-    if empty:
-        raise DataError(f"{tag}: training set is empty")
-
-
 def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResult:
     """Train layer 1, fit whitening on its pooled outputs, train layer 2.
 
@@ -242,7 +224,7 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
     rng = np.random.default_rng(cfg.seed)
 
     w1_0 = _random_orthonormal_rows(cfg.f1, LAYER1_INPUT_DIM, rng)
-    obj1 = SlownessObjective(list(_checked_sequences(seqs16, LAYER1_SIDE, "layer1")), cfg.lam)
+    obj1 = SlownessObjective(checked_sequences(seqs16, "layer1", LAYER1_SIDE), cfg.lam)
     del seqs16  # stacked by the objective; a caller's temporary list is freed here
     with helper_thread():
         res1 = _fit_layer(obj1, w1_0, cfg.optimizer, "layer1: line search failed during training")
@@ -251,7 +233,7 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
 
     concat_seqs = [
         _layer1_features(layer1, s, cfg.sub_patch_stride)
-        for s in _checked_sequences(seqs32, LAYER2_SIDE, "layer2")
+        for s in checked_sequences(seqs32, "layer2", LAYER2_SIDE)
     ]
     whit = fit_whitening(np.vstack(concat_seqs), d=cfg.whiten_dim)
     white_seqs = [apply_whitening(whit, v) for v in concat_seqs]
@@ -315,8 +297,8 @@ def adapt(
     for `pretrain`. Each layer starts from and is pulled toward its
     current filters; the whitening transform is reused unchanged.
     """
-    seqs16 = list(_checked_sequences(seqs16, LAYER1_SIDE, "layer1"))
-    seqs32 = list(_checked_sequences(seqs32, LAYER2_SIDE, "layer2"))
+    seqs16 = list(checked_sequences(seqs16, "layer1", LAYER1_SIDE))
+    seqs32 = list(checked_sequences(seqs32, "layer2", LAYER2_SIDE))
     adapted, stats = {}, []
     for tag, enc in (("layer1", model.layer1), ("layer2", model.layer2)):
         if tag == "layer1":

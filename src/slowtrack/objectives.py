@@ -55,6 +55,7 @@ import contextvars
 import math
 import queue
 import threading
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -155,17 +156,28 @@ def _check_nonnegative(name: str, value: float) -> float:
     return float(value)
 
 
-def _as_sequences(sequences) -> list[np.ndarray]:
-    seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    if not seqs:
-        raise DataError("objective undefined on empty training data")
+def checked_sequences(seqs, tag: str, side: int | None = None) -> Iterator[np.ndarray]:
+    """Each training sequence as a nonempty (L, D) array, checked as it arrives.
+
+    D is side² for flattened side x side patches, else the first sequence's.
+    Every error is a DataError whose message starts with `tag`.
+    """
+    dim, empty = (None if side is None else side * side), True
     for s in seqs:
-        if s.ndim != 2 or s.shape[0] == 0:
-            raise DataError("each sequence must be a nonempty (L, D) array")
-    dims = {s.shape[1] for s in seqs}
-    if len(dims) != 1:
-        raise DataError(f"sequences have mixed dims {sorted(dims)}")
-    return seqs
+        s = np.asarray(s, dtype=np.float64)
+        if side is not None and (s.ndim != 2 or s.shape[1] != dim):
+            raise DataError(f"{tag}: expected {side}x{side} patches, got an array of shape "
+                            f"{s.shape}")
+        if s.ndim != 2:
+            raise DataError(f"{tag}: expected (L, D) sequences, got an array of shape {s.shape}")
+        if dim is not None and s.shape[1] != dim:
+            raise DataError(f"{tag}: sequences have mixed dims {sorted({dim, s.shape[1]})}")
+        if not len(s):
+            raise DataError(f"{tag}: a training sequence is empty")
+        dim, empty = s.shape[1], False
+        yield s
+    if empty:
+        raise DataError(f"{tag}: training set is empty")
 
 
 class SlownessObjective:
@@ -185,7 +197,7 @@ class SlownessObjective:
         self.lam = _check_nonnegative("lambda", lam)
         self.eps_sqrt = _check_nonnegative("eps_sqrt", eps_sqrt)
         self.eps_abs = _check_nonnegative("eps_abs", eps_abs)
-        seqs = _as_sequences(sequences)
+        seqs = list(checked_sequences(sequences, "objective"))
         self._all = np.vstack(seqs)
         # the data never changes during a minimization; with at least as
         # many rows as dims, the reconstruction term is cheaper from its

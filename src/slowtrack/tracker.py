@@ -6,23 +6,23 @@ A step is a short run of array stages over plain (N, 4) states, one
 
 - `propose`: systematically resample the previous particles and add
   Gaussian motion noise;
-- `candidate_patches`: sample every candidate's ranking grid from the
-  frame, a block at a time, into the front of the run's one (N, 1024)
-  work array, with each row's product with the template, sum and sum of
-  squares;
+- `candidate_patches`: sample every candidate's centred 16x16
+  half-resolution ranking grid from the frame, a block at a time, into
+  the run's one (N, 256) work array, with each row's product with the
+  template, sum and sum of squares;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
-  previous prediction's row on that grid, in correlation form, from
-  those moments;
-- `fine_distances`: re-rank the top few by hierarchical features of
-  their 32x32 patches, with one product against the exemplar library's
-  rows;
+  previous prediction's 16x16 row, in correlation form, from those
+  moments;
+- `fine_distances`: in a learned track, re-rank the top few by
+  hierarchical features of their 32x32 patches, with one product
+  against the exemplar library's rows;
 - `weigh`: a Gaussian kernel over the distances; the maximum-weight
   candidate becomes the prediction.
 
-A learned track ranks every step on a centred 16x16 half-resolution
-grid: only the top-k are re-ranked, so only they are sampled at 32x32
-(coarse-to-fine search, Lewis 1995). A raw-pixel track ranks on the
-full 32x32 grid.
+Every step ranks on the 16x16 grid. A learned track samples only the
+top-k at 32x32 (coarse-to-fine search, Lewis 1995); a raw-pixel track
+weighs every valid candidate by its coarse distance and samples nothing
+at 32x32.
 
 The feature filters and the exemplar library are re-adapted on the
 tracked object's own patches every M frames, warm-started from the
@@ -49,7 +49,7 @@ from .optimizer import LbfgsConfig
 from .patches import _CONST_STD, normalize_rows
 
 CANDIDATE_SIDE = 32
-COARSE_SIDE = 16  # the ranking grid of a learned track
+COARSE_SIDE = 16  # the ranking grid of every step
 
 # a candidate needs at least this fraction of its samples inside the frame
 _MIN_INSIDE_FRACTION = 0.5
@@ -343,23 +343,22 @@ def step(
     cfg: TrackerConfig,
     rng: np.random.Generator,
     work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None, np.ndarray]:
     """One tracking step; see the module docstring for the stages.
 
-    `template` is the previous prediction's normalized row on the ranking
-    grid: 16x16 when the library holds exemplars (a learned track), 32x32
-    when it is empty (a raw-pixel track); the 16x16 rows also give the
-    valid mask. Returns `(states, weights, best, patch, template)`: the new
-    (N, 4) particles, their (N,) weights, the index of the prediction, its
-    normalized (1024,) patch, and its normalized row on the ranking grid
-    for the next step. `work` is an (n_candidates, 1024) array whose front
-    receives the raw ranking rows; a run passes the same one to every step.
+    `template` is the previous prediction's normalized 16x16 row, and the
+    16x16 rows also give the valid mask. A library that holds exemplars
+    (a learned track) re-ranks the top-k; an empty one (a raw-pixel track)
+    weighs every valid candidate by its coarse distance. Returns
+    `(states, weights, best, patch, template)`: the new (N, 4) particles,
+    their (N,) weights, the index of the prediction, its normalized
+    (1024,) patch (None in a raw-pixel track, which samples no 32x32
+    patch), and its normalized 16x16 row for the next step. `work` is an
+    (n_candidates, 256) array that receives the raw ranking rows; a run
+    passes the same one to every step.
     """
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    side = COARSE_SIDE if len(lib) else CANDIDATE_SIDE
-    if work is not None:
-        work = work.reshape(-1)[: len(states) * side * side].reshape(len(states), -1)
-    raw, valid, moments = candidate_patches(frame, states, *base, template, work, side)
+    raw, valid, moments = candidate_patches(frame, states, *base, template, work, COARSE_SIDE)
     if not valid.any():
         raise TrackingLostError()
     dist = coarse_distances(raw, valid, template, moments)
@@ -376,7 +375,7 @@ def step(
 
     best = int(np.argmax(weights))  # ties resolve to the lowest index
     template = normalize_rows(raw[best : best + 1])[0]
-    patch = x32[top == best][0] if len(lib) else template  # a copy, not a view of x32
+    patch = x32[top == best][0] if len(lib) else None  # a copy, not a view of x32
     return states, weights, best, patch, template
 
 
@@ -413,12 +412,9 @@ def run_tracker(
     weights = np.ones(1)
     chosen = [states[0]]  # the predicted state of each frame
     # a box inside the frame has every sample inside, so it is never rejected
-    template = normalize_rows(candidate_patches(f0, states, w, h)[0])[0]
-    window = [template]  # (1024,) patches tracked since the last scheduled adaptation
+    template = normalize_rows(candidate_patches(f0, states, w, h, grid=COARSE_SIDE)[0])[0]
+    window = []  # (1024,) patches tracked since the last scheduled adaptation
     lib = ExemplarLibrary()
-    if model is not None:
-        lib.add(hier_features(model, template))
-        template = normalize_rows(candidate_patches(f0, states, w, h, grid=COARSE_SIDE)[0])[0]
     events: list[AdaptEvent] = []
     current = model
 
@@ -431,8 +427,6 @@ def run_tracker(
             return
         x32 = np.stack(window)
         window.clear()
-        if current is None:
-            return
         # one 16x16 sequence per sub-window cell, one 32x32 object sequence
         subs = subpatches(x32, current.sub_patch_stride)
         try:
@@ -459,8 +453,11 @@ def run_tracker(
         )
         lib.add(hier_features(current, x32 if is_init else x32[-1]))
 
-    maybe_adapt(1)
-    work = np.empty((cfg.n_candidates, CANDIDATE_SIDE * CANDIDATE_SIDE))
+    if model is not None:  # a raw-pixel track keeps no window and never adapts
+        window.append(normalize_rows(candidate_patches(f0, states, w, h)[0])[0])
+        lib.add(hier_features(model, window[0]))
+        maybe_adapt(1)
+    work = np.empty((cfg.n_candidates, COARSE_SIDE * COARSE_SIDE))
     for t, frame in enumerate(frames, start=1):
         try:
             states, weights, best, patch, template = step(
@@ -469,8 +466,9 @@ def run_tracker(
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None
         chosen.append(states[best])
-        window.append(patch)
-        maybe_adapt(t + 1)
+        if model is not None:
+            window.append(patch)
+            maybe_adapt(t + 1)
     return TrackResult(boxes_of(np.array(chosen), w, h), current, tuple(events))
 
 

@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 import weakref
@@ -105,6 +106,19 @@ class TestEvalSlowness:
     def test_empty_training_set_rejected(self):
         with pytest.raises(DataError, match="empty"):
             SlownessObjective([], lam=1.0)
+
+    @pytest.mark.parametrize(
+        "seqs, message",
+        [
+            ([np.ones((2, 3)), np.ones((2, 4))], "objective: sequences have mixed dims [3, 4]"),
+            ([np.ones((2, 3)), np.ones((0, 3))], "objective: a training sequence is empty"),
+            ([np.ones(3)], "objective: expected (L, D) sequences, got an array of shape (3,)"),
+        ],
+        ids=["mixed-dims", "empty-sequence", "not-2d"],
+    )
+    def test_malformed_sequences_rejected(self, seqs, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            SlownessObjective(seqs, lam=1.0)
 
     def test_dimension_mismatch(self):
         obj = SlownessObjective([np.ones((2, 3))], lam=1.0)

@@ -115,6 +115,25 @@ def test_synthetic_benchmark_grid_prints_twenty_cases_and_both_counts():
     assert grid["learned"][:, 0].tolist() == [float(v) for v in first]
     assert grid_gate.item2_flags(grid, grid) == []
 
+    # the within-tree intervals, over the 20 cases x 3 replicates
+    assert "\npaired ACE differences over 20 cases x 3 replicates\n" in res.stdout
+    for other in ("raw", "no-adapt"):
+        pattern = (rf"^learned - {other}: mean [+-]\d+\.\d{{3}} px, 95% bootstrap interval "
+                   r"\[[+-]\d+\.\d{3}, [+-]\d+\.\d{3}\] px; \d+ rose, \d+ fell, \d+ tied; "
+                   r"sign test p = \d\.\d{3}$")
+        assert re.search(pattern, res.stdout, re.MULTILINE), res.stdout
+
+
+def test_synthetic_benchmark_raw_gate_prints_one_line_per_track():
+    res = run_script("run_synthetic_benchmark.py", "--raw-gate", "--frames", 6)
+    assert res.returncode == 0, res.stderr
+    assert "pre-trained" not in res.stdout
+    raw = grid_gate.parse_raw(res.stdout)
+    names = ("translation", "rotation", "shear", "scaling")
+    assert raw["cases"] == [(name, seed) for name in names for seed in range(40, 80)]
+    assert len(res.stdout.splitlines()) == 160
+    assert raw["ace"].shape == raw["aor"].shape == (160,) and np.all(raw["aor"] <= 1.0)
+
 
 def test_grid_gate_statistics_on_a_fixed_vector():
     # 20 cases x 3 replicates; nine pairs fell by 0.5 px and one rose by 0.25 px
@@ -139,6 +158,32 @@ def test_grid_gate_statistics_on_a_fixed_vector():
     assert grid_gate.paired_statistics(np.zeros((20, 3)), margin=0.1)["pass"]
 
 
+def test_grid_gate_raw_rule_passes_just_below_a_tenth_of_the_ref_mean():
+    # 160 raw tracks of ACE 2.5: the margin is 0.25 px; every pair moving by
+    # the margin fails, and by a little less passes
+    ref = np.full(160, 2.5)
+    assert grid_gate.raw_rule(ref, ref)["margin"] == 0.25
+    at = grid_gate.raw_rule(ref, ref + 0.25)
+    assert (at["low"], at["high"], at["pass"]) == (0.25, 0.25, False)
+    below = grid_gate.raw_rule(ref, ref + 0.2499)
+    assert below["high"] < 0.25 and below["pass"]
+
+    # one pair per track, resampled one track at a time
+    d = np.zeros(160)
+    d[:40], d[40:50] = -0.5, 1.0
+    stats = grid_gate.raw_rule(ref, ref + d)
+    assert stats == grid_gate.paired_statistics(d[:, None], 0.25)
+    assert (stats["rises"], stats["falls"], stats["ties"]) == (10, 40, 110)
+    assert stats["pass"]
+
+
+def raw_runs(ace):
+    """A parsed `--raw-gate` run: the grid's four cases at seeds 40-79, with fixed AORs."""
+    names = ("translation", "rotation", "shear", "scaling")
+    return {"cases": [(name, seed) for name in names for seed in range(40, 80)],
+            "ace": np.asarray(ace, dtype=np.float64), "aor": np.full(160, 0.8)}
+
+
 def gate_grid(learned, no_adapt):
     """A parsed grid of 20 cases x 3 replicates, with fixed spreads, raw ACEs and counts."""
     names = ("translation", "rotation", "shear", "scaling")
@@ -159,7 +204,8 @@ def test_grid_gate_reports_the_no_adapt_pairs_without_gating(capsys):
     d = np.zeros((20, 3))
     d[:9, 0], d[9, 1] = -0.5, 0.25
     ace = np.full((20, 3), 2.0)
-    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + d))
+    raw = raw_runs(np.full(160, 2.5))
+    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + d), raw, raw)
     out = capsys.readouterr().out.splitlines()
     assert [line for line in out if line.startswith("no-adapt")] == [
         "no-adapt pairs not 0: 10 of 60",
@@ -172,11 +218,25 @@ def test_grid_gate_reports_the_no_adapt_pairs_without_gating(capsys):
     assert "raw pairs not 0: 0 of 20" in out and out[-1] == "pass"
 
     # every no-adaptation pair 1 px worse still passes; learned pairs 1 px worse fail
-    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + 1.0))
+    assert grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace + 1.0), raw, raw)
     assert "no-adapt (not gating): mean change +1.000 px over 60 pairs: 60 rose, 0 fell, 0 tied; " \
         "sign test p = 0.000" in capsys.readouterr().out.splitlines()
-    assert not grid_gate.report(gate_grid(ace, ace), gate_grid(ace + 1.0, ace))
+    assert not grid_gate.report(gate_grid(ace, ace), gate_grid(ace + 1.0, ace), raw, raw)
     assert capsys.readouterr().out.splitlines()[-1] == "fail"
+
+
+def test_grid_gate_fails_on_the_raw_rule_alone(capsys):
+    # unchanged learned pairs, and shear's raw tracks 1 px worse: the
+    # pattern's change is printed, and the raw bound fails the gate
+    ace = np.full((20, 3), 2.0)
+    ref = raw_runs(np.full(160, 2.5))
+    tree = raw_runs(ref["ace"] + np.repeat([0.0, 0.0, 1.0, 0.0], 40))
+    assert not grid_gate.report(gate_grid(ace, ace), gate_grid(ace, ace), ref, tree)
+    out = capsys.readouterr().out.splitlines()
+    assert "raw shear (not gating): mean change +1.000 px; AOR 0.800 -> 0.800" in out
+    assert "raw translation (not gating): mean change +0.000 px; AOR 0.800 -> 0.800" in out
+    assert "raw margin: a tenth of the ref's mean raw ACE, 0.250 px" in out
+    assert out[-1] == "fail"
 
 
 def test_round_trip_writes_one_file_per_command(tmp_path):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import normalize_values
 from slowtrack.errors import DataError, OptimizationError, TrackingLostError
 from slowtrack.geometry import snapped_cos_sin, wrap_angle
-from slowtrack.hierarchy import ADAPT_OPTIMIZER, encode_hier, hier_features
+from slowtrack.hierarchy import ADAPT_OPTIMIZER, hier_features
 from slowtrack.optimizer import LbfgsConfig
-from slowtrack.patches import Patch, normalize_rows
+from slowtrack.patches import normalize_rows
 from slowtrack import tracker
 from slowtrack.synth import generate_sequence, translation_script
 from slowtrack.tracker import (
@@ -208,6 +208,19 @@ def sample_one(frame, row, base=(32.0, 32.0)):
     """candidate_patches on a single state row: (normalized values, accepted)."""
     raw, valid, _ = candidate_patches(frame, np.array([row], dtype=float), *base)
     return normalize_rows(raw)[0], bool(valid[0])
+
+
+def record_samples(monkeypatch):
+    """(grid, candidate count) of every `candidate_patches` call the tracker makes, in order."""
+    calls, real = [], tracker.candidate_patches
+
+    def recording(frame, states, base_w, base_h, template=None, out=None,
+                  grid=tracker.CANDIDATE_SIDE):
+        calls.append((grid, len(np.reshape(states, (-1, 4)))))
+        return real(frame, states, base_w, base_h, template, out, grid)
+
+    monkeypatch.setattr(tracker, "candidate_patches", recording)
+    return calls
 
 
 def row_of_box(box):
@@ -608,21 +621,19 @@ class TestStep:
     base = (32.0, 32.0)
 
     def setup_case(self, model, use_lib):
-        """Frames, the first box's state row, its template on the ranking grid, a library.
+        """Frames, the first box's state row, its normalized 16x16 row, a library.
 
-        With `use_lib` the library holds the first box's features, so a step
-        ranks on the 16x16 grid, against the first box's normalized 16x16 row.
+        With `use_lib` the library holds the features of the first box's
+        normalized 32x32 patch; without, it is empty, as in a raw-pixel track.
         """
         script = translation_script(3, (48.0, 48.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=5)
         row = np.array([row_of_box(gt.boxes[0])])
-        template = sample_one(frames[0], row[0])[0]
         lib = ExemplarLibrary()
         if use_lib:
-            lib.add(encode_hier(model, Patch(32, template)).combined)
-            coarse = candidate_patches(frames[0], row, *self.base, grid=COARSE_SIDE)[0]
-            template = normalize_rows(coarse)[0]
-        return frames, row, template, lib
+            lib.add(hier_features(model, sample_one(frames[0], row[0])[0]))
+        coarse = candidate_patches(frames[0], row, *self.base, grid=COARSE_SIDE)[0]
+        return frames, row, normalize_rows(coarse)[0], lib
 
     def run_step(self, frames, row, template, model, lib, cfg, seed):
         return step(frames[1], row, np.ones(1), self.base, template, model, lib, cfg,
@@ -664,15 +675,24 @@ class TestStep:
         fine = candidate_patches(frames[1], states[best], *self.base)[0]
         assert patch.tobytes() == normalize_rows(fine)[0].tobytes()
 
-    def test_empty_library_ranks_every_candidate_at_full_resolution(self):
+    def test_empty_library_weighs_every_candidate_on_the_coarse_grid(self, monkeypatch):
+        # a raw-pixel step samples only the 16x16 grid, and every valid
+        # candidate's weight is the kernel of its coarse distance
         frames, row, template, lib = self.setup_case(None, use_lib=False)
         cfg = TrackerConfig(n_candidates=60, top_k=7)
+        calls = record_samples(monkeypatch)
         states, weights, best, patch, coarse = self.run_step(frames, row, template, None, lib, cfg, 1)
-        raw, valid, moments = candidate_patches(frames[1], states, *self.base, template)
+        assert calls == [(COARSE_SIDE, 60)]
+        raw, valid, moments = candidate_patches(
+            frames[1], states, *self.base, template, grid=COARSE_SIDE
+        )
         dist = coarse_distances(raw, valid, template, moments)
+        want = np.zeros(len(states))
+        want[valid] = tracker.weigh(dist[valid], cfg.sigma)
+        assert weights.tobytes() == (want / want.sum()).tobytes()
         assert np.count_nonzero(weights) == np.count_nonzero(valid) > cfg.top_k
         assert best == np.argmin(dist)
-        assert patch is coarse and patch.tobytes() == normalize_rows(raw)[best].tobytes()
+        assert patch is None and coarse.tobytes() == normalize_rows(raw)[best].tobytes()
 
     def test_sigma_does_not_change_argmax(self, trained_model):
         # the Gaussian kernel is monotone in distance for every sigma, so the
@@ -690,10 +710,10 @@ class TestStep:
 
     def test_work_array_keeps_a_step_small(self, trained_model):
         # 600 candidates on their own temporaries peaked at 15.7 MB; with the
-        # run's work array the sampler runs in 64-row blocks into its front
+        # run's (n, 256) work array the sampler runs in 64-row blocks into it
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(init_frames=1)
-        work = np.empty((cfg.n_candidates, 1024))
+        work = np.empty((cfg.n_candidates, COARSE_SIDE * COARSE_SIDE))
         args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg)
         step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
         tracemalloc.start()
@@ -923,6 +943,9 @@ class TestRunTracker:
             alive.append(sum(ref() is not None for ref in refs))
             grids.append(args[4].size)  # the template's, the ranking grid's
             out = real_step(*args)
+            if out[3] is None:  # a raw-pixel step samples no 32x32 patch
+                patches.append(None)
+                return out
             patches.append(out[3].copy())
             refs.append(weakref.ref(out[3]))
             return out
@@ -935,20 +958,40 @@ class TestRunTracker:
         monkeypatch.setattr(tracker, "adapt", recording_adapt)
         res = run_tracker(frames, tuple(gt.boxes[0]), trained_model if learned else None, cfg)
         assert len(patches) == 13
+        # every step ranks on the 16x16 grid, from frame 1 on
+        assert grids == [256] * 13
+        if not learned:
+            # a raw-pixel run has no patch to keep, so it keeps no window
+            assert patches == [None] * 13
+            assert received == [] and res.events == ()
+            return
         assert max(alive) <= max(cfg.init_frames, cfg.update_period)
         assert {patch.size for patch in patches} == {1024}
-        if not learned:
-            assert received == [] and res.events == ()
-            assert grids == [1024] * 13
-            return
-        # every learned step ranks on the 16x16 grid, from frame 1 on
-        assert grids == [256] * 13
         # patches[k] is the patch of frame k + 1
         first = sample_one(frames[0], row_of_box(gt.boxes[0]), tuple(gt.boxes[0][2:]))[0]
         assert [e.frames_processed for e in res.events] == [3, 5, 7, 9, 11, 13]
         np.testing.assert_array_equal(received[0], np.stack([first, *patches[:2]]))
         for done, x32 in zip([5, 7, 9, 11, 13], received[1:], strict=True):
             np.testing.assert_array_equal(x32, np.stack(patches[done - 3 : done - 1]))
+
+    @pytest.mark.parametrize("learned", [True, False], ids=["learned", "raw"])
+    def test_32x32_only_for_the_seed_and_the_top_k(self, trained_model, learned, monkeypatch):
+        # frame 0 gives the 16x16 template, and a learned run's library seed
+        # at 32x32; each step then ranks its candidates at 16x16, and a
+        # learned step samples only its top-k at 32x32
+        script = translation_script(8, (46.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=8)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2,
+                            adapt_optimizer=LbfgsConfig(max_iters=1))
+        calls = record_samples(monkeypatch)
+        run_tracker(frames, tuple(gt.boxes[0]), trained_model if learned else None, cfg)
+        if not learned:
+            assert calls == [(COARSE_SIDE, 1)] + [(COARSE_SIDE, 30)] * 7
+            return
+        assert calls[:2] == [(COARSE_SIDE, 1), (32, 1)]
+        assert calls[2::2] == [(COARSE_SIDE, 30)] * 7
+        assert len(calls[3::2]) == 7
+        assert all(grid == 32 and 1 <= n <= cfg.top_k for grid, n in calls[3::2])
 
     def test_learned_first_step(self, trained_model, monkeypatch):
         # init_frames=1 adapts on the first box's patch before any step; the
