@@ -102,10 +102,6 @@ class HierarchicalModel:
         per_axis = (LAYER2_SIDE - LAYER1_SIDE) // self.sub_patch_stride + 1
         return per_axis * per_axis
 
-    @property
-    def feature_dim(self) -> int:
-        return self.n_sub_patches * self.layer1.output_dim + self.layer2.output_dim
-
 
 @dataclass(frozen=True)
 class PretrainConfig:
@@ -262,10 +258,11 @@ def pretrain(seqs16, seqs32, cfg: PretrainConfig | None = None) -> PretrainResul
 
 
 def hier_features(model: HierarchicalModel, x32) -> np.ndarray:
-    """Hierarchical features of N normalized 32x32 patches: (N, feature_dim).
+    """Hierarchical features of N normalized 32x32 patches, one row each.
 
-    Each row is the layer-1 part (every sub-window) followed by the
-    layer-2 part, bit for bit what the patch gives when encoded alone.
+    Each row is the layer-1 part (`n_sub_patches` windows of
+    `layer1.output_dim`) followed by the layer-2 part (`layer2.output_dim`),
+    bit for bit what the patch gives when encoded alone.
     """
     l1 = _layer1_features(model.layer1, x32, model.sub_patch_stride)
     # whitening and layer 2 run on (N, 1, D) stacks: one product per patch

@@ -86,6 +86,8 @@ SPLIT_BLOCK = 12
 _HELPER: contextvars.ContextVar[_Helper | None] = contextvars.ContextVar("helper", default=None)
 
 
+# Not `concurrent.futures.ThreadPoolExecutor(1)`: on a 2-CPU x86-64 Xeon its no-op round
+# trip took 33-35 µs against this class's 17-18 µs, and its import loads `logging` (6 ms, 0.6 MB).
 class _Helper:
     """A second thread that runs one task at a time for the thread that posts it."""
 

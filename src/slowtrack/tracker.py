@@ -8,11 +8,10 @@ A step is a short run of array stages over plain (N, 4) states, one
   Gaussian motion noise;
 - `candidate_patches`: sample every candidate's centred 16x16
   half-resolution ranking grid from the frame, a block at a time, into
-  the run's one (N, 256) work array, with each row's product with the
-  template, sum and sum of squares;
+  the run's one (N, 256) work array;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
-  previous prediction's 16x16 row, in correlation form, from those
-  moments;
+  previous prediction's 16x16 row, in correlation form, from each row's
+  product with that row, sum and sum of squares;
 - `fine_distances`: in a learned track, re-rank the top few by
   hierarchical features of their 32x32 patches, with one product
   against the exemplar library's rows;
@@ -115,13 +114,13 @@ class TrackerConfig:
     adapt_optimizer: LbfgsConfig = ADAPT_OPTIMIZER
 
     def __post_init__(self):
+        if min(self.top_k, self.update_period, self.init_frames, self.n_candidates) < 1:
+            raise ValueError("counts must be >= 1")
         if self.top_k > self.n_candidates:
             raise ValueError(
                 f"top_k ({self.top_k}) must not exceed n_candidates "
                 f"({self.n_candidates})"
             )
-        if min(self.top_k, self.update_period, self.init_frames, self.n_candidates) < 1:
-            raise ValueError("counts must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not all(math.isfinite(v) and v >= 0 for v in (self.lam, self.gamma)):
@@ -199,20 +198,18 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
 # and the arithmetic's floating-point warnings on the way are noise
 @np.errstate(over="ignore", invalid="ignore")
 def candidate_patches(
-    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, template=None, out=None,
+    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, out=None,
     grid: int = CANDIDATE_SIDE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample every rotated, scaled box into a raw grid x grid patch.
 
     `states` holds one (cx, cy, scale, rotation) row per candidate; sample
     (i, j) is at the box offset ((j + 0.5)·w/grid − w/2, (i + 0.5)·h/grid −
-    h/2), rotated. Returns `(raw, valid, moments)`: (N, grid²) frame
-    intensities, not normalized, written into `out` when given; an (N,)
-    mask, False where less than half of a candidate's samples lie inside
-    the frame (samples outside are clamped to the border); and, given a
-    template, each row's product with it, sum and sum of squares as an
-    (N, 3) array, else None. Candidates run in blocks of 128 KiB of
-    samples, each read once while it is in cache.
+    h/2), rotated. Returns `(raw, valid)`: (N, grid²) frame intensities,
+    not normalized, written into `out` when given; and an (N,) mask, False
+    where less than half of a candidate's samples lie inside the frame
+    (samples outside are clamped to the border). Candidates run in blocks
+    of 128 KiB of samples.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     height, width = frame.shape
@@ -220,7 +217,6 @@ def candidate_patches(
     per_block = _BLOCK * CANDIDATE_SIDE**2 // (n * n)
     raw = np.empty((len(states), n * n)) if out is None else out
     valid = np.empty(len(states), dtype=bool)
-    moments = None if template is None else np.empty((len(states), 3))
     shape = (min(per_block, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
     index_buf = np.empty((shape[0], n * n), dtype=np.intp)
@@ -268,15 +264,10 @@ def candidate_patches(
         index[...] = ys.reshape(k, n * n)
         # "clip" mode writes straight into `raw`, where "raise" would buffer
         frame.take(index, out=raw[rows], mode="clip")
-        if moments is not None:
-            block = raw[rows]
-            np.matmul(block, template, out=moments[rows, 0])
-            block.sum(axis=1, out=moments[rows, 1])
-            np.einsum("ij,ij->i", block, block, out=moments[rows, 2])
-    return raw, valid, moments
+    return raw, valid
 
 
-def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, moments) -> np.ndarray:
+def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray:
     """Distance between each candidate's and the template's unit patches.
 
     With â the centred row over its norm and t̂ the unit template,
@@ -286,8 +277,10 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, moments) -> n
     for a constant template. Round-off can push the square below zero, so
     it is clipped there. Rejected rows are at inf.
 
-    ρ comes from the `candidate_patches` moments (product p with the
-    template, sum s1, sum of squares s2): the centred row has squared norm
+    ρ comes from each row's moments (product p with the template, sum s1,
+    sum of squares s2), each a row-wise sum, not a BLAS product, which
+    rounds a row by the rows it groups it with; so a row's distance does
+    not depend on the rows beside it. The centred row has squared norm
     v = s2 − s1²/n and product p − s1·Σt/n with t. Cancellation costs v
     digits (a constant row of 0.7 has v = 3.6e-12, not 0), and the error
     in d² is about 1e-16·s2/v, so rows with v < 1e-3·s2 are centred exactly.
@@ -296,13 +289,13 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template, moments) -> n
     t_norm = np.linalg.norm(t)
     t_live = t_norm > 1e-12
     n = raw.shape[1]
-    p, s1, s2 = moments.T
+    p, s1, s2 = np.einsum("ij,j->i", raw, t), raw.sum(axis=1), np.einsum("ij,ij->i", raw, raw)
     var = s2 - s1 * s1 / n
     product = p - s1 * (t.sum() / n)
     exact = var < 1e-3 * s2
     centred = raw[exact] - raw[exact].mean(axis=1, keepdims=True)
     var[exact] = np.einsum("ij,ij->i", centred, centred)
-    product[exact] = centred @ t
+    product[exact] = np.einsum("ij,j->i", centred, t)
     norms = np.sqrt(var)
     live = norms >= _CONST_STD * np.sqrt(n)  # std >= _CONST_STD
     rho = np.divide(product, norms * t_norm, out=np.zeros(len(raw)), where=live & t_live)
@@ -358,10 +351,10 @@ def step(
     passes the same one to every step.
     """
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    raw, valid, moments = candidate_patches(frame, states, *base, template, work, COARSE_SIDE)
+    raw, valid = candidate_patches(frame, states, *base, work, COARSE_SIDE)
     if not valid.any():
         raise TrackingLostError()
-    dist = coarse_distances(raw, valid, template, moments)
+    dist = coarse_distances(raw, valid, template)
 
     weights = np.zeros(len(states))
     if len(lib):

@@ -488,6 +488,14 @@ class TestTrack:
                       "--out", tmp_path / "b.csv", "--particles", 10, "--topk", 20)
         assert res.returncode == 2
 
+    def test_zero_particles_usage_error(self, tmp_path, model_path, track_dir):
+        # the counts are checked before top_k is compared with the particles
+        res = run_cli("track", "--model", model_path, "--frames", track_dir,
+                      "--init-box", init_box_of(track_dir),
+                      "--out", tmp_path / "b.csv", "--particles", 0)
+        assert res.returncode == 2
+        assert "counts must be >= 1" in res.stderr and "top_k" not in res.stderr
+
     def test_deterministic_outputs_and_log(self, tmp_path, model_path, track_dir):
         box = init_box_of(track_dir)
         for tag in ("r1", "r2"):

@@ -226,7 +226,7 @@ class TestEncodeHier:
         assert feat.layer1_part.size == 4 * 32 == 128
         assert feat.layer2_part.size == 64
         assert feat.combined.size == 192
-        assert model.feature_dim == 192
+        assert model.n_sub_patches * model.layer1.output_dim + model.layer2.output_dim == 192
 
     def test_zero_patch_layer1_part_zero(self):
         model = build_model(f1=8, f2=4, eps_sqrt=0.0)
@@ -382,7 +382,8 @@ class TestHierFeatures:
         stride, x = case
         model = cached_model(stride)
         got = hier_features(model, x)
-        assert got.shape == (len(x), model.feature_dim)
+        width = model.n_sub_patches * model.layer1.output_dim + model.layer2.output_dim
+        assert got.shape == (len(x), width)
         for row, values in zip(got, x):
             assert row.tobytes() == reference_encode_hier(model, values).tobytes()
 

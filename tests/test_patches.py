@@ -163,7 +163,7 @@ class TestExtractPatch:
         # a 64x64 box sampled on the 32x32 candidate grid reads every other pixel
         rng = np.random.default_rng(2)
         frame = rng.random((64, 64))
-        values, valid, _ = candidate_patches(frame, np.array([[32.0, 32.0, 1.0, 0.0]]), 64.0, 64.0)
+        values, valid = candidate_patches(frame, np.array([[32.0, 32.0, 1.0, 0.0]]), 64.0, 64.0)
         idx = (2 * np.arange(32) + 1) * 64 // 64
         block = frame[np.ix_(idx, idx)]
         assert valid[0]

@@ -72,16 +72,6 @@ def reference_coarse_distances(raw, valid, template):
     return dist
 
 
-def reference_moments(raw, template):
-    """Each row's product with the template, sum and sum of squares, row by row.
-
-    The moments `candidate_patches` takes block by block for
-    `coarse_distances`.
-    """
-    t = np.asarray(template, dtype=np.float64)
-    return np.array([[row @ t, row.sum(), row @ row] for row in raw]).reshape(-1, 3)
-
-
 def reference_min_distances(features, exemplars):
     """One feature row at a time: the oracle for `ExemplarLibrary.min_distance`.
 
@@ -122,7 +112,7 @@ def reference_candidate_patch(frame, row, base_w, base_h):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_candidate_patches(frame, states, base_w, base_h, template):
+def reference_candidate_patches(frame, states, base_w, base_h):
     """The sampler of broadcast grid sums: the bit-for-bit oracle for `candidate_patches`.
 
     Builds each 16-row block's terms from (16, 1) slices, and its sample
@@ -134,7 +124,6 @@ def reference_candidate_patches(frame, states, base_w, base_h, template):
     n, block = 32, tracker._BLOCK
     raw = np.empty((len(states), n * n))
     valid = np.empty(len(states), dtype=bool)
-    moments = np.empty((len(states), 3))
     cos, sin = snapped_cos_sin(states[:, 3:4])
     w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
     grid = np.arange(n) + 0.5
@@ -163,25 +152,20 @@ def reference_candidate_patches(frame, states, base_w, base_h, template):
             ys = np.fmin(np.fmax(ys, 0), height - 1)
         index = (ys * width + xs).reshape(len(xs), n * n).astype(np.intp)
         frame.take(index, out=raw[rows], mode="clip")
-        b = raw[rows]
-        np.matmul(b, template, out=moments[rows, 0])
-        b.sum(axis=1, out=moments[rows, 1])
-        np.einsum("ij,ij->i", b, b, out=moments[rows, 2])
-    return raw, valid, moments
+    return raw, valid
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def reference_coarse_candidate_patches(frame, states, base_w, base_h, template):
+def reference_coarse_candidate_patches(frame, states, base_w, base_h):
     """The 16x16 grid's broadcast sampler: the bit-for-bit oracle for `candidate_patches(grid=16)`.
 
     Takes every candidate's sample coordinates at once, as broadcast sums of
     its column and row terms, then counts and clamps every row, with no
-    shortcut for boxes inside the frame. Only the moments run in the
-    sampler's 64-row blocks, as a matrix product may round by block.
+    blocks and no shortcut for boxes inside the frame.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     height, width = frame.shape
-    n, block = 16, 64
+    n = 16
     cos, sin = snapped_cos_sin(states[:, 3:4])
     w, h = base_w * states[:, 2:3], base_h * states[:, 2:3]
     at = np.arange(n) + 0.5
@@ -194,19 +178,12 @@ def reference_coarse_candidate_patches(frame, states, base_w, base_h, template):
     xs = np.fmin(np.fmax(xs, 0), width - 1)
     ys = np.fmin(np.fmax(ys, 0), height - 1)
     index = (ys * width + xs).reshape(len(states), n * n).astype(np.intp)
-    raw = frame.take(index, mode="clip")
-    moments = np.empty((len(states), 3))
-    for lo in range(0, len(states), block):
-        b = raw[lo : lo + block]
-        np.matmul(b, template, out=moments[lo : lo + block, 0])
-        b.sum(axis=1, out=moments[lo : lo + block, 1])
-        np.einsum("ij,ij->i", b, b, out=moments[lo : lo + block, 2])
-    return raw, valid, moments
+    return frame.take(index, mode="clip"), valid
 
 
 def sample_one(frame, row, base=(32.0, 32.0)):
     """candidate_patches on a single state row: (normalized values, accepted)."""
-    raw, valid, _ = candidate_patches(frame, np.array([row], dtype=float), *base)
+    raw, valid = candidate_patches(frame, np.array([row], dtype=float), *base)
     return normalize_rows(raw)[0], bool(valid[0])
 
 
@@ -214,10 +191,9 @@ def record_samples(monkeypatch):
     """(grid, candidate count) of every `candidate_patches` call the tracker makes, in order."""
     calls, real = [], tracker.candidate_patches
 
-    def recording(frame, states, base_w, base_h, template=None, out=None,
-                  grid=tracker.CANDIDATE_SIDE):
+    def recording(frame, states, base_w, base_h, out=None, grid=tracker.CANDIDATE_SIDE):
         calls.append((grid, len(np.reshape(states, (-1, 4)))))
-        return real(frame, states, base_w, base_h, template, out, grid)
+        return real(frame, states, base_w, base_h, out, grid)
 
     monkeypatch.setattr(tracker, "candidate_patches", recording)
     return calls
@@ -416,9 +392,8 @@ class TestCandidatePatch:
     @given(candidate_case())
     def test_matches_scalar_reference_bit_for_bit(self, case):
         frame, rows, base = case
-        raw, valid, moments = candidate_patches(frame, rows, *base)
+        raw, valid = candidate_patches(frame, rows, *base)
         assert raw.shape == (len(rows), 1024) and valid.shape == (len(rows),)
-        assert moments is None
         for got, ok, row in zip(raw, valid, rows):
             want, want_ok = reference_candidate_patch(frame, row, *base)
             assert ok == want_ok
@@ -426,13 +401,9 @@ class TestCandidatePatch:
         # a reused buffer holds the last call's rows: every one is overwritten
         stale = np.full_like(raw, np.nan)
         stale[::2] = -1.0
-        template = normalize_rows(raw[-1:])[0]
-        out, out_valid, moments = candidate_patches(frame, rows, *base, template, out=stale)
+        out, out_valid = candidate_patches(frame, rows, *base, out=stale)
         assert out is stale
         assert out.tobytes() == raw.tobytes() and np.array_equal(out_valid, valid)
-        # the moments, taken block by block, match the row-by-row reference
-        want = reference_moments(raw, template)
-        np.testing.assert_allclose(moments, want, rtol=1e-12, atol=1e-9)
 
 
     @pytest.mark.parametrize("seed", range(24))
@@ -456,9 +427,8 @@ class TestCandidatePatch:
             at = rng.integers(count, size=(6, 2)) % [count, 4]
             rows[at[:, 0], at[:, 1]] = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.nan]
         base = (rng.uniform(2.0, 48.0), rng.uniform(2.0, 48.0))
-        template = rng.random(1024)
-        got = candidate_patches(frame, rows, *base, template)
-        want = reference_candidate_patches(frame, rows, *base, template)
+        got = candidate_patches(frame, rows, *base)
+        want = reference_candidate_patches(frame, rows, *base)
         for g, r in zip(got, want):
             assert g.tobytes() == r.tobytes()
 
@@ -497,9 +467,8 @@ class TestCandidatePatch:
         x, y, bw, bh = boxes_of(rows[:cluster], *base).T
         inside = (x >= 0) & (y >= 0) & (x + bw <= w) & (y + bh <= h)
         assert inside[256:320].all() and not inside[edges].any()
-        template = rng.random(256)
-        got = candidate_patches(frame, rows, *base, template, grid=COARSE_SIDE)
-        want = reference_coarse_candidate_patches(frame, rows, *base, template)
+        got = candidate_patches(frame, rows, *base, grid=COARSE_SIDE)
+        want = reference_coarse_candidate_patches(frame, rows, *base)
         assert got[0].shape == (count, 256)
         assert want[1].any() and not want[1].all()
         for g, r in zip(got, want):
@@ -665,10 +634,8 @@ class TestStep:
             frames, row, template, trained_model, lib, cfg, 1
         )
         # ranked on the 16x16 rows; the next template is the pick's own row
-        raw, valid, moments = candidate_patches(
-            frames[1], states, *self.base, template, grid=COARSE_SIDE
-        )
-        dist = coarse_distances(raw, valid, template, moments)
+        raw, valid = candidate_patches(frames[1], states, *self.base, grid=COARSE_SIDE)
+        dist = coarse_distances(raw, valid, template)
         assert np.count_nonzero(dist < dist[best]) < cfg.top_k
         assert coarse.tobytes() == normalize_rows(raw)[best].tobytes()
         # the patch is the pick's 32x32 one
@@ -683,10 +650,8 @@ class TestStep:
         calls = record_samples(monkeypatch)
         states, weights, best, patch, coarse = self.run_step(frames, row, template, None, lib, cfg, 1)
         assert calls == [(COARSE_SIDE, 60)]
-        raw, valid, moments = candidate_patches(
-            frames[1], states, *self.base, template, grid=COARSE_SIDE
-        )
-        dist = coarse_distances(raw, valid, template, moments)
+        raw, valid = candidate_patches(frames[1], states, *self.base, grid=COARSE_SIDE)
+        dist = coarse_distances(raw, valid, template)
         want = np.zeros(len(states))
         want[valid] = tracker.weigh(dist[valid], cfg.sigma)
         assert weights.tobytes() == (want / want.sum()).tobytes()
@@ -752,7 +717,7 @@ def coarse_case(draw):
         )
         for _ in range(n)
     ])
-    raw, valid, _ = candidate_patches(frame, rows, 24.0, 24.0)
+    raw, valid = candidate_patches(frame, rows, 24.0, 24.0)
     # constant candidates; the sums of a 1/3 or a 0.7 row leave a moment
     # variance of 1.3e-12 or 3.6e-12, not 0
     for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
@@ -773,22 +738,40 @@ def coarse_case(draw):
     return raw, valid, template
 
 
+@st.composite
+def ranked_slice(draw):
+    """1 to 700 raw 16x16 ranking rows, their valid mask, a template and a slice i:j.
+
+    An eighth of the rows are constant and an eighth are faint copies on a
+    bright base, which take the exact-centring fallback.
+    """
+    n = draw(st.one_of(st.integers(1, 700), st.sampled_from([1, 2, 3, 5, 63, 65, 601, 700])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack([rng.uniform(-20.0, 84.0, (n, 2)), rng.uniform(0.05, 2.0, n),
+                            rng.uniform(-math.pi, math.pi, n)])
+    frame = random_frame(64, 64, seed=draw(st.integers(0, 3)))
+    raw, valid = candidate_patches(frame, rows, 24.0, 24.0, grid=COARSE_SIDE)
+    at = np.array_split(rng.permutation(n), 8)
+    raw[at[0]] = rng.choice([0.25, 1 / 3, 0.7], (len(at[0]), 1))
+    raw[at[1]] = 0.5 + rng.choice([1e-2, 1e-4, 1e-6], (len(at[1]), 1)) * raw[at[1]]
+    template = normalize_rows(raw)[draw(st.integers(0, n - 1))]
+    i = draw(st.integers(0, n - 1))
+    return raw, valid, template, i, draw(st.integers(i + 1, n))
+
+
 class TestCoarseDistances:
     def centred_and_constant(self, value):
         """Raw rows of a centred box on a random frame and of a constant patch."""
         rows = np.array([[48.0, 48.0, 1.0, 0.0]] * 2)
-        raw, valid, _ = candidate_patches(random_frame(seed=1), rows, 32.0, 32.0)
+        raw, valid = candidate_patches(random_frame(seed=1), rows, 32.0, 32.0)
         raw[1] = value
         return raw, valid
-
-    def distances(self, raw, valid, template):
-        return coarse_distances(raw, valid, template, reference_moments(raw, template))
 
     @settings(max_examples=200, deadline=None)
     @given(coarse_case())
     def test_matches_per_row_reference(self, case):
         raw, valid, template = case
-        got = self.distances(raw, valid, template)
+        got = coarse_distances(raw, valid, template)
         want = reference_coarse_distances(raw, valid, template)
         assert np.array_equal(np.isinf(got), ~valid) and np.array_equal(np.isinf(want), ~valid)
         got, want = got[valid] ** 2, want[valid] ** 2
@@ -810,30 +793,43 @@ class TestCoarseDistances:
         template = case[2]
         buffer = np.full((len(rows), 1024), np.nan)
         # the buffer first serves another call, as it does from step to step
-        candidate_patches(frame, rows[::-1], *base, np.ones(1024), out=buffer)
-        reused = candidate_patches(frame, rows, *base, template, out=buffer)
-        fresh = candidate_patches(frame, rows, *base, template)
-        got = coarse_distances(reused[0], reused[1], template, reused[2])
-        want = coarse_distances(fresh[0], fresh[1], template, fresh[2])
-        assert got.tobytes() == want.tobytes()
+        candidate_patches(frame, rows[::-1], *base, out=buffer)
+        reused = candidate_patches(frame, rows, *base, out=buffer)
+        fresh = candidate_patches(frame, rows, *base)
+        got = coarse_distances(*reused, template)
+        assert got.tobytes() == coarse_distances(*fresh, template).tobytes()
+        # the moments coarse_distances takes over the whole array match the
+        # row-by-row reference, as squares (see test_matches_per_row_reference)
+        want = reference_coarse_distances(*fresh, template)
+        live = np.isfinite(want)
+        np.testing.assert_allclose(got[live] ** 2, want[live] ** 2, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ranked_slice())
+    def test_a_slice_ranks_as_in_the_whole_array(self, case):
+        # each row's moments and distance are its own, whatever rows are
+        # ranked beside it
+        raw, valid, template, i, j = case
+        whole = coarse_distances(raw, valid, template)
+        assert coarse_distances(raw[i:j], valid[i:j], template).tobytes() == whole[i:j].tobytes()
 
     def test_constant_candidate_at_distance_one(self):
         raw, valid = self.centred_and_constant(1 / 3)
-        dist = self.distances(raw, valid, normalize_rows(raw)[0])
+        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
         assert dist[1] == 1.0
         assert dist[0] < 1e-7
 
     def test_constant_template_gives_zero_unit_template(self):
         raw, valid = self.centred_and_constant(0.7)
-        dist = self.distances(raw, valid, np.zeros(1024))
+        dist = coarse_distances(raw, valid, np.zeros(1024))
         # t-hat = 0: a live row is a unit vector away, a constant row none
         assert dist.tolist() == [1.0, 0.0]
 
     def test_rejected_rows_at_inf(self):
         rows = np.array([[48.0, 48.0, 1.0, 0.0], [-30.0, 48.0, 1.0, 0.0]])
-        raw, valid, _ = candidate_patches(random_frame(seed=2), rows, 32.0, 32.0)
+        raw, valid = candidate_patches(random_frame(seed=2), rows, 32.0, 32.0)
         assert valid.tolist() == [True, False]
-        dist = self.distances(raw, valid, normalize_rows(raw)[0])
+        dist = coarse_distances(raw, valid, normalize_rows(raw)[0])
         assert np.isfinite(dist[0]) and dist[1] == np.inf
 
 
@@ -1052,7 +1048,8 @@ class TestRunTracker:
         templates, libraries = self.record_steps(monkeypatch)
         run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
         seed = self.seed_row(trained_model, frames, gt)
-        assert seed.shape == (1, trained_model.feature_dim)
+        m = trained_model
+        assert seed.shape == (1, m.n_sub_patches * m.layer1.output_dim + m.layer2.output_dim)
         assert [len(rows) for rows in libraries] == [1, 1, 4, 4]
         for rows in libraries[:2]:
             assert rows.tobytes() == seed.tobytes()
