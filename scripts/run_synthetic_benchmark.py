@@ -116,6 +116,7 @@ def grid_tracks(cases, runs, args, seeds=range(5)):
     scores, seconds = {}, dict.fromkeys(runs, 0.0)
     for name, (script, texture_seed) in cases.items():
         frames, gt = generate_sequence(script, (320, 240), seed=texture_seed)
+        frames = list(frames)  # composed once for all of the case's tracks
         for seed in seeds:
             for key, (model, fields) in runs.items():
                 cfg = TrackerConfig(seed=seed, lam=args.lam, gamma=args.gamma, **fields)

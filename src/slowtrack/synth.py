@@ -14,6 +14,8 @@ trip.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,19 +160,35 @@ def _render_target(texture, cx, cy, c, s, scale, amp, period, width, height):
     return rows + iy0, cols + ix0, vals
 
 
+class _Frames(Sequence):
+    """Frames held as a background and each frame's target footprint, composed on access."""
+
+    def __init__(self, background, footprints):
+        self._background, self._footprints = background, footprints
+
+    def __len__(self):
+        return len(self._footprints)
+
+    def __getitem__(self, t):
+        ys, xs, vals = self._footprints[operator.index(t)]
+        img = self._background.copy()
+        img[ys, xs] = vals
+        img.setflags(write=False)
+        return img
+
+
 def generate_sequence(
     script: MotionScript, frame_size=(320, 240), seed: int = 0
-) -> tuple[list[np.ndarray], BoxTrace]:
-    """Render the script; returns read-only frames and the exact ground-truth trace."""
+) -> tuple[Sequence[np.ndarray], BoxTrace]:
+    """Render the script and check every box; returns lazy read-only frames and the exact trace."""
     width, height = int(frame_size[0]), int(frame_size[1])
     rng = np.random.default_rng(seed)
     texture = _bandlimited(rng, (script.target_side, script.target_side), 1.2, 0.02, 0.98)
     background = _bandlimited(rng, (height, width), 3.0, 0.35, 0.65)
     cos, sin = snapped_cos_sin(script.rotations)
-    frames = []
+    footprints = []
     boxes = []
     for t in range(script.n_frames):
-        img = background.copy()
         ys, xs, vals = _render_target(
             texture,
             script.centers[t, 0],
@@ -185,7 +203,6 @@ def generate_sequence(
         )
         if ys.size == 0:
             raise DataError(f"schedule drives the target off-frame at frame {t}")
-        img[ys, xs] = vals
         x0, x1 = int(xs.min()), int(xs.max())
         y0, y1 = int(ys.min()), int(ys.max())
         if (
@@ -198,11 +215,9 @@ def generate_sequence(
                 f"target closer than {BORDER_MARGIN} px to the frame border "
                 f"at frame {t}"
             )
-        img = np.rint(img * 255.0) / 255.0
-        img.setflags(write=False)
-        frames.append(img)
+        footprints.append((ys, xs, np.rint(vals * 255.0) / 255.0))
         boxes.append((float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1)))
-    return frames, BoxTrace(np.asarray(boxes))
+    return _Frames(np.rint(background * 255.0) / 255.0, footprints), BoxTrace(np.asarray(boxes))
 
 
 def frame_name(index: int) -> str:
@@ -211,7 +226,7 @@ def frame_name(index: int) -> str:
 
 
 def write_sequence(frames, boxes: BoxTrace, directory) -> None:
-    """Write numbered PGM frames plus gt.csv into a directory."""
+    """Write numbered PGM frames, one at a time, plus gt.csv into a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(frames):

@@ -139,6 +139,29 @@ class TestSynth:
         for name in names:
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
+    def test_border_crossing_mid_sequence_writes_nothing(self, tmp_path):
+        # a target growing 5% a frame first comes within the border margin
+        # at frame t > 0; frames 0..t-1 are valid, yet none is written
+        def grow(out):
+            return run_cli("synth", "--pattern", "scaling", "--rate", 1.05, "--frames", 20,
+                           "--size", "140x120", "--target-side", 48, "--out", out)
+
+        res = grow(tmp_path / "fresh")
+        assert res.returncode == 3 and res.stdout == ""
+        match = re.fullmatch(r"error: target closer than 8 px to the frame border at frame (\d+)\n",
+                             res.stderr)
+        assert match, res.stderr
+        t = int(match[1])
+        assert 0 < t < 20
+        assert not any((tmp_path / "fresh").glob("*.pgm"))
+        assert not (tmp_path / "fresh" / "gt.csv").exists()
+        synth(tmp_path / "valid", pattern="scaling", frames=t, rate=1.05)
+        # an earlier same-length sequence survives the failing rerun
+        synth(tmp_path / "kept", frames=20)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "kept").iterdir()}
+        assert grow(tmp_path / "kept").stderr == res.stderr
+        assert {p.name: p.read_bytes() for p in (tmp_path / "kept").iterdir()} == before
+
     def test_byte_identical_reruns(self, tmp_path):
         synth(tmp_path / "one", frames=6, seed=3)
         synth(tmp_path / "two", frames=6, seed=3)

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment and tooling scripts run end to end on small inputs."""
 
+import json
 import os
 import re
 import shutil
@@ -269,3 +270,16 @@ def test_diff_outputs_finds_the_working_tree_identical_to_head(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
     assert re.search(r"^0 of \d+ outputs differ from HEAD$", res.stdout, re.MULTILINE), res.stdout
     assert (tmp_path / "d" / "tree-out" / "09-adapt.txt").is_file()
+
+
+def test_measure_reports_the_command_and_passes_its_exit_code_through():
+    res = run_script("measure.py", "--", sys.executable, "-c", "pass")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert sorted(report) == ["cpu_s", "exit", "peak_rss_mb", "wall_s"]
+    assert report["exit"] == 0
+    # the launcher imports no numpy, so a bare interpreter's peak stays small
+    assert 0 < report["peak_rss_mb"] < 30
+    res = run_script("measure.py", "--", sys.executable, "-c", "raise SystemExit(3)")
+    assert res.returncode == 3
+    assert json.loads(res.stdout.splitlines()[-1])["exit"] == 3

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from slowtrack.synth import (
     _bandlimited,
     _wrap_blur,
     deformation_script,
+    frame_name,
     generate_sequence,
     rotation_script,
     scaling_script,
@@ -68,6 +70,7 @@ class TestGenerate:
     def test_zero_motion_is_static(self):
         script = translation_script(4, (60.0, 50.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (120, 100), seed=1)
+        frames = list(frames)
         for f in frames[1:]:
             np.testing.assert_array_equal(f, frames[0])
         assert np.ptp(gt.boxes, axis=0).max() == 0.0
@@ -126,6 +129,25 @@ class TestWriteSequence:
         # in-memory frames are already 8-bit quantized: round trip exact
         back = load_frame(out / "000001.pgm")
         np.testing.assert_array_equal(back, frames[1])
+
+    def test_memory_holds_one_frame_not_the_sequence(self, tmp_path):
+        # 100 float64 frames of 320x240 are 61 MB; the sequence holds the
+        # background and each frame's target footprint, and is written one
+        # composed frame at a time
+        script = rotation_script(100, (160.0, 120.0), np.deg2rad(1.5))
+        tracemalloc.start()
+        try:
+            frames, gt = generate_sequence(script, (320, 240), seed=3)
+            write_sequence(frames, gt, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert len(frames) == len(list(tmp_path.glob("*.pgm"))) == 100
+        passes = [[hashlib.sha256(f.tobytes()).digest() for f in frames] for _ in range(2)]
+        assert passes[0] == passes[1]
+        for t in range(len(frames)):
+            np.testing.assert_array_equal(load_frame(tmp_path / frame_name(t)), frames[t])
 
 
 class TestWrapBlur:
