@@ -7,8 +7,7 @@ A step is a short run of array stages over plain (N, 4) states, one
 - `propose`: systematically resample the previous particles and add
   Gaussian motion noise;
 - `candidate_patches`: sample every candidate's centred 16x16
-  half-resolution ranking grid from the frame, a block at a time, into
-  the run's one (N, 256) work array;
+  half-resolution ranking grid from the frame, a block at a time;
 - `coarse_distances`: rank all candidates by raw-pixel distance to the
   previous prediction's 16x16 row, in correlation form, from each row's
   product with that row, sum and sum of squares;
@@ -198,7 +197,7 @@ def propose(states, weights, motion: MotionModel, n: int, rng: np.random.Generat
 # and the arithmetic's floating-point warnings on the way are noise
 @np.errstate(over="ignore", invalid="ignore")
 def candidate_patches(
-    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float, out=None,
+    frame: np.ndarray, states: np.ndarray, base_w: float, base_h: float,
     grid: int = CANDIDATE_SIDE,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample every rotated, scaled box into a raw grid x grid patch.
@@ -206,16 +205,15 @@ def candidate_patches(
     `states` holds one (cx, cy, scale, rotation) row per candidate; sample
     (i, j) is at the box offset ((j + 0.5)·w/grid − w/2, (i + 0.5)·h/grid −
     h/2), rotated. Returns `(raw, valid)`: (N, grid²) frame intensities,
-    not normalized, written into `out` when given; and an (N,) mask, False
-    where less than half of a candidate's samples lie inside the frame
-    (samples outside are clamped to the border). Candidates run in blocks
-    of 128 KiB of samples.
+    not normalized; and an (N,) mask, False where less than half of a
+    candidate's samples lie inside the frame (samples outside are clamped
+    to the border). Candidates run in blocks of 128 KiB of samples.
     """
     states = np.asarray(states, dtype=np.float64).reshape(-1, 4)
     height, width = frame.shape
     n = grid
     per_block = _BLOCK * CANDIDATE_SIDE**2 // (n * n)
-    raw = np.empty((len(states), n * n)) if out is None else out
+    raw = np.empty((len(states), n * n))
     valid = np.empty(len(states), dtype=bool)
     shape = (min(per_block, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
@@ -282,8 +280,8 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray
     rounds a row by the rows it groups it with; so a row's distance does
     not depend on the rows beside it. The centred row has squared norm
     v = s2 − s1²/n and product p − s1·Σt/n with t. Cancellation costs v
-    digits (a constant row of 0.7 has v = 3.6e-12, not 0), and the error
-    in d² is about 1e-16·s2/v, so rows with v < 1e-3·s2 are centred exactly.
+    digits (a constant row of 0.7 has v = 3.6e-12, not 0): the error in d²
+    is up to 1e-14·s2/v, so rows with v < 1e-2·s2 are centred exactly.
     """
     t = np.asarray(template, dtype=np.float64).ravel()
     t_norm = np.linalg.norm(t)
@@ -292,7 +290,7 @@ def coarse_distances(raw: np.ndarray, valid: np.ndarray, template) -> np.ndarray
     p, s1, s2 = np.einsum("ij,j->i", raw, t), raw.sum(axis=1), np.einsum("ij,ij->i", raw, raw)
     var = s2 - s1 * s1 / n
     product = p - s1 * (t.sum() / n)
-    exact = var < 1e-3 * s2
+    exact = var < 1e-2 * s2
     centred = raw[exact] - raw[exact].mean(axis=1, keepdims=True)
     var[exact] = np.einsum("ij,ij->i", centred, centred)
     product[exact] = np.einsum("ij,j->i", centred, t)
@@ -335,7 +333,6 @@ def step(
     lib: ExemplarLibrary,
     cfg: TrackerConfig,
     rng: np.random.Generator,
-    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None, np.ndarray]:
     """One tracking step; see the module docstring for the stages.
 
@@ -346,12 +343,10 @@ def step(
     `(states, weights, best, patch, template)`: the new (N, 4) particles,
     their (N,) weights, the index of the prediction, its normalized
     (1024,) patch (None in a raw-pixel track, which samples no 32x32
-    patch), and its normalized 16x16 row for the next step. `work` is an
-    (n_candidates, 256) array that receives the raw ranking rows; a run
-    passes the same one to every step.
+    patch), and its normalized 16x16 row for the next step.
     """
     states = propose(states, weights, cfg.motion, cfg.n_candidates, rng)
-    raw, valid = candidate_patches(frame, states, *base, work, COARSE_SIDE)
+    raw, valid = candidate_patches(frame, states, *base, COARSE_SIDE)
     if not valid.any():
         raise TrackingLostError()
     dist = coarse_distances(raw, valid, template)
@@ -378,7 +373,8 @@ def run_tracker(
     """Track through an iterable of frames from a first-frame box.
 
     Frames are read once, in order, so a lazy iterable keeps one frame in
-    memory at a time. With no model, this is the raw-pixel tracker.
+    memory at a time; a frame whose size is not frame 0's is a DataError,
+    raised before it is sampled. With no model, this is the raw-pixel tracker.
 
     A model's features of frame 0's patch are the exemplar library's
     first row. Adaptation runs on the first init_frames patches and
@@ -450,11 +446,14 @@ def run_tracker(
         window.append(normalize_rows(candidate_patches(f0, states, w, h)[0])[0])
         lib.add(hier_features(model, window[0]))
         maybe_adapt(1)
-    work = np.empty((cfg.n_candidates, COARSE_SIDE * COARSE_SIDE))
     for t, frame in enumerate(frames, start=1):
+        if frame.shape != f0.shape:
+            raise DataError(
+                f"frame {t} is {frame.shape[1]}x{frame.shape[0]}, frame 0 is {width}x{height}"
+            )
         try:
             states, weights, best, patch, template = step(
-                frame, states, weights, (w, h), template, current, lib, cfg, rng, work
+                frame, states, weights, (w, h), template, current, lib, cfg, rng
             )
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slowtrack import _blas_thread_setter, objectives
+from slowtrack import _blas_thread_setter, cli, objectives
 from slowtrack.cli import _build_parser, main
 from slowtrack.hierarchy import PretrainConfig, load_model, pretrain, save_model
 from slowtrack.objectives import SlownessObjective
 from slowtrack.patches import read_boxes_csv, sample_training_set, stream_frame_dir
-from slowtrack.tracker import TrackerConfig
+from slowtrack.tracker import MotionModel, TrackerConfig
 
 
 def run_cli(*args, cwd=None, env=None):
@@ -626,15 +626,21 @@ class TestErrorPaths:
         assert event.startswith("adapt kind=init frames=1 layer1_before=")
         assert lost == "tracking lost at frame 1"
 
-    def test_adapt_tracking_lost_in_bootstrap_exits_5(self, tmp_path, model_path, track_dir):
-        # frame 1 is 2x2, so no candidate has half its samples inside it
-        seq = copy_with_tiny_frame(track_dir, tmp_path / "seq", 1)
+    def test_adapt_tracking_lost_in_bootstrap_exits_5(self, tmp_path, model_path,
+                                                      monkeypatch, capsys):
+        # absurd motion noise throws every candidate of step 1 outside the
+        # tiny frame, inside the 4-frame adaptation window; adapt has no
+        # motion flags, so the commands run in process on that config
+        seq = tmp_path / "tiny"
+        synth(seq, frames=6, seed=2, velocity="0,0", size="64x64", target_side="32")
+        lost = TrackerConfig(n_candidates=50, top_k=5, motion=MotionModel(500.0, 0.0, 0.0))
+        monkeypatch.setattr(cli, "TrackerConfig", lambda: lost)
         for command, out in (("adapt", "o.hftm"), ("track", "b.csv")):
-            res = run_cli(command, "--model", model_path, "--frames", seq,
-                          "--init-box", init_box_of(seq), "--out", tmp_path / out,
-                          "--init-frames", 4)
-            assert res.returncode == 5, (command, res.stderr)
-            assert res.stderr == "error: tracking lost at frame 1\n"
+            code = main([command, "--model", str(model_path), "--frames", str(seq),
+                         "--init-box", init_box_of(seq), "--out", str(tmp_path / out),
+                         "--init-frames", "4"])
+            assert code == 5, command
+            assert capsys.readouterr().err == "error: tracking lost at frame 1\n"
         assert not (tmp_path / "o.hftm").exists()
 
     def test_empty_init_box_exits_3(self, tmp_path, track_dir):
@@ -713,6 +719,17 @@ class TestTypedDataErrors:
                       "--f1", 8, "--f2", 4, "--max-iters", 2)
         assert_data_error(res)
         assert f"error: {seq}: frame 3 is 2x2, frame 0 is " in res.stderr
+
+    @pytest.mark.parametrize("command", ["track", "adapt"])
+    def test_track_and_adapt_mixed_frame_sizes(self, tmp_path, model_path, track_dir, command):
+        # frame 3 lies inside adapt's 10-frame window
+        seq = copy_with_tiny_frame(track_dir, tmp_path / "seq", 3)
+        res = run_cli(command, "--model", model_path, "--frames", seq,
+                      "--init-box", init_box_of(seq), "--out", tmp_path / "out",
+                      "--init-frames", 10)
+        assert_data_error(res)
+        assert res.stderr == "error: frame 3 is 2x2, frame 0 is 120x100\n"
+        assert not (tmp_path / "out").exists()
 
     def test_pretrain_frame_and_box_counts(self, tmp_path, data_dir):
         seq = tmp_path / "seq"

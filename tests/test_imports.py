@@ -8,11 +8,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def declared_dependencies() -> set[str]:
-    """The distribution names in pyproject.toml's runtime `dependencies`."""
+def pyproject() -> dict:
+    """pyproject.toml, parsed."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as f:
-        project = tomllib.load(f)["project"]
+        return tomllib.load(f)
+
+
+def declared_dependencies() -> set[str]:
+    """The distribution names in pyproject.toml's runtime `dependencies`."""
+    project = pyproject()["project"]
     return {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in project["dependencies"]}
 
 
@@ -36,3 +41,12 @@ def test_src_imports_only_stdlib_and_declared_dependencies():
     }
     assert {name: mods for name, mods in undeclared.items() if mods} == {}
     assert declared_dependencies() == {"numpy"}
+
+
+def test_version_is_declared_once_in_the_package():
+    # model files stamp the version from slowtrack._version, so the
+    # distribution takes it from there too
+    config = pyproject()
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "slowtrack._version.__version__"}

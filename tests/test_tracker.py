@@ -191,9 +191,10 @@ def record_samples(monkeypatch):
     """(grid, candidate count) of every `candidate_patches` call the tracker makes, in order."""
     calls, real = [], tracker.candidate_patches
 
-    def recording(frame, states, base_w, base_h, out=None, grid=tracker.CANDIDATE_SIDE):
-        calls.append((grid, len(np.reshape(states, (-1, 4)))))
-        return real(frame, states, base_w, base_h, out, grid)
+    def recording(*args, **kwargs):
+        raw, valid = real(*args, **kwargs)
+        calls.append((math.isqrt(raw.shape[1]), len(raw)))
+        return raw, valid
 
     monkeypatch.setattr(tracker, "candidate_patches", recording)
     return calls
@@ -398,12 +399,6 @@ class TestCandidatePatch:
             want, want_ok = reference_candidate_patch(frame, row, *base)
             assert ok == want_ok
             assert got.tobytes() == want.tobytes()
-        # a reused buffer holds the last call's rows: every one is overwritten
-        stale = np.full_like(raw, np.nan)
-        stale[::2] = -1.0
-        out, out_valid = candidate_patches(frame, rows, *base, out=stale)
-        assert out is stale
-        assert out.tobytes() == raw.tobytes() and np.array_equal(out_valid, valid)
 
 
     @pytest.mark.parametrize("seed", range(24))
@@ -673,25 +668,22 @@ class TestStep:
         np.testing.assert_array_equal(chosen[0], chosen[1])
         np.testing.assert_array_equal(chosen[0], chosen[2])
 
-    def test_work_array_keeps_a_step_small(self, trained_model):
-        # 600 candidates on their own temporaries peaked at 15.7 MB; with the
-        # run's (n, 256) work array the sampler runs in 64-row blocks into it
+    def test_peak_beyond_the_ranking_rows_stays_small(self, trained_model):
+        # 600 candidates on their own temporaries peaked at 15.7 MB; the
+        # sampler runs in 64-row blocks into the step's (n, 256) ranking
+        # rows, and the rest of the step stays under 2 MB beside them
         frames, row, template, lib = self.setup_case(trained_model, use_lib=True)
         cfg = TrackerConfig(init_frames=1)
-        work = np.empty((cfg.n_candidates, COARSE_SIDE * COARSE_SIDE))
         args = (frames[1], row, np.ones(1), self.base, template, trained_model, lib, cfg)
-        step(*args, np.random.default_rng(0), work)  # warm up lazy imports and caches
+        step(*args, np.random.default_rng(0))  # warm up lazy imports and caches
         tracemalloc.start()
         try:
-            states, weights, _, patch, coarse = step(*args, np.random.default_rng(0), work)
+            step(*args, np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2e6
-        fresh = step(*args, np.random.default_rng(0))
-        assert states.tobytes() == fresh[0].tobytes()
-        assert weights.tobytes() == fresh[1].tobytes()
-        assert patch.tobytes() == fresh[3].tobytes() and coarse.tobytes() == fresh[4].tobytes()
+        ranking_rows = cfg.n_candidates * COARSE_SIDE * COARSE_SIDE * 8  # float64
+        assert peak - ranking_rows <= 2e6
 
     def test_all_candidates_rejected_raises(self, trained_model):
         frames, _, template, lib = self.setup_case(trained_model, use_lib=True)
@@ -788,19 +780,15 @@ class TestCoarseDistances:
 
     @settings(max_examples=50, deadline=None)
     @given(candidate_case(), coarse_case())
-    def test_reused_buffer_matches_fresh_call(self, sampled, case):
+    def test_sampled_rows_match_per_row_reference(self, sampled, case):
+        # the moments coarse_distances takes over the sampler's whole array
+        # match the row-by-row reference, as squares (see
+        # test_matches_per_row_reference)
         frame, rows, base = sampled
         template = case[2]
-        buffer = np.full((len(rows), 1024), np.nan)
-        # the buffer first serves another call, as it does from step to step
-        candidate_patches(frame, rows[::-1], *base, out=buffer)
-        reused = candidate_patches(frame, rows, *base, out=buffer)
-        fresh = candidate_patches(frame, rows, *base)
-        got = coarse_distances(*reused, template)
-        assert got.tobytes() == coarse_distances(*fresh, template).tobytes()
-        # the moments coarse_distances takes over the whole array match the
-        # row-by-row reference, as squares (see test_matches_per_row_reference)
-        want = reference_coarse_distances(*fresh, template)
+        raw, valid = candidate_patches(frame, rows, *base)
+        got = coarse_distances(raw, valid, template)
+        want = reference_coarse_distances(raw, valid, template)
         live = np.isfinite(want)
         np.testing.assert_allclose(got[live] ** 2, want[live] ** 2, rtol=0, atol=1e-12)
 
@@ -1114,6 +1102,18 @@ class TestRunTracker:
         eager = run_tracker(frames, tuple(gt.boxes[0]), trained_model, cfg)
         assert read == list(range(6))
         np.testing.assert_array_equal(lazy.boxes, eager.boxes)
+
+    def test_frame_of_another_size_rejected_before_it_is_sampled(self, monkeypatch):
+        script = translation_script(5, (48.0, 48.0), (0.0, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=11)
+        frames = list(frames)
+        frames[3] = frames[3][:, :80]
+        calls = record_samples(monkeypatch)
+        cfg = TrackerConfig(n_candidates=30, top_k=5)
+        with pytest.raises(DataError, match=r"^frame 3 is 80x96, frame 0 is 96x96$"):
+            run_tracker(frames, tuple(gt.boxes[0]), None, cfg)
+        # the template, then frames 1 and 2
+        assert calls == [(COARSE_SIDE, 1)] + [(COARSE_SIDE, 30)] * 2
 
     def test_no_frames_rejected(self, trained_model):
         with pytest.raises(DataError, match="no frames"):
