@@ -11,9 +11,29 @@ import math
 
 import numpy as np
 
-from slowtrack.encoder import filters_as_patches
 from slowtrack.hierarchy import load_model
 from slowtrack.patches import save_frame
+
+
+def filters_as_patches(weights: np.ndarray, side: int) -> list[np.ndarray]:
+    """Reshape each filter row to side x side, min-max scaled to [0, 1].
+
+    Constant rows map to the all-0.5 image.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if side * side != weights.shape[1]:
+        raise ValueError(
+            f"side {side} squared != filter length {weights.shape[1]}"
+        )
+    images = []
+    for row in weights:
+        img = row.reshape(side, side)
+        lo, hi = img.min(), img.max()
+        if hi - lo < 1e-15:
+            images.append(np.full((side, side), 0.5))
+        else:
+            images.append((img - lo) / (hi - lo))
+    return images
 
 
 def tile(images, pad=2):

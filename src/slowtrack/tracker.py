@@ -217,7 +217,7 @@ def candidate_patches(
     valid = np.empty(len(states), dtype=bool)
     shape = (min(per_block, len(states)), n, n)
     xs_buf, ys_buf = np.empty(shape), np.empty(shape)
-    index_buf = np.empty((shape[0], n * n), dtype=np.intp)
+    xi_buf, index_buf = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
     # the grid sums as K=2 products, one rounding each as in a sum:
     # [1, -xb[i]] @ [xa[j], 1] for x and [1, yb[i]] @ [ya[j], 1] for y
     left, right = np.ones((shape[0], n, 2)), np.ones((shape[0], 2, n))
@@ -241,27 +241,31 @@ def candidate_patches(
     for lo in range(0, len(states), per_block):
         rows = slice(lo, lo + per_block)
         k = len(states[rows])
-        xs, ys, index = xs_buf[:k], ys_buf[:k], index_buf[:k]
+        xs, ys, xi, index = xs_buf[:k], ys_buf[:k], xi_buf[:k], index_buf[:k]
         np.negative(xb[rows], out=left[:k, :, 1])
         right[:k, 0] = xa[rows]
-        np.floor(np.matmul(left[:k], right[:k], out=xs), out=xs)
+        np.matmul(left[:k], right[:k], out=xs)
         left[:k, :, 1] = yb[rows]
         right[:k, 0] = ya[rows]
-        np.floor(np.matmul(left[:k], right[:k], out=ys), out=ys)
+        np.matmul(left[:k], right[:k], out=ys)
         if inside_all[rows].all():
             valid[rows] = True
         else:  # a box in this block crosses the border: count and clamp
+            # a pixel coordinate is the sample's floor, which lies in
+            # [0, width) exactly when the sample does
             inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
             valid[rows] = np.count_nonzero(inside, axis=(1, 2)) >= _MIN_INSIDE_FRACTION * n * n
             # fmax maps NaN to the border, so no NaN reaches the integer cast
             np.fmin(np.fmax(xs, 0, out=xs), width - 1, out=xs)
             np.fmin(np.fmax(ys, 0, out=ys), height - 1, out=ys)
-        # the flat index, from whole pixel coordinates inside the frame
-        ys *= width
-        ys += xs
-        index[...] = ys.reshape(k, n * n)
+        # the flat index of each sample's pixel: every coordinate is now
+        # non-negative, so the cast truncates as a floor would
+        np.copyto(xi, xs, casting="unsafe")
+        np.copyto(index, ys, casting="unsafe")
+        index *= width
+        index += xi
         # "clip" mode writes straight into `raw`, where "raise" would buffer
-        frame.take(index, out=raw[rows], mode="clip")
+        frame.take(index.reshape(k, n * n), out=raw[rows], mode="clip")
     return raw, valid
 
 
@@ -374,7 +378,8 @@ def run_tracker(
 
     Frames are read once, in order, so a lazy iterable keeps one frame in
     memory at a time; a frame whose size is not frame 0's is a DataError,
-    raised before it is sampled. With no model, this is the raw-pixel tracker.
+    raised before it is sampled. A step's particles live until the next
+    step ends. With no model, this is the raw-pixel tracker.
 
     A model's features of frame 0's patch are the exemplar library's
     first row. Adaptation runs on the first init_frames patches and
@@ -387,7 +392,7 @@ def run_tracker(
     if f0 is None:
         raise DataError("no frames to track")
     x, y, w, h = (float(v) for v in init_box)
-    height, width = f0.shape
+    height, width = shape = f0.shape
     if (
         not np.all(np.isfinite([x, y, w, h]))
         or w <= 0 or h <= 0 or x < 0 or y < 0 or x + w > width or y + h > height
@@ -446,8 +451,9 @@ def run_tracker(
         window.append(normalize_rows(candidate_patches(f0, states, w, h)[0])[0])
         lib.add(hier_features(model, window[0]))
         maybe_adapt(1)
+    del f0
     for t, frame in enumerate(frames, start=1):
-        if frame.shape != f0.shape:
+        if frame.shape != shape:
             raise DataError(
                 f"frame {t} is {frame.shape[1]}x{frame.shape[0]}, frame 0 is {width}x{height}"
             )
@@ -457,7 +463,7 @@ def run_tracker(
             )
         except TrackingLostError:
             raise TrackingLostError(t, boxes_of(np.array(chosen), w, h), tuple(events)) from None
-        chosen.append(states[best])
+        chosen.append(states[best].copy())  # a view would keep every step's particles
         if model is not None:
             window.append(patch)
             maybe_adapt(t + 1)

@@ -231,6 +231,40 @@ class TestBlasThreads:
         assert outputs == by_threads["1"][1]
 
 
+class TestOpenblasKernel:
+    """Outputs that use no learned model do not depend on OpenBLAS's kernel.
+
+    `OPENBLAS_CORETYPE` picks the kernel for one process. Models, learned
+    tracks and their logs differ between kernels (README), so their pins
+    hold for one kernel; the raw track's fixture and synth's pins hold
+    for another too, and so does the helper thread's split of an
+    objective evaluation, which repeats one pass bit for bit.
+    """
+
+    KERNEL = "Haswell"
+
+    def test_raw_track_synth_and_split_pins_hold_under_another_kernel(self):
+        env = {**blas_env(None), "OPENBLAS_CORETYPE": self.KERNEL}
+        root = Path(__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, str(root / "scripts" / "cpu_probe.py"),
+             "--size", "8", "--products", "1", "--runs", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert probe.returncode == 0, probe.stderr
+        if json.loads(probe.stdout)["openblas_core"] != self.KERNEL:
+            pytest.skip(f"OpenBLAS does not run its {self.KERNEL} kernel here")
+        tests = ["tests/test_cli.py::TestTrack::test_raw_only_boxes_match_committed_bytes",
+                 "tests/test_synth.py::test_sequence_bytes_pinned",
+                 "tests/test_objectives.py::TestGramFormSplit"]
+        res = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            capture_output=True, text=True, env=env, cwd=root,
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert re.search(r"\b32 passed\b", res.stdout), res.stdout
+
+
 class TestPretrain:
     def test_missing_gt_exits_3_naming_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()

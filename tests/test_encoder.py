@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slowtrack.objectives
-from slowtrack.encoder import LayerEncoder, encode, filters_as_patches
+from slowtrack.encoder import LayerEncoder, encode
 from slowtrack.objectives import SlownessObjective, helper_thread
 
 
@@ -109,24 +109,6 @@ class TestReconstruct:
     def test_hand_multiplied_2x2(self):
         # W = [[1,0],[1,0]], x = (1,1): W^T W x = (2, 0), residual (-1, 1)
         assert reconstruction_cost([[1.0, 0.0], [1.0, 0.0]], np.ones(2)) == 2.0
-
-
-class TestFiltersAsPatches:
-    def test_constant_row_maps_to_half(self):
-        images = filters_as_patches(np.full((2, 4), 3.0), 2)
-        np.testing.assert_array_equal(images[0], np.full((2, 2), 0.5))
-
-    def test_count_preserved(self):
-        rng = np.random.default_rng(5)
-        assert len(filters_as_patches(rng.standard_normal((6, 9)), 3)) == 6
-
-    def test_min_max_scaling(self):
-        img = filters_as_patches(np.array([[0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1.0]]), 2)[0]
-        np.testing.assert_allclose(img, [[0.0, 1 / 3], [2 / 3, 1.0]])
-
-    def test_side_mismatch(self):
-        with pytest.raises(ValueError):
-            filters_as_patches(np.eye(2, 4), 3)
 
 
 class TestTypes:

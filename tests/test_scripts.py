@@ -18,6 +18,7 @@ from slowtrack.patches import load_frame
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 import grid_gate  # noqa: E402
+from visualize_filters import filters_as_patches  # noqa: E402
 
 
 def run_script(name, *args):
@@ -41,6 +42,24 @@ def test_visualize_filters_writes_a_tile_sheet(tmp_path):
     # 3x3 tiles of 16 pixels with 2-pixel gutters
     frame = load_frame(tmp_path / "f.pgm")
     assert frame.shape == (56, 56)
+
+
+class TestFiltersAsPatches:
+    def test_constant_row_maps_to_half(self):
+        images = filters_as_patches(np.full((2, 4), 3.0), 2)
+        np.testing.assert_array_equal(images[0], np.full((2, 2), 0.5))
+
+    def test_count_preserved(self):
+        rng = np.random.default_rng(5)
+        assert len(filters_as_patches(rng.standard_normal((6, 9)), 3)) == 6
+
+    def test_min_max_scaling(self):
+        img = filters_as_patches(np.array([[0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1.0]]), 2)[0]
+        np.testing.assert_allclose(img, [[0.0, 1 / 3], [2 / 3, 1.0]])
+
+    def test_side_mismatch(self):
+        with pytest.raises(ValueError):
+            filters_as_patches(np.eye(2, 4), 3)
 
 
 def pretrained_line(label):
@@ -283,3 +302,19 @@ def test_measure_reports_the_command_and_passes_its_exit_code_through():
     res = run_script("measure.py", "--", sys.executable, "-c", "raise SystemExit(3)")
     assert res.returncode == 3
     assert json.loads(res.stdout.splitlines()[-1])["exit"] == 3
+
+
+def test_cpu_probe_prints_one_json_line():
+    res = run_script("cpu_probe.py", "--size", 8, "--products", 1, "--runs", 2)
+    assert res.returncode == 0, res.stderr
+    [line] = res.stdout.splitlines()
+    probe = json.loads(line)
+    assert set(probe) == {"ratio", "ratios", "size", "products", "runs", "openblas_core"}
+    assert (probe["size"], probe["products"], probe["runs"]) == (8, 1, 2)
+    assert len(probe["ratios"]) == 2 and probe["ratio"] > 0
+    assert probe["openblas_core"] is None or isinstance(probe["openblas_core"], str)
+
+
+def test_cpu_probe_rejects_an_empty_run():
+    res = run_script("cpu_probe.py", "--runs", 0)
+    assert res.returncode == 2 and "--runs" in res.stderr

@@ -1103,6 +1103,34 @@ class TestRunTracker:
         assert read == list(range(6))
         np.testing.assert_array_equal(lazy.boxes, eager.boxes)
 
+    @pytest.mark.parametrize("learned", [True, False])
+    def test_no_step_outlives_the_next(self, trained_model, learned, monkeypatch):
+        script = translation_script(8, (48.0, 48.0), (0.5, 0.0))
+        frames, gt = generate_sequence(script, (96, 96), seed=14)
+        frame_refs, state_refs = [], []  # each frame read, each step's particles
+        step = tracker.step
+
+        def stream():
+            for frame in frames:
+                frame = frame.copy()
+                frame_refs.append(weakref.ref(frame))
+                yield frame
+
+        def spy(*args, **kwargs):
+            # the previous step's particles are the input; none older survives
+            assert [ref() for ref in state_refs[:-1]] == [None] * len(state_refs[:-1])
+            assert [ref() for ref in frame_refs[:-1]] == [None] * len(frame_refs[:-1])
+            out = step(*args, **kwargs)
+            state_refs.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(tracker, "step", spy)
+        cfg = TrackerConfig(n_candidates=30, top_k=5, init_frames=3, update_period=2,
+                            adapt_optimizer=LbfgsConfig(max_iters=2))
+        run_tracker(stream(), tuple(gt.boxes[0]), trained_model if learned else None, cfg)
+        assert len(state_refs) == 7 and len(frame_refs) == 8
+        assert all(ref() is None for ref in state_refs)
+
     def test_frame_of_another_size_rejected_before_it_is_sampled(self, monkeypatch):
         script = translation_script(5, (48.0, 48.0), (0.0, 0.0))
         frames, gt = generate_sequence(script, (96, 96), seed=11)
