@@ -7,14 +7,15 @@ Each of two loops multiplies two N x N matrices P times, with BLAS held
 to one thread (importing slowtrack sets that). A run times the two loops
 one after the other, then the same two loops on two threads at once;
 numpy releases the GIL inside a product, so the threads overlap as far
-as the machine lets them. The runs alternate K times, and one JSON line
-is printed:
+as the machine lets them. Warm-up runs come first, then K timed runs,
+and one JSON line is printed:
 
-    {"ratio": 0.97, "ratios": [...], "size": 600, "products": 20, "runs": 6,
-     "openblas_core": "SkylakeX"}
+    {"ratio": 0.97, "ratios": [...], "warmup": [1.02, ...], "size": 600,
+     "products": 20, "runs": 6, "openblas_core": "SkylakeX"}
 
-`ratio` is the median of the per-run ratios (two threads' wall time over
-one after the other's): about 0.5 means two CPUs, about 1.0 means one.
+`ratio` is the median of the timed runs' ratios (two threads' wall time
+over one after the other's): about 0.5 means two CPUs, about 1.0 means
+one. `warmup` holds the warm-up runs' ratios, kept out of the median.
 `openblas_core` is the kernel numpy's OpenBLAS chose at load, or null
 when the library does not say.
 """
@@ -42,16 +43,27 @@ def openblas_core() -> str | None:
     return None
 
 
-def probe(size: int, products: int, runs: int) -> list[float]:
-    """Per run, the wall time of the two loops on two threads over one after the other."""
+# Warm-up lasts this long, in whole runs, and at most WARMUP_RUNS runs. On a
+# shared 2-CPU x86-64 machine the runs of a process started after a few idle
+# seconds read about 1.0 for their first 2-2.5 s (four or five 600 x 600
+# runs) and about 0.5 after.
+WARMUP_S = 3.0
+WARMUP_RUNS = 10
+
+
+def probe(size: int, products: int, runs: int) -> tuple[list[float], list[float]]:
+    """The warm-up runs' ratios, then `runs` timed ones.
+
+    A run's ratio is the wall time of the two loops on two threads over
+    one after the other.
+    """
     a, b = np.random.default_rng(0).standard_normal((2, size, size))
 
     def loop():
         for _ in range(products):
             a @ b
 
-    ratios = []
-    for _ in range(runs):
+    def ratio():
         t0 = time.perf_counter()
         loop()
         loop()
@@ -62,8 +74,12 @@ def probe(size: int, products: int, runs: int) -> list[float]:
             t.start()
         for t in threads:
             t.join()
-        ratios.append((time.perf_counter() - t0) / serial)
-    return ratios
+        return (time.perf_counter() - t0) / serial
+
+    start, warmup = time.perf_counter(), [ratio()]
+    while time.perf_counter() - start < WARMUP_S and len(warmup) < WARMUP_RUNS:
+        warmup.append(ratio())
+    return warmup, [ratio() for _ in range(runs)]
 
 
 def main(argv=None) -> int:
@@ -74,10 +90,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if min(args.size, args.products, args.runs) < 1:
         parser.error("--size, --products and --runs must be at least 1")
-    ratios = probe(args.size, args.products, args.runs)
+    warmup, ratios = probe(args.size, args.products, args.runs)
     print(json.dumps({
         "ratio": round(statistics.median(ratios), 4),
         "ratios": [round(r, 4) for r in ratios],
+        "warmup": [round(r, 4) for r in warmup],
         "size": args.size,
         "products": args.products,
         "runs": args.runs,

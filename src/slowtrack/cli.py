@@ -10,12 +10,11 @@ import argparse
 import sys
 from collections.abc import Iterator
 from dataclasses import fields, is_dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, OptimizationError, TrackingLostError
+from .errors import DataError, OptimizationError, PgmFormatError, TrackingLostError
 from .hierarchy import PretrainConfig, load_model, pretrain, save_model
 from .metrics import BoxTrace, center_error, overlap_rate
 from .patches import (
@@ -274,19 +273,26 @@ def _sample_directory(directory: Path, stride: int, sides: dict[int, int | None]
     """Training sequences of one data directory, None where its box is too small.
 
     Each side's are cut from the first `sides[side]` frames, or from all
-    of them for None. Its frames are freed on return, before the next
-    directory is read.
+    of them for None. Each cut reads its frames from the files one at a
+    time, so no more than one decoded frame is held.
     """
     gt = directory / "gt.csv"
     if not gt.is_file():
         raise DataError(f"missing gt.csv in data directory {directory}")
-    frames = list(stream_frame_dir(directory))
+    frames = stream_frame_dir(directory)
     boxes = read_boxes_csv(gt)
     try:
-        return {side: sample_training_set(frames[:n], boxes[:n], side, stride)
-                for side, n in sides.items()}
+        cells = {side: sample_training_set(frames[:n], boxes[:n], side, stride)
+                 for side, n in sides.items()}
+        if all(c is None for c in cells.values()):
+            # no cut read a frame of a skipped directory; a malformed one is still an error
+            for _ in frames:
+                pass
+    except PgmFormatError:
+        raise  # it names its file
     except DataError as err:
         raise DataError(f"{directory}: {err}") from None
+    return cells
 
 
 def _sample_layer1(dirs: list[Path], stride: int, kept32: list[Path]) -> list[np.ndarray]:
@@ -347,7 +353,7 @@ def cmd_adapt(args) -> int:
     _check_tradeoffs(cfg.lam, cfg.gamma)
     model = _load_model_arg(args.model)
     # only the first init_frames frames are read, so later ones are never decoded
-    frames = list(islice(stream_frame_dir(args.frames), cfg.init_frames))
+    frames = list(stream_frame_dir(args.frames)[: cfg.init_frames])
     if len(frames) < cfg.init_frames:
         raise DataError(
             f"need at least {cfg.init_frames} frames, found {len(frames)}"

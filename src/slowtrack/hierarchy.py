@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +125,7 @@ class PretrainConfig:
             raise ValueError(f"whitening dim must be >= 1, got {self.whiten_dim}")
 
 
-@dataclass(frozen=True)
-class LayerAdaptStats:
+class LayerAdaptStats(NamedTuple):
     layer: str
     value_before: float
     value_after: float
@@ -136,15 +136,13 @@ class LayerAdaptStats:
     evals: int
 
 
-@dataclass(frozen=True)
-class PretrainResult:
+class PretrainResult(NamedTuple):
     model: HierarchicalModel
     layer1_opt: OptimizeResult
     layer2_opt: OptimizeResult
 
 
-@dataclass(frozen=True)
-class AdaptResult:
+class AdaptResult(NamedTuple):
     model: HierarchicalModel
     layers: tuple[LayerAdaptStats, ...]
 

@@ -35,6 +35,8 @@ the matrix products split their work by thread count.
 An objective owns the work arrays of its row terms: they are allocated
 on its first evaluation (again when the filter count changes) and every
 later evaluation writes into them, so an objective is not re-entrant.
+Pre-training's evaluations write the (N, F) gradient coefficients over
+the responses they come from, so they hold one (N, F) array, not two.
 `evaluate(w)` returns the pair (value, gradient), the gradient a fresh
 (F, D) array; either may be non-finite, and `optimizer.minimize` checks
 every point it accepts.
@@ -232,18 +234,24 @@ class SlownessObjective:
     def evaluate(self, w) -> tuple[float, np.ndarray]:
         return self._terms(self._check_w(w))
 
-    def _buffers(self, f):
+    def _buffers(self, f, pull):
         """Work arrays a, z, scratch, s, c, u, (N, F)^T X for F filters, made per F.
 
         The row form adds the residual R and its (N, F) coefficients. The
-        first and last rows of c stay zero.
+        first and last rows of c stay zero. A Gram-form evaluation without
+        a pull reads the responses a only to form u, so u is a itself and
+        is written over it; the row form and the pull read a after u is
+        formed, so they get u as an array of its own, made when first needed.
         """
+        n, h, d = self.n, f // 2, self.dim
         if self._work is None or self._work[0].shape[1] != f:
-            n, h, d = self.n, f // 2, self.dim
-            shapes = [(n, f), (n, h), (n, h), (n - 1, h), (n + 1, h), (n, f), (f, d)]
+            shapes = [(n, f), (n, h), (n, h), (n - 1, h), (n + 1, h), (f, d)]
             if self._gram is None:
                 shapes += [(n, d), (n, f)]
             self._work = [np.zeros(shape) for shape in shapes]
+            self._work.insert(5, self._work[0])
+        if (self._gram is None or pull is not None) and self._work[5] is self._work[0]:
+            self._work[5] = np.zeros((n, f))
         return self._work
 
     def _rows(self, w, lo, hi):
@@ -308,7 +316,7 @@ class SlownessObjective:
         else:
             value = 0.0
         f = w.shape[0]
-        a, _, _, s, _, u, ux, *rows = self._buffers(f)
+        a, _, _, s, _, u, ux, *rows = self._buffers(f, pull)
 
         if lam > 0:
             split = (gram is not None and min(self.n, f) >= 2 * SPLIT_BLOCK

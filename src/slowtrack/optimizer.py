@@ -125,17 +125,18 @@ def two_loop_direction(grad, hist: LbfgsHistory, b0_scale: float = 1.0) -> np.nd
     if b0_scale <= 0:
         raise ValueError(f"b0_scale must be positive, got {b0_scale}")
     q = np.array(grad, dtype=np.float64).ravel()
+    step = np.empty_like(q)  # each pair's update to q or r, formed in place
     pairs = list(hist)  # oldest first
     alphas = [0.0] * len(pairs)
     for i in range(len(pairs) - 1, -1, -1):  # newest to oldest
         s, y, rho = pairs[i]
         alphas[i] = rho * float(s @ q)
-        q -= alphas[i] * y
-    r = b0_scale * q
+        q -= np.multiply(alphas[i], y, out=step)
+    r = np.multiply(q, b0_scale, out=q)
     for (s, y, rho), alpha in zip(pairs, alphas):  # oldest to newest
         beta = rho * float(y @ r)
-        r += s * (alpha - beta)
-    return -r
+        r += np.multiply(s, alpha - beta, out=step)
+    return np.negative(r, out=r)
 
 
 def _interpolate(lo, f_lo, d_lo, hi, f_hi):
@@ -175,20 +176,21 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
     def probe(alpha):
         nonlocal evals
         evals += 1
-        return f(x + alpha * p)
+        xa = x + alpha * p
+        return (xa, *f(xa))
 
     # bracketing phase
     alpha_prev, f_prev, d_prev = 0.0, f0, d0
     alpha = 1.0
     bracket = None
     while evals < budget:
-        fa, ga = probe(alpha)
+        xa, fa, ga = probe(alpha)
         da = float(ga @ p)
         if fa > f0 + c1 * alpha * d0 or (evals > 1 and fa >= f_prev):
             bracket = (alpha_prev, f_prev, d_prev, alpha, fa)
             break
         if abs(da) <= -c2 * d0:
-            return LineSearchResult(alpha, x + alpha * p, fa, ga, evals)
+            return LineSearchResult(alpha, xa, fa, ga, evals)
         if da >= 0:
             bracket = (alpha, fa, da, alpha_prev, f_prev)
             break
@@ -203,13 +205,13 @@ def wolfe_line_search(f, x, p, f0: float, g0) -> LineSearchResult:
     lo, f_lo, d_lo, hi, f_hi = bracket
     while evals < budget:
         alpha = _interpolate(lo, f_lo, d_lo, hi, f_hi)
-        fa, ga = probe(alpha)
+        xa, fa, ga = probe(alpha)
         if fa > f0 + c1 * alpha * d0 or fa >= f_lo:
             hi, f_hi = alpha, fa
         else:
             da = float(ga @ p)
             if abs(da) <= -c2 * d0:
-                return LineSearchResult(alpha, x + alpha * p, fa, ga, evals)
+                return LineSearchResult(alpha, xa, fa, ga, evals)
             if da * (hi - lo) >= 0:
                 hi, f_hi = lo, f_lo
             lo, f_lo, d_lo = alpha, fa, da

@@ -7,12 +7,14 @@ normalized to zero mean and unit variance so downstream objectives see
 inputs on a common scale; constant windows normalize to the all-zero
 patch. Training data is a list of (L, side**2) arrays, one per sequence,
 so sequence boundaries stay explicit: consecutive-frame feature
-differences are only meaningful within one video.
+differences are only meaningful within one video. A directory of frames
+is a `LazyFrames` sequence that decodes a frame only when it is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,13 +141,28 @@ def save_frame(frame: np.ndarray, path) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
-def stream_frame_dir(directory) -> Iterator[np.ndarray]:
-    """Lazily load a directory's *.pgm files by filename; DataError if none."""
+class LazyFrames(Sequence):
+    """`load(item)` of each of `items`, computed when read and never kept; a slice is lazy too."""
+
+    def __init__(self, load, items):
+        self._load, self._items = load, items
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return LazyFrames(self._load, self._items[t])
+        return self._load(self._items[operator.index(t)])
+
+
+def stream_frame_dir(directory) -> LazyFrames:
+    """A directory's *.pgm frames in filename order, decoded only when read; DataError if none."""
     directory = Path(directory)
     paths = sorted(directory.glob("*.pgm"))
     if not paths:
         raise DataError(f"no .pgm frames found in {directory}")
-    return map(load_frame, paths)
+    return LazyFrames(load_frame, paths)
 
 
 def sample_training_set(frames, boxes, side: int, stride: int) -> list[np.ndarray] | None:
@@ -156,33 +173,39 @@ def sample_training_set(frames, boxes, side: int, stride: int) -> list[np.ndarra
     spatially to cell k in frame t+1. Returns one (L, side**2) array of
     normalized patches per grid cell, cells in row-major order, or None
     when the first box is smaller than `side`.
+
+    `frames` is a sized sequence, read once in order after its length is
+    checked against the boxes. Each frame's windows are copied into one
+    (cells, L, side, side) block as it arrives, so a lazy sequence
+    (`stream_frame_dir`) has one frame decoded at a time.
     """
     if side not in PATCH_SIDES:
         raise ValueError(f"unsupported patch side {side}; expected one of {PATCH_SIDES}")
     if stride <= 0:
         raise ValueError(f"stride must be positive, got {stride}")
-    frames = list(frames)
-    if not frames:
+    n = len(frames)
+    if not n:
         return []
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if len(boxes) != len(frames):
-        raise DataError(f"{len(frames)} frames but {len(boxes)} boxes")
+    if len(boxes) != n:
+        raise DataError(f"{n} frames but {len(boxes)} boxes")
     bx, by, bw, bh = (int(round(v)) for v in boxes[0])
     if bw < side or bh < side:
         return None
-    height, width = frames[0].shape
     for t, f in enumerate(frames):
-        if f.shape != (height, width):
+        if not t:
+            height, width = f.shape
+            xs = [x for x in range(bx, bx + bw - side + 1, stride) if 0 <= x <= width - side]
+            ys = [y for y in range(by, by + bh - side + 1, stride) if 0 <= y <= height - side]
+            block = np.empty((len(ys), len(xs), n, side, side))
+        elif f.shape != (height, width):
             raise DataError(
                 f"frame {t} is {f.shape[1]}x{f.shape[0]}, frame 0 is {width}x{height}"
             )
-    xs = [x for x in range(bx, bx + bw - side + 1, stride) if 0 <= x <= width - side]
-    ys = [y for y in range(by, by + bh - side + 1, stride) if 0 <= y <= height - side]
-    return [
-        normalize_rows(np.stack([f[gy : gy + side, gx : gx + side].ravel() for f in frames]))
-        for gy in ys
-        for gx in xs
-    ]
+        for i, gy in enumerate(ys):
+            for j, gx in enumerate(xs):
+                block[i, j, t] = f[gy : gy + side, gx : gx + side]
+    return [normalize_rows(cell) for cell in block.reshape(-1, n, side * side)]
 
 
 def read_boxes_csv(path) -> np.ndarray:

@@ -14,9 +14,8 @@ trip.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DataError
 from .geometry import snapped_cos_sin
 from .metrics import BoxTrace
-from .patches import save_frame, write_boxes_csv
+from .patches import LazyFrames, save_frame, write_boxes_csv
 
 # required clearance between the target and the frame border, in pixels
 BORDER_MARGIN = 8
@@ -160,26 +159,18 @@ def _render_target(texture, cx, cy, c, s, scale, amp, period, width, height):
     return rows + iy0, cols + ix0, vals
 
 
-class _Frames(Sequence):
-    """Frames held as a background and each frame's target footprint, composed on access."""
-
-    def __init__(self, background, footprints):
-        self._background, self._footprints = background, footprints
-
-    def __len__(self):
-        return len(self._footprints)
-
-    def __getitem__(self, t):
-        ys, xs, vals = self._footprints[operator.index(t)]
-        img = self._background.copy()
-        img[ys, xs] = vals
-        img.setflags(write=False)
-        return img
+def _compose(background, footprint) -> np.ndarray:
+    """The read-only frame of `background` with one target footprint scattered in."""
+    ys, xs, vals = footprint
+    img = background.copy()
+    img[ys, xs] = vals
+    img.setflags(write=False)
+    return img
 
 
 def generate_sequence(
     script: MotionScript, frame_size=(320, 240), seed: int = 0
-) -> tuple[Sequence[np.ndarray], BoxTrace]:
+) -> tuple[LazyFrames, BoxTrace]:
     """Render the script and check every box; returns lazy read-only frames and the exact trace."""
     width, height = int(frame_size[0]), int(frame_size[1])
     rng = np.random.default_rng(seed)
@@ -217,7 +208,8 @@ def generate_sequence(
             )
         footprints.append((ys, xs, np.rint(vals * 255.0) / 255.0))
         boxes.append((float(x0), float(y0), float(x1 - x0 + 1), float(y1 - y0 + 1)))
-    return _Frames(np.rint(background * 255.0) / 255.0, footprints), BoxTrace(np.asarray(boxes))
+    background = np.rint(background * 255.0) / 255.0
+    return LazyFrames(partial(_compose, background), footprints), BoxTrace(np.asarray(boxes))
 
 
 def frame_name(index: int) -> str:

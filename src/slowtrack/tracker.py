@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +129,7 @@ class TrackerConfig:
             )
 
 
-@dataclass(frozen=True)
-class AdaptEvent:
+class AdaptEvent(NamedTuple):
     """One scheduled adaptation, as recorded in the diagnostics log."""
 
     frames_processed: int
@@ -138,8 +138,7 @@ class AdaptEvent:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class TrackResult:
+class TrackResult(NamedTuple):
     boxes: np.ndarray  # (n_frames, 4)
     model: HierarchicalModel
     events: tuple[AdaptEvent, ...]

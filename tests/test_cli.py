@@ -777,6 +777,20 @@ class TestTypedDataErrors:
         assert_data_error(res)
         assert res.stderr == f"error: {seq}: 24 frames but 23 boxes\n"
 
+    @pytest.mark.parametrize("target_side", ["48", "8"], ids=["sampled", "skipped"])
+    def test_pretrain_truncated_frame(self, tmp_path, data_dir, target_side):
+        # a directory whose box is too small for any patch is still read
+        seq = tmp_path / "seq"
+        synth(seq, frames=6, target_side=target_side)
+        frame = seq / "000003.pgm"
+        frame.write_bytes(frame.read_bytes()[:100])
+        res = run_cli("pretrain", "--data", data_dir / "a", seq, "--out", tmp_path / "m.hftm",
+                      "--f1", 8, "--f2", 4, "--max-iters", 2)
+        assert_data_error(res)
+        assert res.stderr.endswith(f"error: {frame}: payload truncated at byte offset 100 "
+                                   "(16800 bytes required, 85 present)\n")
+        assert not (tmp_path / "m.hftm").exists()
+
     def test_track_nan_init_box(self, tmp_path, track_dir):
         res = run_cli("track", "--frames", track_dir, "--init-box", "nan,1,30,30",
                       "--out", tmp_path / "b.csv", "--raw-only")

@@ -632,3 +632,23 @@ class TestWorkBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2880 * 32 * 8  # one (N, F/2) float64 array
+
+    def test_gram_form_writes_its_coefficients_over_its_responses(self):
+        # beside its work arrays, a first Gram-form evaluation without a pull
+        # allocates less than one (N, F) array: its coefficients u take the
+        # responses' place
+        n, d, f = 2000, 16, 64
+        rng = np.random.default_rng(18)
+        obj = SlownessObjective(np.split(rng.standard_normal((n, d)), 4), 5.0)
+        assert obj._gram is not None
+        w = 0.1 * rng.standard_normal((f, d))
+        tracemalloc.start()
+        try:
+            obj.evaluate(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        h = f // 2
+        # a (N, F); z and scratch (N, F/2); s (N-1, F/2); c (N+1, F/2); U^T X (F, D)
+        work = 8 * (n * f + 4 * n * h + f * d)
+        assert peak - work < 8 * n * f

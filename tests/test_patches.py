@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corruptions, normalize_values
+from slowtrack import patches
 from slowtrack.errors import DataError, PgmFormatError
 from slowtrack.hierarchy import PretrainConfig, pretrain
 from slowtrack.patches import (
@@ -215,6 +217,35 @@ class TestSampleTrainingSet:
         seqs = sample_training_set(frames, boxes, 16, 16)
         assert [s.shape for s in seqs] == [(5, 256)] * 4
 
+    def test_directory_holds_one_decoded_frame_at_a_time(self, tmp_path, monkeypatch):
+        for t, frame in enumerate(self.frames(6, seed=7)):
+            save_frame(frame, tmp_path / f"{t:06d}.pgm")
+        boxes = [(8, 8, 32, 32)] * 6
+        eager = sample_training_set(list(stream_frame_dir(tmp_path)), boxes, 16, 16)
+        refs = []  # each frame decoded
+
+        def spy(path):
+            # every frame decoded before the latest one is freed already
+            assert [ref() for ref in refs[:-1]] == [None] * len(refs[:-1])
+            frame = load_frame(path)
+            refs.append(weakref.ref(frame))
+            return frame
+
+        monkeypatch.setattr(patches, "load_frame", spy)
+        lazy = sample_training_set(stream_frame_dir(tmp_path), boxes, 16, 16)
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
+        assert len(lazy) == len(eager) == 4
+        for got, want in zip(lazy, eager):
+            np.testing.assert_array_equal(got, want)
+
+    def test_frame_count_checked_before_any_frame_is_read(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a frame was read")
+
+        with pytest.raises(DataError, match=r"^3 frames but 2 boxes$"):
+            sample_training_set(Unread(self.frames(3)), [(8, 8, 32, 32)] * 2, 16, 16)
+
 
 class TestSequenceTypes:
     """Training sequences are (L, side**2) arrays; pretrain checks them."""
@@ -274,6 +305,17 @@ class TestLoadFrameDir:
             save_frame(frame, tmp_path / f"{i:06d}.pgm")
         frames = list(stream_frame_dir(tmp_path))
         assert len(frames) == 3
+
+    def test_length_is_the_file_count_and_decodes_nothing(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        for i in range(3):
+            save_frame(rng.random((4, 5)), tmp_path / f"{i:06d}.pgm")
+        decoded = []
+        monkeypatch.setattr(patches, "load_frame", lambda p: decoded.append(p.name) or load_frame(p))
+        frames = stream_frame_dir(tmp_path)
+        assert len(frames) == 3 and len(frames[1:]) == 2 and decoded == []
+        np.testing.assert_array_equal(frames[-1], load_frame(tmp_path / "000002.pgm"))
+        assert decoded == ["000002.pgm"]
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no .pgm frames"):

@@ -309,9 +309,13 @@ def test_cpu_probe_prints_one_json_line():
     assert res.returncode == 0, res.stderr
     [line] = res.stdout.splitlines()
     probe = json.loads(line)
-    assert set(probe) == {"ratio", "ratios", "size", "products", "runs", "openblas_core"}
+    assert set(probe) == {"ratio", "ratios", "warmup", "size", "products", "runs",
+                          "openblas_core"}
     assert (probe["size"], probe["products"], probe["runs"]) == (8, 1, 2)
+    # the warm-up runs are timed apart and left out of the median
     assert len(probe["ratios"]) == 2 and probe["ratio"] > 0
+    assert 1 <= len(probe["warmup"]) <= 10 and min(probe["warmup"]) > 0
+    assert probe["ratio"] == pytest.approx(sum(probe["ratios"]) / 2, abs=2e-4)
     assert probe["openblas_core"] is None or isinstance(probe["openblas_core"], str)
 
 
